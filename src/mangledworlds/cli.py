@@ -237,20 +237,20 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
     seed = int(cfg["seed"])
     n_paths = int(cfg["n_paths"])
 
-    ens = monte_carlo.simulate_survivors(spec, n_paths, seed, workers=args.workers)
+    # one walk gives both the histogram and the estimate
     hist = monte_carlo.empirical_distribution(spec, n_paths, seed,
                                               bins=int(cfg["bins"]),
                                               workers=args.workers)
     rows_to_csv(run_dir / "histogram.csv", ["y_lo", "y_hi", "weight"],
                 [[format_float(lo), format_float(hi), format_float(wt)]
                  for lo, hi, wt in zip(hist.edges[:-1], hist.edges[1:], hist.weights)])
-    est = ens.estimate()
-    se = ens.std_error()
+    est = hist.estimate()
+    se = hist.std_error()
     payload = {
         "spec": {"p": dp.p, "r": dp.r, "eps": spec.eps, "n_events": n_events,
-                 "tilt": tilt, "boundary_rule": spec.boundary_rule},
+                 "tilt": tilt},
         "seed": seed, "n_paths": n_paths,
-        "survivor_count": ens.survivor_count,
+        "survivor_count": hist.survivor_count,
         "log10_estimate": None if est.is_zero else est.log10(),
         "log10_std_error": None if se.is_zero else se.log10(),
         "histogram_log_offset": hist.log_offset,
@@ -259,7 +259,7 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_summary(run_dir, [
         f"spec: p={dp.p} r={dp.r} eps={spec.eps} N={n_events} tilt={tilt}",
-        f"paths={n_paths} seed={seed} survivors={ens.survivor_count}",
+        f"paths={n_paths} seed={seed} survivors={hist.survivor_count}",
         f"log10 estimate = {'-inf' if est.is_zero else f'{est.log10():.9g}'}",
         f"log10 std err  = {'-inf' if se.is_zero else f'{se.log10():.9g}'}",
     ])
@@ -442,9 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, help="parallelism cap")
         for key, value in defaults.items():
             flag = "--" + key.replace("_", "-")
-            if isinstance(value, bool):
-                sp.add_argument(flag, dest=key, type=str)
-            elif isinstance(value, int) and value is not None:
+            if isinstance(value, int):
                 sp.add_argument(flag, dest=key, type=int)
             elif isinstance(value, float):
                 sp.add_argument(flag, dest=key, type=float)

@@ -29,15 +29,14 @@ number of still-alive paths.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .model_params import DecoherenceParams, binary_event_stats, to_diffusion
+from .model_params import DecoherenceParams, binary_event_stats
 from .special_functions import LogValue, logaddexp, logsubexp
 
 _LN2 = math.log(2.0)
@@ -45,7 +44,6 @@ CHUNK = 1 << 16
 _MAX_PATHS = 1 << 31
 _MAX_EVENTS = 1 << 31
 
-BOUNDARY_RULES = ("continuum", "paper_continuum")
 TILTS = ("none", "measure")
 
 # ---------------------------------------------------------------------------
@@ -84,18 +82,12 @@ def _uniforms(key: np.uint64, path_hi: np.ndarray, event: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """A walk configuration: discrete model, boundary offset, event count.
-
-    ``boundary_rule`` picks between the two algebraically identical forms of
-    the boundary increment per event (n*xhat1 - eps versus -(v-w)*n/r - eps);
-    both are kept so the identity stays executable.  ``eps`` may be ``inf``
-    to disable absorption.
-    """
+    """A walk configuration: discrete model, boundary offset, event count
+    and sampling tilt.  ``eps`` may be ``inf`` to disable absorption."""
 
     dp: DecoherenceParams
     eps: float
     n_events: int
-    boundary_rule: str = "continuum"
     tilt: str = "none"
 
     def __post_init__(self):
@@ -103,18 +95,13 @@ class WalkSpec:
             raise DomainError(f"eps must be positive, got {self.eps!r}")
         if not 1 <= self.n_events <= _MAX_EVENTS:
             raise DomainError(f"n_events must be in [1, 2^31], got {self.n_events!r}")
-        if self.boundary_rule not in BOUNDARY_RULES:
-            raise DomainError(f"boundary_rule must be one of {BOUNDARY_RULES}")
         if self.tilt not in TILTS:
             raise DomainError(f"tilt must be one of {TILTS}")
 
     def boundary_step(self) -> float:
-        """Boundary displacement per event (negative)."""
-        if self.boundary_rule == "continuum":
-            return binary_event_stats(self.dp.p)[0]
-        eps = self.eps if math.isfinite(self.eps) else 1.0
-        diff = to_diffusion(self.dp, eps)
-        return -(diff.v - diff.w) / self.dp.r
+        """Boundary displacement per event: xhat1, the mean log-size step
+        (negative)."""
+        return binary_event_stats(self.dp.p)[0]
 
 
 def default_tilt(dp: DecoherenceParams, n_events: int) -> str:
@@ -126,20 +113,13 @@ def default_tilt(dp: DecoherenceParams, n_events: int) -> str:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Accumulated estimator state of one simulation run.
-
-    ``trace``, when requested, holds one entry per path: the event index at
-    which the path was absorbed, or 0 for survivors.  It is diagnostic only
-    and excluded from equality.
-    """
+    """Accumulated estimator state of one simulation run."""
 
     n_paths: int
     survivor_count: int
     log_weight_sum: float
     log_weight_sq_sum: float
     seed: int
-    trace: np.ndarray | None = dataclasses.field(default=None, compare=False,
-                                                 repr=False)
 
     def estimate(self) -> LogValue:
         """Unbiased estimate of the surviving world count."""
@@ -170,20 +150,21 @@ class ExactCount:
 
 
 @dataclass(frozen=True)
-class SurvivorHistogram:
-    """Weighted histogram of surviving boundary-relative log-sizes.
+class SurvivorHistogram(PathEnsemble):
+    """A run's estimator state plus the weighted histogram of its surviving
+    boundary-relative log-sizes.
 
     ``weights`` are relative; the estimator count in bin b is
-    ``weights[b] * exp(log_offset)``.  ``normalized()`` gives the unit-mass
-    shape used for density comparisons.
+    ``weights[b] * exp(log_offset)``; when the bins cover every survivor
+    the weights sum to ``estimate()`` times ``exp(-log_offset)``.
+    ``normalized()`` gives the
+    unit-mass shape used for density comparisons.  The arrays are excluded
+    from equality.
     """
 
-    edges: np.ndarray
-    weights: np.ndarray
+    edges: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
     log_offset: float
-    n_paths: int
-    survivor_count: int
-    seed: int
 
     @property
     def empty(self) -> bool:
@@ -222,7 +203,6 @@ class _RunConfig:
     tilt: str
     key: np.uint64
     hist_edges: np.ndarray | None = None
-    trace: bool = False
 
 
 @dataclass
@@ -232,20 +212,15 @@ class _ChunkStats:
     log_sum_w: float = -math.inf
     log_sum_w2: float = -math.inf
     hist: np.ndarray | None = None
-    trace: np.ndarray | None = None
 
 
 def _run_chunk(cfg: _RunConfig, start: int, size: int) -> _ChunkStats:
     path_hi = np.arange(start, start + size, dtype=np.uint64) << _U(32)
     x = np.zeros(size)
     finite_eps = math.isfinite(cfg.eps)
-    death = np.zeros(size, dtype=np.int64) if cfg.trace else None
 
-    def compact(keep, event):
+    def compact(keep):
         nonlocal x, path_hi
-        if death is not None and not keep.all():
-            dead = (path_hi[~keep] >> _U(32)).astype(np.int64) - start
-            death[dead] = event
         x = x[keep]
         path_hi = path_hi[keep]
 
@@ -256,13 +231,13 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> _ChunkStats:
         x += np.where(u < cfg.prob_big, cfg.log_p, cfg.log_q)
         b = k * cfg.b_step - cfg.eps
         if finite_eps:
-            compact(x > b, k)
+            compact(x > b)
         if k == cfg.n_split and x.size:
             x = x + cfg.log_F
             if finite_eps and cfg.log_F != 0.0:
-                compact(x > b, k)
+                compact(x > b)
 
-    stats = _ChunkStats(n_paths=size, n_survivors=int(x.size), trace=death)
+    stats = _ChunkStats(n_paths=size, n_survivors=int(x.size))
     if cfg.hist_edges is not None:
         stats.hist = np.zeros(len(cfg.hist_edges) - 1)
     if x.size == 0:
@@ -302,8 +277,6 @@ def _combine(chunks: list[_ChunkStats]) -> _ChunkStats:
         out.log_sum_w2 = logaddexp(out.log_sum_w2, c.log_sum_w2)
         if c.hist is not None:
             out.hist += c.hist
-    if chunks and chunks[0].trace is not None:
-        out.trace = np.concatenate([c.trace for c in chunks])
     return out
 
 
@@ -323,8 +296,7 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> _ChunkStats
 
 def _config_for(spec: WalkSpec, *, n_split: int = 0, n2: int = 0,
                 log_F: float = 0.0, log_G: float = 0.0, seed: int = 0,
-                hist_edges: np.ndarray | None = None,
-                trace: bool = False) -> _RunConfig:
+                hist_edges: np.ndarray | None = None) -> _RunConfig:
     p = spec.dp.p
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
@@ -336,7 +308,13 @@ def _config_for(spec: WalkSpec, *, n_split: int = 0, n2: int = 0,
         b_step=spec.boundary_step(), eps=spec.eps,
         n_total=n_total, n_split=n_split,
         log_F=log_F, log_G=log_G, tilt=spec.tilt,
-        key=_key_from_seed(seed), hist_edges=hist_edges, trace=trace)
+        key=_key_from_seed(seed), hist_edges=hist_edges)
+
+
+def _result(cls, s: _ChunkStats, seed: int, **extra):
+    return cls(n_paths=s.n_paths, survivor_count=s.n_survivors,
+               log_weight_sum=s.log_sum_w, log_weight_sq_sum=s.log_sum_w2,
+               seed=seed, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +322,14 @@ def _config_for(spec: WalkSpec, *, n_split: int = 0, n2: int = 0,
 # ---------------------------------------------------------------------------
 
 def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
-                       workers: int | None = None,
-                       collect_trace: bool = False) -> PathEnsemble:
+                       workers: int | None = None) -> PathEnsemble:
     """Estimate the surviving world count after spec.n_events events.
 
     Identical (spec, n_paths, seed) give bit-identical results regardless
-    of ``workers``.  ``collect_trace`` records each path's absorption event
-    (small runs only).
+    of ``workers``.
     """
-    if collect_trace and n_paths > (1 << 20):
-        raise DomainError("per-path traces are for small runs (n_paths <= 2^20)")
-    cfg = _config_for(spec, seed=seed, trace=collect_trace)
-    s = _simulate(cfg, n_paths, workers)
-    return PathEnsemble(n_paths=s.n_paths, survivor_count=s.n_survivors,
-                        log_weight_sum=s.log_sum_w,
-                        log_weight_sq_sum=s.log_sum_w2, seed=seed,
-                        trace=s.trace)
+    cfg = _config_for(spec, seed=seed)
+    return _result(PathEnsemble, _simulate(cfg, n_paths, workers), seed)
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
@@ -388,7 +358,12 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
                            y_max: float | None = None,
                            workers: int | None = None) -> SurvivorHistogram:
     """Weighted histogram of surviving boundary-relative log-sizes
-    y = x - x_b(N); the shape comparand for the closed-form density."""
+    y = x - x_b(N); the shape comparand for the closed-form density.
+
+    The same walk also carries the estimator state, so the result's
+    ``estimate()`` equals that of :func:`simulate_survivors` for the same
+    (spec, n_paths, seed), bit for bit.
+    """
     if isinstance(bins, (int, np.integer)):
         if y_max is None:
             sigma1 = binary_event_stats(spec.dp.p)[1]
@@ -406,9 +381,8 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
         b_final = (spec.n_events * cfg.b_step - spec.eps
                    if math.isfinite(spec.eps) else 0.0)
         log_offset = -b_final - math.log(n_paths)
-    return SurvivorHistogram(edges=edges, weights=s.hist,
-                             log_offset=log_offset, n_paths=s.n_paths,
-                             survivor_count=s.n_survivors, seed=seed)
+    return _result(SurvivorHistogram, s, seed, edges=edges, weights=s.hist,
+                   log_offset=log_offset)
 
 
 def born_two_stage_mc(spec1: WalkSpec, F: float, G: float, spec2: WalkSpec,
@@ -419,10 +393,8 @@ def born_two_stage_mc(spec1: WalkSpec, F: float, G: float, spec2: WalkSpec,
     then continues through spec2.n_events more background events.  Returns
     the estimate of the final outcome count lambda."""
     if (spec1.dp != spec2.dp or spec1.eps != spec2.eps
-            or spec1.boundary_rule != spec2.boundary_rule
             or spec1.tilt != spec2.tilt):
-        raise DomainError("stage specs must agree in dp, eps, boundary_rule "
-                          "and tilt")
+        raise DomainError("stage specs must agree in dp, eps and tilt")
     F = float(F)
     if not 0.0 < F <= 1.0:
         raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
@@ -430,7 +402,4 @@ def born_two_stage_mc(spec1: WalkSpec, F: float, G: float, spec2: WalkSpec,
         raise DomainError(f"child count G must be >= 1, got {G!r}")
     cfg = _config_for(spec1, n_split=spec1.n_events, n2=spec2.n_events,
                       log_F=math.log(F), log_G=math.log(G), seed=seed)
-    s = _simulate(cfg, n_paths, workers)
-    return PathEnsemble(n_paths=s.n_paths, survivor_count=s.n_survivors,
-                        log_weight_sum=s.log_sum_w,
-                        log_weight_sq_sum=s.log_sum_w2, seed=seed)
+    return _result(PathEnsemble, _simulate(cfg, n_paths, workers), seed)

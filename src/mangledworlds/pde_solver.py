@@ -217,25 +217,21 @@ def _check_health(values: np.ndarray, t: float) -> None:
             f"below tolerance {floor:.3e}")
 
 
-def _advance_steps(field: Field, stepper: _Stepper, n_steps: int,
-                   smooth_first: bool) -> None:
-    """Advance ``field`` in place by n_steps of stepper.dt."""
+def _advance(field: Field, stepper: _Stepper, smooth: bool) -> None:
+    """Advance ``field`` in place by one step of stepper.dt, taken as
+    Rannacher smoothing half-steps when ``smooth``."""
     grid = stepper.grid
-    for k in range(n_steps):
-        mass_before = field.mass(grid)
-        u = field.values[1:]
-        if smooth_first and k == 0:
-            u = stepper.advance_smoothing(u)
-        else:
-            u = stepper.advance(u)
-        field.values[1:] = u
-        field.values[0] = 0.0
-        _check_health(field.values, field.t + stepper.dt)
-        # roundoff-scale negatives (inside the health tolerance) are shaved
-        np.clip(field.values, 0.0, None, out=field.values)
-        field.t += stepper.dt
-        field.far_inflow += stepper.dt * stepper.w * float(field.values[-1])
-        field.absorbed += mass_before - field.mass(grid)
+    mass_before = field.mass(grid)
+    u = field.values[1:]
+    u = stepper.advance_smoothing(u) if smooth else stepper.advance(u)
+    field.values[1:] = u
+    field.values[0] = 0.0
+    _check_health(field.values, field.t + stepper.dt)
+    # roundoff-scale negatives (inside the health tolerance) are shaved
+    np.clip(field.values, 0.0, None, out=field.values)
+    field.t += stepper.dt
+    field.far_inflow += stepper.dt * stepper.w * float(field.values[-1])
+    field.absorbed += mass_before - field.mass(grid)
 
 
 def step(field: Field, grid: Grid, w: float) -> Field:
@@ -245,7 +241,7 @@ def step(field: Field, grid: Grid, w: float) -> Field:
     credited to ``absorbed``.
     """
     out = replace(field, values=field.values.copy())
-    _advance_steps(out, _Stepper(grid, w, grid.dt), 1, smooth_first=False)
+    _advance(out, _Stepper(grid, w, grid.dt), smooth=False)
     return out
 
 
@@ -266,14 +262,11 @@ def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
                             field.growth_log(dp))
 
     fire_snapshots()
-    first = smooth_first
-    for _ in range(n_full):
-        _advance_steps(field, stepper, 1, smooth_first=first)
-        first = False
+    for k in range(n_full):
+        _advance(field, stepper, smooth=smooth_first and k == 0)
         fire_snapshots()
     if remainder > 1e-9 * max(1.0, grid.dt):
-        _advance_steps(field, _Stepper(grid, dp.w, remainder), 1,
-                       smooth_first=False)
+        _advance(field, _Stepper(grid, dp.w, remainder), smooth=False)
         fire_snapshots()
     field.t = t_end  # kill step-count roundoff drift
 

@@ -115,12 +115,6 @@ class LogValue:
     def __neg__(self) -> "LogValue":
         return LogValue(self.log_magnitude, -self.sign)
 
-    def _key(self) -> float:
-        # monotone signed key for comparisons only; collapses to +-inf fast
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(min(self.log_magnitude, 700.0))
-
     def __lt__(self, other: "LogValue") -> bool:
         return _signed_less(self, other)
 

@@ -2,10 +2,12 @@
 config round-trips, and the validate suite."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from mangledworlds import monte_carlo
 from mangledworlds.cli import run
 
 
@@ -96,13 +98,33 @@ class TestArtifacts:
 
 class TestDeterminismAndRoundTrip:
     def test_mc_byte_identical_reruns(self, tmp_path):
+        # three 2^16-path chunks, so the worker count decides the schedule
         args = ["mc", "--out", str(tmp_path), "--seed", "31337",
-                "--n-events", "50", "--n-paths", "16384", "--p", "0.6",
-                "--eps", "0.3"]
-        assert run(args + ["--name", "a"]) == 0
-        assert run(args + ["--name", "b"]) == 0
+                "--n-events", "50", "--n-paths", str(3 * monte_carlo.CHUNK),
+                "--p", "0.6", "--eps", "0.3"]
+        assert run(args + ["--name", "a", "--workers", "1"]) == 0
+        assert run(args + ["--name", "b", "--workers", "2"]) == 0
         for name in ("histogram.csv", "estimates.json"):
             assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
+        est = json.loads((tmp_path / "a" / "estimates.json").read_text())
+        rows = (tmp_path / "a" / "histogram.csv").read_text().splitlines()[1:]
+        total = math.fsum(float(row.split(",")[2]) for row in rows)
+        assert (est["log10_estimate"] * math.log(10.0)
+                == pytest.approx(math.log(total) + est["histogram_log_offset"],
+                                 abs=1e-9))
+
+    def test_mc_walks_once(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = monte_carlo._simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "_simulate", counting)
+        assert run(["mc", "--out", str(tmp_path), "--seed", "5",
+                    "--n-events", "20", "--n-paths", "4096"]) == 0
+        assert len(calls) == 1
 
     def test_config_round_trip(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path), "--name", "first",
