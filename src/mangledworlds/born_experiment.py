@@ -114,11 +114,8 @@ def _analytic_lambdas(outcomes, diff, t1, t2) -> list[LogValue]:
 
 
 def _pde_lambdas(outcomes, diff, t1, t2, grid) -> list[LogValue]:
-    if grid is None:
-        max_l = max(-math.log(o.F) for o in outcomes)
-        grid = pde_solver.suggested_grid(diff, t1 + t2, max_abs_log_F=max_l)
-    return [pde_solver.born_two_stage(diff, grid, t1, o.F, o.G, t2)
-            for o in outcomes]
+    return pde_solver.born_two_stage_counts(
+        diff, grid, t1, [(o.F, o.G) for o in outcomes], t2)
 
 
 def _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed, workers,
@@ -171,6 +168,9 @@ def deviation_table(outcomes: list[BornOutcomeSpec], dp: DecoherenceParams,
             if engine == "analytic":
                 lams = _analytic_lambdas(outcomes, diff, t1, t2)
             elif engine == "pde":
+                if grid is None:
+                    max_l = max(-math.log(o.F) for o in outcomes)
+                    grid = pde_solver.suggested_grid(diff, t1 + t2, max_abs_log_F=max_l)
                 lams = _pde_lambdas(outcomes, diff, t1, t2, grid)
             else:
                 lams = _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed,

@@ -394,8 +394,10 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
                    f"exact {exact.count}, estimate {ens.estimate().to_float():.2f}, "
                    f"gap/se {gap / se:.2f}"))
 
-    again = monte_carlo.simulate_survivors(spec, 200_000, seed=20260810, workers=2)
-    checks.append(("walker determinism", again == ens, "seeded rerun bit-identical"))
+    other = 2 if workers == 1 else 1  # another worker count, another schedule
+    again = monte_carlo.simulate_survivors(spec, 200_000, seed=20260810, workers=other)
+    checks.append(("walker determinism", again == ens,
+                   f"workers {workers or 'auto'} and {other} bit-identical"))
     return checks
 
 

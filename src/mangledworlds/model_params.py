@@ -66,19 +66,15 @@ def count_walk_stats(p: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DecoherenceParams:
-    """Discrete binary-event model: branch fraction p, event rate r,
-    optional event count N."""
+    """Discrete binary-event model: branch fraction p, event rate r."""
 
     p: float
     r: float = 1.0
-    N: int | None = None
 
     def __post_init__(self):
         _check_probability(self.p)
         if not self.r > 0.0:
             raise DomainError(f"event rate r must be positive, got {self.r!r}")
-        if self.N is not None and self.N < 0:
-            raise DomainError(f"event count N must be nonnegative, got {self.N!r}")
 
     @property
     def xhat1(self) -> float:

@@ -16,18 +16,20 @@ Schemes:
 * ``crank_nicolson`` (default): trapezoidal in time, central second-order
   differences in space, unconditionally stable tridiagonal solves.  At the
   grids used here the cell Peclet number is 2h << 1, where central
-  differencing is non-oscillatory.
+  differencing is non-oscillatory.  The operator is time-invariant, so
+  I - (dt/2) L is factored once per run; a step is one back-substitution.
 * ``explicit_upwind``: forward Euler with the advection term one-sided
   toward larger y (the upwind side; the comoving drift is toward the
   boundary).  First-order, kept as a structurally independent cross-check;
   the stability bound dt <= 0.9 min(h^2/w, h/w) is enforced at run time
   because w is not part of the grid.
 
-Mass bookkeeping is exact by construction: each step credits its mass loss
-to ``absorbed``, so absorbed + surviving stays at the initial unit mass up
-to the far-edge term tracked in ``far_inflow`` (the zero-gradient outer
-boundary admits a spurious advective inflow ~ w nu(y_max) dt per step, which
-honest domain sizing keeps below 1e-8 overall).
+Mass bookkeeping is exact by construction: each run credits its net mass
+loss (the per-step losses telescope) to ``absorbed``, so absorbed + surviving
+stays at the initial unit mass up to the far-edge term tracked in
+``far_inflow`` (the zero-gradient outer boundary admits a spurious advective
+inflow ~ w nu(y_max) dt per step, which honest domain sizing keeps below
+1e-8 overall).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericalError
 from .model_params import DiffusionParams
@@ -84,17 +86,15 @@ class Field:
     """Comoving-frame state: node densities at time t plus bookkeeping.
 
     ``absorbed`` accumulates the nu-frame mass lost through y = 0 (exact
-    per-step mass balance), ``far_inflow`` the estimated spurious gain at
-    the zero-gradient outer edge, and ``log_scale`` any extra log count
-    factors.  The growth exponent (v - w/2) t is re-applied at readout by
-    :func:`survivor_count`.
+    mass balance per run), and ``far_inflow`` the estimated spurious gain
+    at the zero-gradient outer edge.  The growth exponent (v - w/2) t is
+    re-applied at readout by :func:`survivor_count`.
     """
 
     values: np.ndarray
     t: float = 0.0
     absorbed: float = 0.0
     far_inflow: float = 0.0
-    log_scale: float = 0.0
 
     def mass(self, grid: Grid) -> float:
         """Trapezoid integral of the density over the grid."""
@@ -102,8 +102,8 @@ class Field:
         return grid.h * (v[1:-1].sum() + 0.5 * (v[0] + v[-1]))
 
     def growth_log(self, dp: DiffusionParams) -> float:
-        """Accumulated log growth (v - w/2) t plus count multipliers."""
-        return (dp.v - 0.5 * dp.w) * self.t + self.log_scale
+        """Accumulated log growth (v - w/2) t."""
+        return (dp.v - 0.5 * dp.w) * self.t
 
 
 def init_delta(grid: Grid, eps: float) -> Field:
@@ -172,16 +172,14 @@ class _Stepper:
                 raise DomainError(
                     f"explicit scheme unstable: dt = {dt!r} exceeds "
                     f"0.9*min(h^2/w, h/w) = {limit!r}")
-            self._ab_lhs = None
-        else:
-            # shared left matrix of Crank-Nicolson and of the dt/2
-            # implicit-Euler smoothing substep: I - (dt/2) L
-            n = grid.n_cells
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -0.5 * dt * self.sup[:-1]
-            ab[1, :] = 1.0 - 0.5 * dt * self.diag
-            ab[2, :-1] = -0.5 * dt * self.sub[1:]
-            self._ab_lhs = ab
+            return
+        # shared left matrix of Crank-Nicolson and of the dt/2 implicit-Euler
+        # smoothing substep, I - (dt/2) L, factored once
+        *lu, info = dgttrf(-0.5 * dt * self.sub[1:], 1.0 - 0.5 * dt * self.diag,
+                           -0.5 * dt * self.sup[:-1])
+        if info != 0:
+            raise NumericalError(f"step matrix is singular (dgttrf info = {info})")
+        self._lu = lu
 
     def _apply_operator(self, u: np.ndarray) -> np.ndarray:
         """L @ u for the unknowns u = values[1:] (node 0 is zero)."""
@@ -190,18 +188,23 @@ class _Stepper:
         out[1:] += self.sub[1:] * u[:-1]
         return out
 
+    def _solve_lhs(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = dgttrs(*self._lu, rhs)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (dgttrs info = {info})")
+        return x
+
     def advance(self, u: np.ndarray) -> np.ndarray:
         if self.grid.scheme == "explicit_upwind":
             return u + self.dt * self._apply_operator(u)
-        rhs = u + 0.5 * self.dt * self._apply_operator(u)
-        return solve_banded((1, 1), self._ab_lhs, rhs, check_finite=False)
+        return self._solve_lhs(u + 0.5 * self.dt * self._apply_operator(u))
 
     def advance_smoothing(self, u: np.ndarray) -> np.ndarray:
         """One full dt as two implicit-Euler half-steps (Rannacher)."""
         if self.grid.scheme == "explicit_upwind":
             return self.advance(u)
         for _ in range(_RANNACHER_HALF_STEPS):
-            u = solve_banded((1, 1), self._ab_lhs, u, check_finite=False)
+            u = self._solve_lhs(u)
         return u
 
 
@@ -218,10 +221,8 @@ def _check_health(values: np.ndarray, t: float) -> None:
 
 
 def _advance(field: Field, stepper: _Stepper, smooth: bool) -> None:
-    """Advance ``field`` in place by one step of stepper.dt, taken as
-    Rannacher smoothing half-steps when ``smooth``."""
-    grid = stepper.grid
-    mass_before = field.mass(grid)
+    """Advance ``field`` in place by one step of stepper.dt (Rannacher
+    half-steps when ``smooth``); the caller credits ``absorbed``."""
     u = field.values[1:]
     u = stepper.advance_smoothing(u) if smooth else stepper.advance(u)
     field.values[1:] = u
@@ -231,7 +232,6 @@ def _advance(field: Field, stepper: _Stepper, smooth: bool) -> None:
     np.clip(field.values, 0.0, None, out=field.values)
     field.t += stepper.dt
     field.far_inflow += stepper.dt * stepper.w * float(field.values[-1])
-    field.absorbed += mass_before - field.mass(grid)
 
 
 def step(field: Field, grid: Grid, w: float) -> Field:
@@ -242,6 +242,7 @@ def step(field: Field, grid: Grid, w: float) -> Field:
     """
     out = replace(field, values=field.values.copy())
     _advance(out, _Stepper(grid, w, grid.dt), smooth=False)
+    out.absorbed += field.mass(grid) - out.mass(grid)
     return out
 
 
@@ -250,6 +251,7 @@ def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
          smooth_first: bool = True) -> None:
     targets = sorted(float(s) for s in snapshot_times)
     stepper = _Stepper(grid, dp.w, grid.dt)
+    mass_start = field.mass(grid)
     t_end = field.t + duration
     n_full = int(math.floor(duration / grid.dt + 1e-9))
     remainder = duration - n_full * grid.dt
@@ -269,6 +271,7 @@ def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
         _advance(field, _Stepper(grid, dp.w, remainder), smooth=False)
         fire_snapshots()
     field.t = t_end  # kill step-count roundoff drift
+    field.absorbed += mass_start - field.mass(grid)
 
 
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
@@ -320,51 +323,49 @@ def shift_toward_boundary(field: Field, grid: Grid, log_F: float) -> None:
 
 
 def born_two_stage(dp: DiffusionParams, grid: Grid, t1: float, F: float,
-                   G: float, t2: float, *, log_F: float | None = None) -> LogValue:
+                   G: float, t2: float) -> LogValue:
     """Two-stage protocol: evolve to t1, move every world down by |ln F| and
     multiply the count by G, evolve on to t1 + t2; returns the survivor
     count (the grid estimate of lambda)."""
-    field = born_two_stage_field(dp, grid, t1, F, G, t2, log_F=log_F)
-    return survivor_count(field, grid, dp)
+    return born_two_stage_counts(dp, grid, t1, [(F, G)], t2)[0]
 
 
-def born_two_stage_field(dp: DiffusionParams, grid: Grid, t1: float, F: float,
-                         G: float, t2: float, *, log_F: float | None = None) -> Field:
+def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
+                          splits: Sequence[tuple[float, float]],
+                          t2: float) -> list[LogValue]:
+    """:func:`born_two_stage` for each (F, G) in ``splits``; stage one does
+    not depend on the split, so it is solved once and copied per split."""
     dp.require_diffusive()
-    if log_F is None:
+    log_splits = []
+    for F, G in splits:
         F = float(F)
         if not 0.0 < F <= 1.0:
             raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-        log_F = math.log(F)
-    if G < 1:
-        raise DomainError(f"child count G must be >= 1, got {G!r}")
+        if G < 1:
+            raise DomainError(f"child count G must be >= 1, got {G!r}")
+        log_splits.append((math.log(F), G))
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("t1 and t2 must be positive")
 
-    field = init_delta(grid, dp.eps)
-    _run(field, dp, grid, t1, smooth_first=True)
-    shift_toward_boundary(field, grid, log_F)
-    # the count multiplier scales the surviving density only; pre-split
-    # absorbed mass stays a stage-one diagnostic
-    if G != 1:
-        field.values *= G
-    # restart smoothing only when the shift actually kinked the profile, so
-    # F = 1, G = 1 stays bit-identical to one continuous solve
-    _run(field, dp, grid, t2, smooth_first=(log_F != 0.0))
-    return field
+    stage_one = solve(dp, grid, t1)
+    counts = []
+    for log_F, G in log_splits:
+        field = replace(stage_one, values=stage_one.values.copy())
+        shift_toward_boundary(field, grid, log_F)
+        if G != 1:  # scales the surviving density, not the absorbed mass
+            field.values *= G
+        # restart smoothing only when the shift actually kinked the profile,
+        # so F = 1, G = 1 stays bit-identical to one continuous solve
+        _run(field, dp, grid, t2, smooth_first=(log_F != 0.0))
+        counts.append(survivor_count(field, grid, dp))
+    return counts
 
 
 def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
-                   n_cells: int = 2048, dt: float | None = None,
-                   scheme: str = "crank_nicolson") -> Grid:
-    """Grid sized for a run to time T: y_max = eps + |ln F| + 6 sqrt(w T)
-    (rounded up), which keeps the far-edge density, and with it the tail
-    leak, below ~1e-8 of the mass."""
+                   n_cells: int = 2048) -> Grid:
+    """Crank-Nicolson grid for a run to time T in 8000 steps, with
+    y_max = eps + |ln F| + 6 sqrt(w T) (rounded up), which keeps the
+    far-edge density, and with it the tail leak, below ~1e-8 of the mass."""
     dp.require_diffusive()
     y_max = float(math.ceil(dp.eps + max_abs_log_F + 6.0 * math.sqrt(dp.w * T) + 1.0))
-    if dt is None:
-        dt = T / 8000.0
-        if scheme == "explicit_upwind":
-            h = y_max / n_cells
-            dt = min(dt, 0.9 * min(h * h / dp.w, h / dp.w))
-    return Grid(y_max=y_max, n_cells=n_cells, dt=dt, scheme=scheme)
+    return Grid(y_max=y_max, n_cells=n_cells, dt=T / 8000.0)

@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from mangledworlds import analytic
+from mangledworlds import analytic, pde_solver
 from mangledworlds.born_experiment import (BornOutcomeSpec, GAMMA_HEADLINE,
                                            deviation_table, headline_check,
                                            scan_to_csv,
@@ -46,6 +47,31 @@ class TestDeviationTable:
             assert row.status == "ok"
             assert row.share == pytest.approx(1.0, abs=1e-12)
             assert row.gamma_analytic == 1.0
+        # the grid the pde engine sized for itself is recorded
+        sized = pde_solver.suggested_grid(to_diffusion(dp, 0.2), 150.0)
+        assert report.metadata["grid"] == asdict(sized)
+
+    def test_pde_shares_stage_one(self, monkeypatch):
+        dp = DecoherenceParams(p=0.6, r=1.0)
+        outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),
+                    BornOutcomeSpec("c", 0.125, 2)]
+        grid = Grid(y_max=20.0, n_cells=512, dt=0.1)
+        run = pde_solver._run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(pde_solver, "_run", counting)
+        report = deviation_table(outcomes, dp, eps=0.2, t1=50.0, t2=100.0,
+                                 engines=("pde",), grid=grid)
+        assert len(calls) == 1 + len(outcomes)
+        monkeypatch.undo()
+        diff = to_diffusion(dp, 0.2)
+        for row, o in zip(report.rows, outcomes):
+            alone = pde_solver.born_two_stage(diff, grid, 50.0, o.F, o.G, 100.0)
+            assert row.log10_lambda == alone.log10()
 
     def test_analytic_shares_near_born_at_huge_wt1(self):
         # w t1 = 1e10 makes each gamma ~1 - 1e-5; shares deviate from the

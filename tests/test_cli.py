@@ -143,6 +143,18 @@ class TestDeterminismAndRoundTrip:
 
 
 class TestValidate:
+    def test_determinism_check_changes_worker_count(self, tmp_path, monkeypatch):
+        used = []
+        simulate = monte_carlo.simulate_survivors
+
+        def recording(*args, **kwargs):
+            used.append(kwargs["workers"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "simulate_survivors", recording)
+        assert run(["validate", "--out", str(tmp_path), "--workers", "2"]) == 0
+        assert sorted(used) == [1, 2]
+
     def test_full_cross_oracle_suite_passes(self, tmp_path, capsys):
         assert run(["validate", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -94,9 +94,7 @@ class TestParamsTypes:
             DecoherenceParams(p=0.5, r=0.0)
         with pytest.raises(DomainError):
             DecoherenceParams(p=1.2)
-        with pytest.raises(DomainError):
-            DecoherenceParams(p=0.5, N=-1)
-        dp = DecoherenceParams(p=0.6, r=2.0, N=100)
+        dp = DecoherenceParams(p=0.6, r=2.0)
         assert dp.xtilde1 == pytest.approx(dp.xhat1 - dp.sigma1 ** 2, rel=1e-15)
 
     def test_diffusion_validation(self):

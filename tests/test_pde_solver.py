@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
@@ -169,6 +170,55 @@ class TestStepDynamics:
         f.values[100] = float("nan")
         with pytest.raises(NumericalError):
             step(f, g, 0.5)
+
+
+class TestFactoredStepper:
+    """The once-factored step matrix reproduces a fresh banded solve of the
+    same system on every step, bit for bit."""
+
+    @staticmethod
+    def _banded_reference(grid, w, dt):
+        sub, diag, sup = pde_solver._operator_bands(grid, w)
+        ab = np.zeros((3, grid.n_cells))
+        ab[0, 1:] = -0.5 * dt * sup[:-1]
+        ab[1, :] = 1.0 - 0.5 * dt * diag
+        ab[2, :-1] = -0.5 * dt * sub[1:]
+
+        def advance(u):
+            lu = diag * u
+            lu[:-1] += sup[:-1] * u[1:]
+            lu[1:] += sub[1:] * u[:-1]
+            return solve_banded((1, 1), ab, u + 0.5 * dt * lu, check_finite=False)
+
+        def advance_smoothing(u):
+            for _ in range(2):
+                u = solve_banded((1, 1), ab, u, check_finite=False)
+            return u
+
+        return advance, advance_smoothing
+
+    # the desk grid, and the born_pde benchmark grid (w = 0.01, dt = 0.45)
+    @pytest.mark.parametrize("y_max,n_cells,w,dt", [(20.0, 2048, 0.5, 1e-3),
+                                                     (40.0, 4096, 0.01, 0.45)])
+    def test_matches_banded_solve(self, y_max, n_cells, w, dt):
+        g = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
+        stepper = pde_solver._Stepper(g, w, dt)
+        advance, advance_smoothing = self._banded_reference(g, w, dt)
+        u = init_delta(g, 0.2).values[1:]
+        got, want = stepper.advance_smoothing(u), advance_smoothing(u)
+        assert np.array_equal(got, want)
+        for _ in range(300):
+            got, want = stepper.advance(got), advance(want)
+            assert np.array_equal(got, want)
+
+    def test_singular_step_matrix_is_loud(self, monkeypatch):
+        # with L = 4 I and dt = 0.5, I - (dt/2) L is the zero matrix
+        g = Grid(y_max=10.0, n_cells=64, dt=0.5)
+        n = g.n_cells
+        monkeypatch.setattr(pde_solver, "_operator_bands",
+                            lambda grid, w: (np.zeros(n), np.full(n, 4.0), np.zeros(n)))
+        with pytest.raises(NumericalError):
+            pde_solver._Stepper(g, 0.5, g.dt)
 
 
 class TestSolve:
