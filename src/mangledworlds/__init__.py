@@ -9,11 +9,10 @@ how close surviving-world counting comes to the Born probabilities.
 from .errors import DomainError, NumericalError, RegimeWarning
 from .model_params import (DecoherenceParams, DiffusionParams,
                            binary_event_stats, count_walk_stats, to_diffusion)
-from .special_functions import (LogValue, bracket, erfc, erfcx, log_erfc,
-                                log_diff_exp, log_sum_exp)
+from .special_functions import LogValue, bracket, erfc, erfcx, log_erfc
 from .analytic import (boundary, gamma_correction, gamma_correction_log,
-                       lambda_count, lambda_count_log, mu0, mu1_approx,
-                       mu1_exact, pde_residual_mu0, unmangled_count_W)
+                       lambda_count, lambda_count_log, pde_residual_mu0,
+                       unmangled_count_W)
 from .pde_solver import Field, Grid, born_two_stage, init_delta, solve, step, survivor_count
 from .monte_carlo import (ExactCount, PathEnsemble, SurvivorHistogram,
                           WalkSpec, born_two_stage_mc, default_tilt,
@@ -29,11 +28,9 @@ __all__ = [
     "DomainError", "NumericalError", "RegimeWarning",
     "DecoherenceParams", "DiffusionParams", "binary_event_stats",
     "count_walk_stats", "to_diffusion",
-    "LogValue", "bracket", "erfc", "erfcx", "log_erfc", "log_diff_exp",
-    "log_sum_exp",
+    "LogValue", "bracket", "erfc", "erfcx", "log_erfc",
     "boundary", "gamma_correction", "gamma_correction_log", "lambda_count",
-    "lambda_count_log", "mu0", "mu1_approx", "mu1_exact", "pde_residual_mu0",
-    "unmangled_count_W",
+    "lambda_count_log", "pde_residual_mu0", "unmangled_count_W",
     "Field", "Grid", "born_two_stage", "init_delta", "solve", "step",
     "survivor_count",
     "ExactCount", "PathEnsemble", "SurvivorHistogram", "WalkSpec",

@@ -79,11 +79,6 @@ def log_mu0(x, t: float, dp: DiffusionParams):
     return out if out.ndim else float(out)
 
 
-def mu0(x: float, t: float, dp: DiffusionParams) -> LogValue:
-    """All-worlds density at a point, as a LogValue."""
-    return LogValue(log_mu0(x, t, dp))
-
-
 def pde_residual_mu0(x: float, t: float, dp: DiffusionParams, h: float = 1e-4,
                      wrong_mean: bool = False) -> float:
     """Normalized residual of the growth-drift-diffusion equation
@@ -153,11 +148,6 @@ def log_mu1_exact(y, t: float, dp: DiffusionParams):
     return out if out.ndim else float(out)
 
 
-def mu1_exact(y: float, t: float, dp: DiffusionParams) -> LogValue:
-    lv = log_mu1_exact(y, t, dp)
-    return LogValue.zero() if lv == -math.inf else LogValue(lv)
-
-
 def log_mu1_approx(y, t: float, dp: DiffusionParams):
     """ln of the small-eps unmangled density
 
@@ -178,11 +168,6 @@ def log_mu1_approx(y, t: float, dp: DiffusionParams):
            - 0.5 * _LOG_2PI - 1.5 * math.log(s)
            + log_y - y_arr - y_arr ** 2 / (2.0 * s))
     return out if out.ndim else float(out)
-
-
-def mu1_approx(y: float, t: float, dp: DiffusionParams) -> LogValue:
-    lv = log_mu1_approx(y, t, dp)
-    return LogValue.zero() if lv == -math.inf else LogValue(lv)
 
 
 # ---------------------------------------------------------------------------

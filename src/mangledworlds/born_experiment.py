@@ -128,14 +128,11 @@ def _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed, workers,
     n1, n2 = int(round(n1)), int(round(n2))
     if tilt is None:
         tilt = monte_carlo.default_tilt(dp, n1 + n2)
-    out = []
-    for k, o in enumerate(outcomes):
-        s1 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n1, tilt=tilt)
-        s2 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n2, tilt=tilt)
-        ens = monte_carlo.born_two_stage_mc(s1, o.F, o.G, s2, n_paths,
-                                            seed + 7919 * k, workers)
-        out.append(ens.estimate())
-    return out
+    s1 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n1, tilt=tilt)
+    s2 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n2, tilt=tilt)
+    ensembles = monte_carlo.born_two_stage_mc_counts(
+        s1, [(o.F, o.G) for o in outcomes], s2, n_paths, seed, workers)
+    return [ens.estimate() for ens in ensembles]
 
 
 def deviation_table(outcomes: list[BornOutcomeSpec], dp: DecoherenceParams,

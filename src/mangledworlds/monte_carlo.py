@@ -25,6 +25,11 @@ chunks of 2^16 and the per-chunk partials are reduced in index order, which
 makes results bit-identical for any worker count.  Absorbed paths are
 compacted away each event, so the cost per event is proportional to the
 number of still-alive paths.
+
+Two-stage runs with several (F, G) splits walk stage one once per chunk and
+continue each split from its survivors.  The splits share every draw
+(common random numbers) and the seed is not offset per split, so each
+split's result equals its one-split run at the same seed, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -197,9 +203,8 @@ class _RunConfig:
     b_step: float
     eps: float
     n_total: int
-    n_split: int          # event index of the two-stage split, 0 = none
-    log_F: float
-    log_G: float
+    n_split: int          # event after which each split is applied
+    splits: tuple[tuple[float, float], ...]  # (log_F, log_G) per split
     tilt: str
     key: np.uint64
     hist_edges: np.ndarray | None = None
@@ -214,38 +219,55 @@ class _ChunkStats:
     hist: np.ndarray | None = None
 
 
-def _run_chunk(cfg: _RunConfig, start: int, size: int) -> _ChunkStats:
-    path_hi = np.arange(start, start + size, dtype=np.uint64) << _U(32)
-    x = np.zeros(size)
-    finite_eps = math.isfinite(cfg.eps)
-
-    def compact(keep):
-        nonlocal x, path_hi
-        x = x[keep]
-        path_hi = path_hi[keep]
-
-    for k in range(1, cfg.n_total + 1):
+def _walk(cfg: _RunConfig, x: np.ndarray, path_hi: np.ndarray,
+          first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the alive paths through events first..last (x in place),
+    dropping each path the first time it falls to the boundary."""
+    for k in range(first, last + 1):
         if x.size == 0:
             break
         u = _uniforms(cfg.key, path_hi, k)
         x += np.where(u < cfg.prob_big, cfg.log_p, cfg.log_q)
-        b = k * cfg.b_step - cfg.eps
-        if finite_eps:
-            compact(x > b)
-        if k == cfg.n_split and x.size:
-            x = x + cfg.log_F
-            if finite_eps and cfg.log_F != 0.0:
-                compact(x > b)
+        if math.isfinite(cfg.eps):
+            keep = x > k * cfg.b_step - cfg.eps
+            x = x[keep]  # one at a time: each old array is freed at once
+            path_hi = path_hi[keep]
+    return x, path_hi
 
+
+def _run_chunk(cfg: _RunConfig, start: int, size: int) -> list[_ChunkStats]:
+    """One chunk's statistics per split.  Stage one is walked once; every
+    split continues from a copy of its survivors on the same draws."""
+    x1, hi1 = _walk(cfg, np.zeros(size),
+                    np.arange(start, start + size, dtype=np.uint64) << _U(32),
+                    1, cfg.n_split)
+    b_split = cfg.n_split * cfg.b_step - cfg.eps
+    out = []
+    for i, (log_F, log_G) in enumerate(cfg.splits):
+        # nothing reads stage one after the last split, so it takes x1 over
+        x = x1 if i == len(cfg.splits) - 1 else x1.copy()
+        x += log_F
+        path_hi = hi1
+        if math.isfinite(cfg.eps) and log_F != 0.0:
+            keep = x > b_split
+            x = x[keep]
+            path_hi = path_hi[keep]
+        x, _ = _walk(cfg, x, path_hi, cfg.n_split + 1, cfg.n_total)
+        out.append(_survivor_stats(cfg, x, size, log_F, log_G))
+    return out
+
+
+def _survivor_stats(cfg: _RunConfig, x: np.ndarray, size: int,
+                    log_F: float, log_G: float) -> _ChunkStats:
     stats = _ChunkStats(n_paths=size, n_survivors=int(x.size))
     if cfg.hist_edges is not None:
         stats.hist = np.zeros(len(cfg.hist_edges) - 1)
     if x.size == 0:
         return stats
 
-    b_final = cfg.n_total * cfg.b_step - cfg.eps if finite_eps else 0.0
+    b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
     if cfg.tilt == "none":
-        log_w = cfg.n_total * _LN2 + cfg.log_G
+        log_w = cfg.n_total * _LN2 + log_G
         stats.log_sum_w = math.log(x.size) + log_w
         stats.log_sum_w2 = math.log(x.size) + 2.0 * log_w
         if cfg.hist_edges is not None:
@@ -253,7 +275,7 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> _ChunkStats:
             stats.hist, _ = np.histogram(y, bins=cfg.hist_edges)
             stats.hist = stats.hist.astype(float)
     else:
-        log_w = cfg.log_G + cfg.log_F - x
+        log_w = log_G + log_F - x
         m = float(log_w.max())
         stats.log_sum_w = m + math.log(float(np.exp(log_w - m).sum()))
         stats.log_sum_w2 = 2.0 * m + math.log(float(np.exp(2.0 * (log_w - m)).sum()))
@@ -280,7 +302,9 @@ def _combine(chunks: list[_ChunkStats]) -> _ChunkStats:
     return out
 
 
-def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> _ChunkStats:
+def _simulate(cfg: _RunConfig, n_paths: int,
+              workers: int | None) -> list[_ChunkStats]:
+    """Totals per split, reduced over the chunks in index order."""
     if not 1 <= n_paths <= _MAX_PATHS:
         raise DomainError(f"n_paths must be in [1, 2^31], got {n_paths!r}")
     spans = [(lo, min(CHUNK, n_paths - lo)) for lo in range(0, n_paths, CHUNK)]
@@ -291,12 +315,15 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> _ChunkStats
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(lambda s: _run_chunk(cfg, *s), spans))
-    return _combine(chunks)
+    return [_combine(per_split) for per_split in zip(*chunks)]
 
 
-def _config_for(spec: WalkSpec, *, n_split: int = 0, n2: int = 0,
-                log_F: float = 0.0, log_G: float = 0.0, seed: int = 0,
+def _config_for(spec: WalkSpec, *, n2: int = 0,
+                splits: tuple[tuple[float, float], ...] = ((0.0, 0.0),),
+                seed: int = 0,
                 hist_edges: np.ndarray | None = None) -> _RunConfig:
+    """Config for a walk split after spec.n_events and continued for n2
+    more events; a plain run is the identity split (0, 0) with n2 = 0."""
     p = spec.dp.p
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
@@ -306,8 +333,7 @@ def _config_for(spec: WalkSpec, *, n_split: int = 0, n2: int = 0,
         log_p=math.log(big), log_q=math.log(small),
         prob_big=0.5 if spec.tilt == "none" else big,
         b_step=spec.boundary_step(), eps=spec.eps,
-        n_total=n_total, n_split=n_split,
-        log_F=log_F, log_G=log_G, tilt=spec.tilt,
+        n_total=n_total, n_split=spec.n_events, splits=splits, tilt=spec.tilt,
         key=_key_from_seed(seed), hist_edges=hist_edges)
 
 
@@ -329,7 +355,7 @@ def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
     of ``workers``.
     """
     cfg = _config_for(spec, seed=seed)
-    return _result(PathEnsemble, _simulate(cfg, n_paths, workers), seed)
+    return _result(PathEnsemble, _simulate(cfg, n_paths, workers)[0], seed)
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
@@ -374,7 +400,7 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
     else:
         edges = np.asarray(bins, dtype=float)
     cfg = _config_for(spec, seed=seed, hist_edges=edges)
-    s = _simulate(cfg, n_paths, workers)
+    s = _simulate(cfg, n_paths, workers)[0]
     if spec.tilt == "none":
         log_offset = spec.n_events * _LN2 - math.log(n_paths)
     else:
@@ -392,14 +418,30 @@ def born_two_stage_mc(spec1: WalkSpec, F: float, G: float, spec2: WalkSpec,
     the estimator gains a factor G (with an immediate absorption check),
     then continues through spec2.n_events more background events.  Returns
     the estimate of the final outcome count lambda."""
+    return born_two_stage_mc_counts(spec1, [(F, G)], spec2, n_paths, seed,
+                                    workers)[0]
+
+
+def born_two_stage_mc_counts(spec1: WalkSpec,
+                             splits: Sequence[tuple[float, float]],
+                             spec2: WalkSpec, n_paths: int, seed: int,
+                             workers: int | None = None) -> list[PathEnsemble]:
+    """:func:`born_two_stage_mc` for each (F, G) in ``splits``.  Stage one
+    does not depend on the split, so each chunk walks it once and continues
+    every split from its survivors on the same draws; each result equals
+    the one-split call at the same seed, bit for bit."""
+    log_splits = []
+    for F, G in splits:
+        F = float(F)
+        if not 0.0 < F <= 1.0:
+            raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
+        if G < 1:
+            raise DomainError(f"child count G must be >= 1, got {G!r}")
+        log_splits.append((math.log(F), math.log(G)))
     if (spec1.dp != spec2.dp or spec1.eps != spec2.eps
             or spec1.tilt != spec2.tilt):
         raise DomainError("stage specs must agree in dp, eps and tilt")
-    F = float(F)
-    if not 0.0 < F <= 1.0:
-        raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    if G < 1:
-        raise DomainError(f"child count G must be >= 1, got {G!r}")
-    cfg = _config_for(spec1, n_split=spec1.n_events, n2=spec2.n_events,
-                      log_F=math.log(F), log_G=math.log(G), seed=seed)
-    return _result(PathEnsemble, _simulate(cfg, n_paths, workers), seed)
+    cfg = _config_for(spec1, n2=spec2.n_events, splits=tuple(log_splits),
+                      seed=seed)
+    return [_result(PathEnsemble, s, seed)
+            for s in _simulate(cfg, n_paths, workers)]

@@ -1,4 +1,4 @@
-"""Overflow-safe special functions and signed log-space arithmetic.
+"""Overflow-safe special functions and signed log-space values.
 
 Every closed form in this package reduces to the complementary error
 function, its scaled variant erfcx(a) = exp(a^2) * erfc(a), and the
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import DomainError, NumericalError
 
@@ -49,7 +48,7 @@ class LogValue:
     """A real number stored as (sign, ln|value|) so huge counts stay finite.
 
     ``sign == 0`` encodes exact zero and forces ``log_magnitude = -inf``.
-    Multiplication adds logs; addition goes through :func:`log_sum_exp`.
+    Sums of logs go through :func:`logaddexp` and :func:`logsubexp`.
     """
 
     log_magnitude: float
@@ -92,45 +91,6 @@ class LogValue:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def __mul__(self, other: "LogValue | float") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_float(float(other))
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude + other.log_magnitude, s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "LogValue | float") -> "LogValue":
-        if not isinstance(other, LogValue):
-            other = LogValue.from_float(float(other))
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.log_magnitude - other.log_magnitude,
-                        self.sign * other.sign)
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(self.log_magnitude, -self.sign)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return _signed_less(self, other)
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self == other or _signed_less(self, other)
-
-
-def _signed_less(a: LogValue, b: LogValue) -> bool:
-    if a.sign != b.sign:
-        return a.sign < b.sign
-    if a.sign == 0:
-        return False
-    if a.sign > 0:
-        return a.log_magnitude < b.log_magnitude
-    return a.log_magnitude > b.log_magnitude
-
 
 def logaddexp(a: float, b: float) -> float:
     """ln(e^a + e^b) with the max factored out (floats are logs)."""
@@ -151,34 +111,6 @@ def logsubexp(a: float, b: float) -> float:
     if a == b:
         return _NEG_INF
     return a + math.log1p(-math.exp(b - a))
-
-
-def log_sum_exp(terms: Iterable[LogValue]) -> LogValue:
-    """Sum of signed LogValues: positives and negatives accumulated
-    separately, then one ordered difference."""
-    pos = _NEG_INF
-    neg = _NEG_INF
-    for t in terms:
-        if t.sign > 0:
-            pos = logaddexp(pos, t.log_magnitude)
-        elif t.sign < 0:
-            neg = logaddexp(neg, t.log_magnitude)
-    if neg == _NEG_INF:
-        return LogValue(pos) if pos != _NEG_INF else LogValue.zero()
-    if pos == _NEG_INF:
-        return LogValue(neg, -1)
-    if pos == neg:
-        return LogValue.zero()
-    if pos > neg:
-        return LogValue(logsubexp(pos, neg), 1)
-    return LogValue(logsubexp(neg, pos), -1)
-
-
-def log_diff_exp(a: LogValue, b: LogValue) -> LogValue:
-    """a - b for LogValues under the precondition a >= b (signed)."""
-    if _signed_less(a, b):
-        raise DomainError("log_diff_exp requires a >= b; reorder the arguments")
-    return log_sum_exp([a, -b])
 
 
 # ---------------------------------------------------------------------------

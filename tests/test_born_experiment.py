@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
-from mangledworlds import analytic, pde_solver
+from mangledworlds import analytic, monte_carlo, pde_solver
 from mangledworlds.born_experiment import (BornOutcomeSpec, GAMMA_HEADLINE,
                                            deviation_table, headline_check,
                                            scan_to_csv,
@@ -72,6 +72,29 @@ class TestDeviationTable:
         for row, o in zip(report.rows, outcomes):
             alone = pde_solver.born_two_stage(diff, grid, 50.0, o.F, o.G, 100.0)
             assert row.log10_lambda == alone.log10()
+
+    def test_mc_shares_stage_one(self, monkeypatch):
+        dp = DecoherenceParams(p=0.6, r=1.0)
+        outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),
+                    BornOutcomeSpec("c", 0.125, 2)]
+        simulate = monte_carlo._simulate
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "_simulate", counting)
+        report = deviation_table(outcomes, dp, eps=0.2, t1=40.0, t2=120.0,
+                                 engines=("mc",), n_paths=20_000, seed=9)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        tilt = monte_carlo.default_tilt(dp, 160)
+        s1 = monte_carlo.WalkSpec(dp=dp, eps=0.2, n_events=40, tilt=tilt)
+        s2 = monte_carlo.WalkSpec(dp=dp, eps=0.2, n_events=120, tilt=tilt)
+        for row, o in zip(report.rows, outcomes):
+            alone = monte_carlo.born_two_stage_mc(s1, o.F, o.G, s2, 20_000, 9)
+            assert row.log10_lambda == alone.estimate().log10()
 
     def test_analytic_shares_near_born_at_huge_wt1(self):
         # w t1 = 1e10 makes each gamma ~1 - 1e-5; shares deviate from the

@@ -113,6 +113,15 @@ class TestDeterminismAndRoundTrip:
                 == pytest.approx(math.log(total) + est["histogram_log_offset"],
                                  abs=1e-9))
 
+    def test_born_mc_byte_identical_across_workers(self, tmp_path):
+        args = ["born", "--out", str(tmp_path), "--engines", "analytic,mc",
+                "--seed", "77", "--n-paths", str(3 * monte_carlo.CHUNK),
+                "--p", "0.55", "--eps", "0.2", "--t1", "20", "--t2", "60"]
+        assert run(args + ["--name", "a", "--workers", "1"]) == 0
+        assert run(args + ["--name", "b", "--workers", "2"]) == 0
+        for name in ("deviation.json", "deviation.csv"):
+            assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
+
     def test_mc_walks_once(self, tmp_path, monkeypatch):
         calls = []
         simulate = monte_carlo._simulate

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mangledworlds import analytic
+from mangledworlds import analytic, monte_carlo
 from mangledworlds.errors import DomainError
 from mangledworlds.model_params import (DecoherenceParams, binary_event_stats,
                                         to_diffusion)
 from mangledworlds.monte_carlo import (TILTS, ExactCount, WalkSpec,
                                        born_two_stage_mc,
+                                       born_two_stage_mc_counts,
                                        default_tilt, empirical_distribution,
                                        enumerate_survivors, simulate_survivors)
 
@@ -258,6 +259,30 @@ class TestBornTwoStage:
         four = born_two_stage_mc(s1, 0.5, 4, s2, 100_000, seed=12)
         assert (four.estimate().log_magnitude - one.estimate().log_magnitude
                 == pytest.approx(math.log(4.0), abs=1e-12))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_list_matches_one_split_runs(self, workers):
+        # three chunks, so workers = 2 really splits the schedule
+        dp = DecoherenceParams(p=0.55)
+        s1 = WalkSpec(dp=dp, eps=0.2, n_events=40, tilt="measure")
+        s2 = WalkSpec(dp=dp, eps=0.2, n_events=120, tilt="measure")
+        splits = [(1, 1), (0.5, 1), (0.25, 2)]
+        n = 3 * monte_carlo.CHUNK
+        many = born_two_stage_mc_counts(s1, splits, s2, n, seed=21,
+                                        workers=workers)
+        assert many == [born_two_stage_mc(s1, F, G, s2, n, seed=21, workers=1)
+                        for F, G in splits]
+
+    @pytest.mark.parametrize("bad", [(0.0, 1), (1.5, 1), (0.5, 0)])
+    def test_bad_split_raises_before_walking(self, bad, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before validating the splits")
+
+        monkeypatch.setattr(monte_carlo, "_simulate", no_walk)
+        s = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=10)
+        with pytest.raises(DomainError):
+            born_two_stage_mc_counts(s, [(0.5, 1), bad, (0.25, 2)], s,
+                                     1000, seed=1)
 
     def test_stage_specs_must_agree(self):
         a = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=10)
