@@ -13,7 +13,7 @@ from .special_functions import LogValue, bracket, erfc, erfcx, log_erfc
 from .analytic import (boundary, gamma_correction, gamma_correction_log,
                        lambda_count, lambda_count_log, pde_residual_mu0,
                        unmangled_count_W)
-from .pde_solver import Field, Grid, born_two_stage, init_delta, solve, step, survivor_count
+from .pde_solver import Field, Grid, born_two_stage, init_delta, solve, survivor_count
 from .monte_carlo import (ExactCount, PathEnsemble, SurvivorHistogram,
                           WalkSpec, born_two_stage_mc, default_tilt,
                           empirical_distribution, enumerate_survivors,
@@ -31,8 +31,7 @@ __all__ = [
     "LogValue", "bracket", "erfc", "erfcx", "log_erfc",
     "boundary", "gamma_correction", "gamma_correction_log", "lambda_count",
     "lambda_count_log", "pde_residual_mu0", "unmangled_count_W",
-    "Field", "Grid", "born_two_stage", "init_delta", "solve", "step",
-    "survivor_count",
+    "Field", "Grid", "born_two_stage", "init_delta", "solve", "survivor_count",
     "ExactCount", "PathEnsemble", "SurvivorHistogram", "WalkSpec",
     "born_two_stage_mc", "default_tilt", "empirical_distribution",
     "enumerate_survivors", "simulate_survivors",

@@ -28,6 +28,9 @@ ENGINES = ("analytic", "pde", "mc")
 
 #: reference value of erfc(1/sqrt(2)), the headline Born correction
 GAMMA_HEADLINE = 0.3173105078629141
+#: the headline point: w t1 = 1e10 and ln F = -1e5 (log10 F ~ -43430)
+HEADLINE_WT1 = 1e10
+HEADLINE_LOG_F = -1e5
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,14 @@ class BornOutcomeSpec:
         return self.F * self.G
 
 
-def validate_outcomes(outcomes: list[BornOutcomeSpec], tol: float = 1e-12) -> None:
-    """Outcome probabilities F_k G_k must total 1 within tol."""
+def validate_outcomes(outcomes: list[BornOutcomeSpec]) -> None:
+    """Outcome probabilities F_k G_k must total 1 within 1e-12."""
     if not outcomes:
         raise DomainError("an experiment needs at least one outcome")
     total = math.fsum(o.born_probability for o in outcomes)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-12:
         raise DomainError(f"outcome probabilities sum to {total!r}, not 1 "
-                          f"(tolerance {tol})")
+                          "(tolerance 1e-12)")
 
 
 @dataclass
@@ -233,8 +236,9 @@ class HeadlineReport:
         ]
 
 
-def headline_check(wt1: float = 1e10, log_F: float = -1e5) -> HeadlineReport:
+def headline_check() -> HeadlineReport:
     """Evaluate gamma at the headline point plus two perturbations of ln F."""
+    wt1, log_F = HEADLINE_WT1, HEADLINE_LOG_F
     g = analytic.gamma_correction_log(log_F, t1=wt1, w=1.0)
     return HeadlineReport(
         wt1=wt1, log_F=log_F, gamma=g,

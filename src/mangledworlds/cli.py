@@ -82,8 +82,7 @@ DEFAULTS = {
     },
     "pde": {
         "v": 1.0, "w": 0.5, "eps": 0.1, "T": 8.0,
-        "y_max": 40.0, "n_cells": 4096, "dt": 1e-3,
-        "scheme": "crank_nicolson", "snapshots": "2,4,8",
+        "y_max": 40.0, "n_cells": 4096, "dt": 1e-3, "snapshots": "2,4,8",
     },
     "mc": {
         "p": 0.55, "r": 1.0, "eps": 0.2, "n_events": 400,
@@ -189,7 +188,7 @@ def _cmd_analytic(cfg: dict, run_dir: Path, args) -> int:
 def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     dp = DiffusionParams(v=float(cfg["v"]), w=float(cfg["w"]), eps=float(cfg["eps"]))
     grid = pde_solver.Grid(y_max=float(cfg["y_max"]), n_cells=int(cfg["n_cells"]),
-                           dt=float(cfg["dt"]), scheme=str(cfg["scheme"]))
+                           dt=float(cfg["dt"]))
     T = float(cfg["T"])
     snap_times = _floats(cfg["snapshots"])
 
@@ -214,7 +213,7 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     closed = analytic.unmangled_count_W(T, dp)
     rel = math.expm1(count.log_magnitude - closed.log_magnitude)
     _write_summary(run_dir, [
-        f"grid: y_max={grid.y_max} n_cells={grid.n_cells} dt={grid.dt} scheme={grid.scheme}",
+        f"grid: y_max={grid.y_max} n_cells={grid.n_cells} dt={grid.dt}",
         f"T={T}  survivor log10 count = {count.log10():.12g}",
         f"closed-form W log10       = {closed.log10():.12g}  (rel diff {rel:.3e})",
         f"absorbed (nu frame) = {field.absorbed:.12g}",

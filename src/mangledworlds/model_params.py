@@ -64,6 +64,17 @@ def count_walk_stats(p: float) -> tuple[float, float]:
     return mean, half_gap * half_gap
 
 
+def split_params(F: float, G: float) -> tuple[float, float]:
+    """(ln F, G) of one measurement split: G children, each carrying a
+    fraction F of the parent's measure."""
+    F = float(F)
+    if not 0.0 < F <= 1.0:
+        raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
+    if G < 1:
+        raise DomainError(f"child count G must be >= 1, got {G!r}")
+    return math.log(F), G
+
+
 @dataclass(frozen=True)
 class DecoherenceParams:
     """Discrete binary-event model: branch fraction p, event rate r."""

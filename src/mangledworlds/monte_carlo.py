@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model_params import DecoherenceParams, binary_event_stats
+from .model_params import DecoherenceParams, binary_event_stats, split_params
 from .special_functions import LogValue, logaddexp, logsubexp
 
 _LN2 = math.log(2.0)
@@ -381,7 +381,6 @@ def enumerate_survivors(spec: WalkSpec) -> ExactCount:
 
 def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
                            bins: int | np.ndarray = 60,
-                           y_max: float | None = None,
                            workers: int | None = None) -> SurvivorHistogram:
     """Weighted histogram of surviving boundary-relative log-sizes
     y = x - x_b(N); the shape comparand for the closed-form density.
@@ -391,11 +390,10 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
     (spec, n_paths, seed), bit for bit.
     """
     if isinstance(bins, (int, np.integer)):
-        if y_max is None:
-            sigma1 = binary_event_stats(spec.dp.p)[1]
-            wt = spec.n_events * sigma1 * sigma1
-            y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \
-                + 5.0 + 4.0 * math.sqrt(max(wt, 1.0))
+        sigma1 = binary_event_stats(spec.dp.p)[1]
+        wt = spec.n_events * sigma1 * sigma1
+        y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \
+            + 5.0 + 4.0 * math.sqrt(max(wt, 1.0))
         edges = np.linspace(0.0, y_max, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
@@ -432,12 +430,8 @@ def born_two_stage_mc_counts(spec1: WalkSpec,
     the one-split call at the same seed, bit for bit."""
     log_splits = []
     for F, G in splits:
-        F = float(F)
-        if not 0.0 < F <= 1.0:
-            raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-        if G < 1:
-            raise DomainError(f"child count G must be >= 1, got {G!r}")
-        log_splits.append((math.log(F), math.log(G)))
+        log_F, G = split_params(F, G)
+        log_splits.append((log_F, math.log(G)))
     if (spec1.dp != spec2.dp or spec1.eps != spec2.eps
             or spec1.tilt != spec2.tilt):
         raise DomainError("stage specs must agree in dp, eps and tilt")

@@ -6,23 +6,15 @@ coordinate y = x - x_b(t) the growth-stripped density obeys
     nu_t = w nu_y + (w/2) nu_yy,   nu(0, t) = 0,   nu(y, 0) = delta(y - eps)
 
 with the boundary frozen at y = 0 (worlds fall toward it at relative rate w)
-and the exact growth factor e^{(v - w/2) t} re-applied at readout.  The
-delta is mollified to a Gaussian of width 2h, which would poison a bare
-Crank-Nicolson start with ringing, so the default scheme opens with two
-implicit-Euler half-steps (Rannacher smoothing).
+and the exact growth factor e^{(v - w/2) t} re-applied at readout.
 
-Schemes:
-
-* ``crank_nicolson`` (default): trapezoidal in time, central second-order
-  differences in space, unconditionally stable tridiagonal solves.  At the
-  grids used here the cell Peclet number is 2h << 1, where central
-  differencing is non-oscillatory.  The operator is time-invariant, so
-  I - (dt/2) L is factored once per run; a step is one back-substitution.
-* ``explicit_upwind``: forward Euler with the advection term one-sided
-  toward larger y (the upwind side; the comoving drift is toward the
-  boundary).  First-order, kept as a structurally independent cross-check;
-  the stability bound dt <= 0.9 min(h^2/w, h/w) is enforced at run time
-  because w is not part of the grid.
+Time stepping is Crank-Nicolson: trapezoidal in time, central second-order
+differences in space.  At the grids used here the cell Peclet number is
+2h << 1, where central differencing is non-oscillatory.  The delta is
+mollified to a Gaussian of width 2h, which would poison a bare
+Crank-Nicolson start with ringing, so a run opens with two implicit-Euler
+half-steps (Rannacher smoothing).  The operator is time-invariant, so
+I - (dt/2) L is factored once per run; a step is one back-substitution.
 
 Mass bookkeeping is exact by construction: each run credits its net mass
 loss (the per-step losses telescope) to ``absorbed``, so absorbed + surviving
@@ -42,10 +34,9 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericalError
-from .model_params import DiffusionParams
+from .model_params import DiffusionParams, split_params
 from .special_functions import LogValue
 
-SCHEMES = ("crank_nicolson", "explicit_upwind")
 _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
 _RANNACHER_HALF_STEPS = 2
 
@@ -57,7 +48,6 @@ class Grid:
     y_max: float
     n_cells: int
     dt: float
-    scheme: str = "crank_nicolson"
 
     def __post_init__(self):
         if not self.y_max > 0.0:
@@ -66,8 +56,6 @@ class Grid:
             raise DomainError(f"n_cells must be >= 16, got {self.n_cells!r}")
         if not self.dt > 0.0:
             raise DomainError(f"dt must be positive, got {self.dt!r}")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def h(self) -> float:
@@ -75,10 +63,6 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.y_max, self.n_cells + 1)
-
-    def max_stable_dt(self, w: float) -> float:
-        """Largest admissible dt for the explicit scheme at diffusion w."""
-        return 0.9 * min(self.h * self.h / w, self.h / w)
 
 
 @dataclass
@@ -137,75 +121,13 @@ def _operator_bands(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.nd
     n = grid.n_cells
     h = grid.h
     diff = 0.5 * w / (h * h)
-    sub = np.empty(n)
-    diag = np.empty(n)
-    sup = np.empty(n)
-    if grid.scheme == "explicit_upwind":
-        adv = w / h
-        sub[:] = diff
-        diag[:] = -adv - 2.0 * diff
-        sup[:] = adv + diff
-        sub[-1] = adv + 2.0 * diff
-        diag[-1] = -(adv + 2.0 * diff)
-    else:
-        adv = 0.5 * w / h
-        sub[:] = diff - adv
-        diag[:] = -2.0 * diff
-        sup[:] = diff + adv
-        sub[-1] = 2.0 * diff
-        diag[-1] = -2.0 * diff
+    adv = 0.5 * w / h
+    sub = np.full(n, diff - adv)
+    diag = np.full(n, -2.0 * diff)
+    sup = np.full(n, diff + adv)
+    sub[-1] = 2.0 * diff
     sup[-1] = 0.0
     return sub, diag, sup
-
-
-class _Stepper:
-    """Pre-assembled stepping for one (grid, w, dt) combination."""
-
-    def __init__(self, grid: Grid, w: float, dt: float):
-        self.grid = grid
-        self.w = w
-        self.dt = dt
-        self.sub, self.diag, self.sup = _operator_bands(grid, w)
-        if grid.scheme == "explicit_upwind":
-            limit = grid.max_stable_dt(w)
-            if dt > limit * (1.0 + 1e-12):
-                raise DomainError(
-                    f"explicit scheme unstable: dt = {dt!r} exceeds "
-                    f"0.9*min(h^2/w, h/w) = {limit!r}")
-            return
-        # shared left matrix of Crank-Nicolson and of the dt/2 implicit-Euler
-        # smoothing substep, I - (dt/2) L, factored once
-        *lu, info = dgttrf(-0.5 * dt * self.sub[1:], 1.0 - 0.5 * dt * self.diag,
-                           -0.5 * dt * self.sup[:-1])
-        if info != 0:
-            raise NumericalError(f"step matrix is singular (dgttrf info = {info})")
-        self._lu = lu
-
-    def _apply_operator(self, u: np.ndarray) -> np.ndarray:
-        """L @ u for the unknowns u = values[1:] (node 0 is zero)."""
-        out = self.diag * u
-        out[:-1] += self.sup[:-1] * u[1:]
-        out[1:] += self.sub[1:] * u[:-1]
-        return out
-
-    def _solve_lhs(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = dgttrs(*self._lu, rhs)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (dgttrs info = {info})")
-        return x
-
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        if self.grid.scheme == "explicit_upwind":
-            return u + self.dt * self._apply_operator(u)
-        return self._solve_lhs(u + 0.5 * self.dt * self._apply_operator(u))
-
-    def advance_smoothing(self, u: np.ndarray) -> np.ndarray:
-        """One full dt as two implicit-Euler half-steps (Rannacher)."""
-        if self.grid.scheme == "explicit_upwind":
-            return self.advance(u)
-        for _ in range(_RANNACHER_HALF_STEPS):
-            u = self._solve_lhs(u)
-        return u
 
 
 def _check_health(values: np.ndarray, t: float) -> None:
@@ -220,44 +142,64 @@ def _check_health(values: np.ndarray, t: float) -> None:
             f"below tolerance {floor:.3e}")
 
 
-def _advance(field: Field, stepper: _Stepper, smooth: bool) -> None:
-    """Advance ``field`` in place by one step of stepper.dt (Rannacher
-    half-steps when ``smooth``); the caller credits ``absorbed``."""
-    u = field.values[1:]
-    u = stepper.advance_smoothing(u) if smooth else stepper.advance(u)
-    field.values[1:] = u
-    field.values[0] = 0.0
-    _check_health(field.values, field.t + stepper.dt)
-    # roundoff-scale negatives (inside the health tolerance) are shaved
-    np.clip(field.values, 0.0, None, out=field.values)
-    field.t += stepper.dt
-    field.far_inflow += stepper.dt * stepper.w * float(field.values[-1])
+def _cn_step(grid: Grid, w: float, dt: float) -> Callable[[Field, bool], None]:
+    """One Crank-Nicolson step of dt, with I - (dt/2) L factored here once.
 
-
-def step(field: Field, grid: Grid, w: float) -> Field:
-    """One time step of grid.dt; returns a new Field.
-
-    The boundary node stays pinned at zero and the step's mass loss is
-    credited to ``absorbed``.
+    The returned ``advance(field, smooth)`` moves ``field`` in place (two
+    implicit-Euler half-steps through the same factors when ``smooth``),
+    checks and clips the density, and accumulates ``far_inflow``; the
+    caller credits ``absorbed``.
     """
-    out = replace(field, values=field.values.copy())
-    _advance(out, _Stepper(grid, w, grid.dt), smooth=False)
-    out.absorbed += field.mass(grid) - out.mass(grid)
-    return out
+    sub, diag, sup = _operator_bands(grid, w)
+    *lu, info = dgttrf(-0.5 * dt * sub[1:], 1.0 - 0.5 * dt * diag,
+                       -0.5 * dt * sup[:-1])
+    if info != 0:
+        raise NumericalError(f"step matrix is singular (dgttrf info = {info})")
+
+    def solve_lhs(rhs: np.ndarray) -> np.ndarray:
+        x, info = dgttrs(*lu, rhs)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (dgttrs info = {info})")
+        return x
+
+    def advance(field: Field, smooth: bool) -> None:
+        u = field.values[1:]  # node 0 is the absorbing zero
+        if smooth:
+            for _ in range(_RANNACHER_HALF_STEPS):
+                u = solve_lhs(u)
+        else:
+            op_u = diag * u  # L @ u
+            op_u[:-1] += sup[:-1] * u[1:]
+            op_u[1:] += sub[1:] * u[:-1]
+            u = solve_lhs(u + 0.5 * dt * op_u)
+        field.values[1:] = u
+        field.values[0] = 0.0
+        _check_health(field.values, field.t + dt)
+        # roundoff-scale negatives (inside the health tolerance) are shaved
+        np.clip(field.values, 0.0, None, out=field.values)
+        field.t += dt
+        field.far_inflow += dt * w * float(field.values[-1])
+
+    return advance
+
+
+def _reached(t: float, target: float) -> bool:
+    """Whether the step clock t has reached a snapshot time, up to roundoff."""
+    return t >= target - 1e-9 * max(1.0, target)
 
 
 def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
          snapshot_times: Sequence[float] = (), on_snapshot=None,
          smooth_first: bool = True) -> None:
     targets = sorted(float(s) for s in snapshot_times)
-    stepper = _Stepper(grid, dp.w, grid.dt)
+    advance = _cn_step(grid, dp.w, grid.dt)
     mass_start = field.mass(grid)
     t_end = field.t + duration
     n_full = int(math.floor(duration / grid.dt + 1e-9))
     remainder = duration - n_full * grid.dt
 
     def fire_snapshots():
-        while targets and field.t >= targets[0] - 1e-9 * max(1.0, targets[0]):
+        while targets and _reached(field.t, targets[0]):
             targets.pop(0)
             if on_snapshot is not None:
                 on_snapshot(field.t, grid.nodes(), field.values.copy(),
@@ -265,10 +207,10 @@ def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
 
     fire_snapshots()
     for k in range(n_full):
-        _advance(field, stepper, smooth=smooth_first and k == 0)
+        advance(field, smooth_first and k == 0)
         fire_snapshots()
     if remainder > 1e-9 * max(1.0, grid.dt):
-        _advance(field, _Stepper(grid, dp.w, remainder), smooth=False)
+        _cn_step(grid, dp.w, remainder)(field, False)
         fire_snapshots()
     field.t = t_end  # kill step-count roundoff drift
     field.absorbed += mass_start - field.mass(grid)
@@ -281,12 +223,15 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     """Solve from the mollified delta at eps to time T.
 
     ``on_snapshot(t, y, values, growth_log)`` fires at the first step time
-    reaching each requested snapshot time.  The survivor count of the result
-    is ``survivor_count(field, grid, dp)``.
+    reaching each requested snapshot time; a time outside [0, T] raises.
+    The survivor count of the result is ``survivor_count(field, grid, dp)``.
     """
     dp.require_diffusive()
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T!r}")
+    for s in map(float, snapshot_times):
+        if not (s >= 0.0 and _reached(T, s)):
+            raise DomainError(f"snapshot time {s!r} lies outside [0, T = {T!r}]")
     field = init_delta(grid, dp.eps)
     _run(field, dp, grid, T, snapshot_times, on_snapshot, smooth_first=True)
     return field
@@ -336,14 +281,7 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     """:func:`born_two_stage` for each (F, G) in ``splits``; stage one does
     not depend on the split, so it is solved once and copied per split."""
     dp.require_diffusive()
-    log_splits = []
-    for F, G in splits:
-        F = float(F)
-        if not 0.0 < F <= 1.0:
-            raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-        if G < 1:
-            raise DomainError(f"child count G must be >= 1, got {G!r}")
-        log_splits.append((math.log(F), G))
+    log_splits = [split_params(F, G) for F, G in splits]
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("t1 and t2 must be positive")
 

@@ -46,6 +46,12 @@ class TestExitCodes:
         assert code == 2
         assert "w" in capsys.readouterr().err
 
+    def test_snapshot_past_horizon_is_rejected(self, tmp_path, capsys):
+        code = run(["pde", "--out", str(tmp_path), "--T", "2", "--y-max", "10",
+                    "--n-cells", "512", "--dt", "0.005", "--snapshots", "1,3"])
+        assert code == 2
+        assert "snapshot time 3.0" in capsys.readouterr().err
+
     def test_born_mc_engine_requires_seed(self, tmp_path):
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2

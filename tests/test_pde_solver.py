@@ -21,7 +21,7 @@ from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
 from mangledworlds.model_params import DiffusionParams
 from mangledworlds.pde_solver import Field, Grid, born_two_stage, init_delta, \
-    solve, step, survivor_count
+    solve, survivor_count
 from mangledworlds.special_functions import erfc
 
 from conftest import rel_log_gap
@@ -49,24 +49,11 @@ class TestGrid:
             Grid(y_max=10.0, n_cells=8, dt=1e-3)
         with pytest.raises(DomainError):
             Grid(y_max=10.0, n_cells=64, dt=0.0)
-        with pytest.raises(DomainError):
-            Grid(y_max=10.0, n_cells=64, dt=1e-3, scheme="magic")
 
     def test_spacing(self):
         g = Grid(y_max=10.0, n_cells=100, dt=1e-3)
         assert g.h == pytest.approx(0.1)
         assert len(g.nodes()) == 101
-
-    def test_stability_bound(self):
-        g = Grid(y_max=10.0, n_cells=1000, dt=1e-4, scheme="explicit_upwind")
-        w = 0.5
-        assert g.max_stable_dt(w) == pytest.approx(0.9 * g.h * g.h / w)
-
-    def test_explicit_instability_rejected(self):
-        g = Grid(y_max=10.0, n_cells=1000, dt=1e-3, scheme="explicit_upwind")
-        f = init_delta(g, 5.0)
-        with pytest.raises(DomainError):
-            step(f, g, 0.5)
 
 
 class TestInitDelta:
@@ -94,48 +81,51 @@ class TestInitDelta:
             init_delta(g, 19.9)
 
 
+def _moments(y: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Center of mass and variance of a density on the nodes y."""
+    m = np.trapezoid(values, y)
+    com = float(np.trapezoid(y * values, y) / m)
+    return com, float(np.trapezoid((y - com) ** 2 * values, y) / m)
+
+
+def _snapshot_moments(dp: DiffusionParams, g: Grid, T: float, every: float):
+    """(times, centers of mass, variances) of a solve, every ``every``."""
+    times, coms, variances = [], [], []
+
+    def record(t, y, values, growth_log):
+        com, var = _moments(y, values)
+        times.append(t)
+        coms.append(com)
+        variances.append(var)
+
+    solve(dp, g, T, snapshot_times=np.arange(0.0, T + 0.5 * every, every),
+          on_snapshot=record)
+    return times, coms, variances
+
+
 class TestStepDynamics:
     def test_mass_conserved_away_from_boundary(self):
         # far pulse: nothing reaches either edge in 1000 steps
-        for scheme, dt in (("crank_nicolson", 1e-3), ("explicit_upwind", 1e-4)):
-            g = Grid(y_max=20.0, n_cells=512, dt=dt, scheme=scheme)
-            f = init_delta(g, 10.0)
-            m0 = f.mass(g)
-            for _ in range(1000):
-                f = step(f, g, 0.5)
-            assert abs(f.mass(g) - m0) <= 1e-8
-            assert abs(f.absorbed) <= 1e-8
+        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        f = solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, 1.0)
+        assert abs(f.mass(g) - 1.0) <= 1e-8
+        assert abs(f.absorbed) <= 1e-8
 
-    @pytest.mark.parametrize("scheme,dt,n", [("crank_nicolson", 1e-3, 2000),
-                                             ("explicit_upwind", 1.5e-4, 1500)])
-    def test_drift_rate(self, scheme, dt, n):
+    def test_drift_rate(self):
         w = 0.5
-        g = Grid(y_max=20.0, n_cells=n, dt=dt, scheme=scheme)
-        f = init_delta(g, 14.0)
-        y = g.nodes()
-        times, coms = [], []
-        for k in range(int(2.0 / dt) + 1):
-            if k % 200 == 0:
-                times.append(f.t)
-                coms.append(float(np.trapezoid(y * f.values, y) / f.mass(g)))
-            f = step(f, g, w)
+        g = Grid(y_max=20.0, n_cells=2000, dt=1e-3)
+        times, coms, _ = _snapshot_moments(
+            DiffusionParams(v=1.0, w=w, eps=14.0), g, 2.0, 0.2)
+        assert len(times) == 11
         slope = np.polyfit(times, coms, 1)[0]
         assert slope == pytest.approx(-w, rel=0.02)
 
     def test_variance_rate(self):
         w = 0.5
         g = Grid(y_max=24.0, n_cells=2400, dt=1e-3)
-        f = init_delta(g, 16.0)
-        y = g.nodes()
-        times, variances = [], []
-        for k in range(2001):
-            if k % 200 == 0:
-                m = f.mass(g)
-                com = float(np.trapezoid(y * f.values, y) / m)
-                var = float(np.trapezoid((y - com) ** 2 * f.values, y) / m)
-                times.append(f.t)
-                variances.append(var)
-            f = step(f, g, w)
+        times, _, variances = _snapshot_moments(
+            DiffusionParams(v=1.0, w=w, eps=16.0), g, 2.0, 0.2)
+        assert len(times) == 11
         slope = np.polyfit(times, variances, 1)[0]
         assert slope == pytest.approx(w, rel=0.02)
 
@@ -169,47 +159,60 @@ class TestStepDynamics:
         f = init_delta(g, 10.0)
         f.values[100] = float("nan")
         with pytest.raises(NumericalError):
-            step(f, g, 0.5)
+            pde_solver._run(f, DiffusionParams(v=1.0, w=0.5, eps=10.0), g, g.dt)
 
 
 class TestFactoredStepper:
-    """The once-factored step matrix reproduces a fresh banded solve of the
-    same system on every step, bit for bit."""
+    """A whole solve, with its once-factored step matrix, ends bit for bit
+    where a fresh banded solve of the same system at every step ends."""
 
     @staticmethod
-    def _banded_reference(grid, w, dt):
+    def _banded_reference(grid, w, T):
+        """Values and far-edge inflow of a solve to T, stepped here with
+        ``solve_banded``: Rannacher start, clip, then a remainder step."""
         sub, diag, sup = pde_solver._operator_bands(grid, w)
-        ab = np.zeros((3, grid.n_cells))
-        ab[0, 1:] = -0.5 * dt * sup[:-1]
-        ab[1, :] = 1.0 - 0.5 * dt * diag
-        ab[2, :-1] = -0.5 * dt * sub[1:]
 
-        def advance(u):
+        def advance(u, dt, smooth):
+            ab = np.zeros((3, grid.n_cells))
+            ab[0, 1:] = -0.5 * dt * sup[:-1]
+            ab[1, :] = 1.0 - 0.5 * dt * diag
+            ab[2, :-1] = -0.5 * dt * sub[1:]
+            if smooth:
+                for _ in range(2):
+                    u = solve_banded((1, 1), ab, u, check_finite=False)
+                return u
             lu = diag * u
             lu[:-1] += sup[:-1] * u[1:]
             lu[1:] += sub[1:] * u[:-1]
             return solve_banded((1, 1), ab, u + 0.5 * dt * lu, check_finite=False)
 
-        def advance_smoothing(u):
-            for _ in range(2):
-                u = solve_banded((1, 1), ab, u, check_finite=False)
-            return u
+        n_full = int(math.floor(T / grid.dt + 1e-9))
+        remainder = T - n_full * grid.dt
+        dts = [grid.dt] * n_full
+        if remainder > 1e-9 * max(1.0, grid.dt):
+            dts.append(remainder)
+        u = init_delta(grid, 0.2).values[1:]
+        far_inflow = 0.0
+        for k, dt in enumerate(dts):
+            u = np.clip(advance(u, dt, smooth=(k == 0)), 0.0, None)
+            far_inflow += dt * w * float(u[-1])
+        return np.concatenate([[0.0], u]), far_inflow
 
-        return advance, advance_smoothing
-
-    # the desk grid, and the born_pde benchmark grid (w = 0.01, dt = 0.45)
-    @pytest.mark.parametrize("y_max,n_cells,w,dt", [(20.0, 2048, 0.5, 1e-3),
-                                                     (40.0, 4096, 0.01, 0.45)])
-    def test_matches_banded_solve(self, y_max, n_cells, w, dt):
+    # the desk grid, and the born_pde benchmark grid (w = 0.01, dt = 0.45),
+    # there also to a horizon that ends in a shorter remainder step
+    @pytest.mark.parametrize(
+        "y_max,n_cells,w,dt,T",
+        [(20.0, 2048, 0.5, 1e-3, 0.3), (40.0, 4096, 0.01, 0.45, 135.0),
+         (40.0, 4096, 0.01, 0.45, 135.2)],
+        ids=["20.0-2048-0.5-0.001", "40.0-4096-0.01-0.45",
+             "40.0-4096-0.01-0.45-remainder"])
+    def test_matches_banded_solve(self, y_max, n_cells, w, dt, T):
         g = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
-        stepper = pde_solver._Stepper(g, w, dt)
-        advance, advance_smoothing = self._banded_reference(g, w, dt)
-        u = init_delta(g, 0.2).values[1:]
-        got, want = stepper.advance_smoothing(u), advance_smoothing(u)
-        assert np.array_equal(got, want)
-        for _ in range(300):
-            got, want = stepper.advance(got), advance(want)
-            assert np.array_equal(got, want)
+        f = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T)
+        values, far_inflow = self._banded_reference(g, w, T)
+        assert np.array_equal(f.values, values)
+        assert f.far_inflow == far_inflow
+        assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
 
     def test_singular_step_matrix_is_loud(self, monkeypatch):
         # with L = 4 I and dt = 0.5, I - (dt/2) L is the zero matrix
@@ -218,7 +221,7 @@ class TestFactoredStepper:
         monkeypatch.setattr(pde_solver, "_operator_bands",
                             lambda grid, w: (np.zeros(n), np.full(n, 4.0), np.zeros(n)))
         with pytest.raises(NumericalError):
-            pde_solver._Stepper(g, 0.5, g.dt)
+            solve(DiffusionParams(v=1.0, w=0.5, eps=2.0), g, 1.0)
 
 
 class TestSolve:
@@ -252,13 +255,15 @@ class TestSolve:
         assert l1 <= 0.02
 
     def test_absorption_monotone(self, desk):
+        # one-step runs, so ``absorbed`` is credited after every step
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
         f = init_delta(g, desk.eps)
         absorbed = [f.absorbed]
         for _ in range(500):
-            f = step(f, g, desk.w)
+            pde_solver._run(f, desk, g, g.dt, smooth_first=False)
             absorbed.append(f.absorbed)
         assert all(b >= a - 1e-15 for a, b in zip(absorbed, absorbed[1:]))
+        assert absorbed[-1] > 0.1
 
     def test_second_order_grid_convergence(self):
         # survivor-count error against the exact first-passage reference
@@ -290,6 +295,19 @@ class TestSolve:
               on_snapshot=lambda t, y, vals, gl: seen.append((t, vals.sum(), gl)))
         assert [round(t, 6) for t, _, _ in seen] == [0.5, 1.0, 2.0]
         assert seen[0][2] == pytest.approx((desk.v - 0.5 * desk.w) * 0.5, rel=1e-6)
+
+    @pytest.mark.parametrize("t", [-0.5, 2.5])
+    def test_snapshot_outside_horizon_raises(self, desk, t):
+        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        with pytest.raises(DomainError, match=f"snapshot time {t}"):
+            solve(desk, g, 2.0, snapshot_times=[1.0, t])
+
+    def test_snapshot_at_horizon_within_roundoff_fires(self, desk):
+        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        seen = []
+        solve(desk, g, 2.0, snapshot_times=[2.0 * (1.0 + 1e-12)],
+              on_snapshot=lambda t, *_: seen.append(t))
+        assert len(seen) == 1
 
     def test_empty_field_count_is_zero(self, desk):
         g = Grid(y_max=20.0, n_cells=256, dt=1e-2)
