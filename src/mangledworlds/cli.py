@@ -440,7 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help=f"output root (default $" + ENV_OUT + " or ./runs)")
         sp.add_argument("--name", help=f"run name (default {sub!r})")
-        sp.add_argument("--workers", type=int, help="parallelism cap")
+        sp.add_argument("--workers", type=int,
+                        help="walker processes (default: one per usable CPU)")
         for key, value in defaults.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(value, int):

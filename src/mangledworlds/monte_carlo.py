@@ -20,11 +20,18 @@ space (weights like 2^3600 never materialize).
 
 Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, event index), so a path's
-randomness is a pure function of its index.  Paths are processed in fixed
+randomness is a pure function of its index.  A branch is taken by comparing
+the raw 64-bit hash with an integer threshold, which decides exactly as the
+float uniform (z >> 11) * 2^-53 < p would.  Paths are processed in fixed
 chunks of 2^16 and the per-chunk partials are reduced in index order, which
 makes results bit-identical for any worker count.  Absorbed paths are
 compacted away each event, so the cost per event is proportional to the
 number of still-alive paths.
+
+Parallelism: with more than one worker and more than one chunk, the chunks
+run in worker processes forked for that call (Linux ``fork``; the events are
+many small numpy calls, which threads would serialize on the interpreter
+lock).  ``workers=None`` means one process per CPU this process may use.
 
 Two-stage runs with several (F, G) splits walk stage one once per chunk and
 continue each split from its survivors.  The splits share every draw
@@ -34,8 +41,11 @@ split's result equals its one-split run at the same seed, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,7 +63,7 @@ _MAX_EVENTS = 1 << 31
 TILTS = ("none", "measure")
 
 # ---------------------------------------------------------------------------
-# counter-based uniforms: value = f(seed, path, event), vectorized over paths
+# counter-based draws: value = f(seed, path, event), vectorized over paths
 # ---------------------------------------------------------------------------
 
 _U = np.uint64
@@ -75,11 +85,18 @@ def _key_from_seed(seed: int) -> np.uint64:
     return _mix64(z)[0]
 
 
-def _uniforms(key: np.uint64, path_hi: np.ndarray, event: int) -> np.ndarray:
-    """U[0, 1) for every path at one event; path_hi is path_index << 32."""
+def _draws(key: np.uint64, path_hi: np.ndarray, event: int) -> np.ndarray:
+    """Raw 64-bit hash for every path at one event; path_hi is
+    path_index << 32.  Its uniform is u = (z >> 11) * 2^-53."""
     z = _mix64((path_hi | _U(event)) ^ key)
-    z = _mix64(z + key)
-    return (z >> _U(11)) * 2.0 ** -53
+    return _mix64(z + key)
+
+
+def _branch_threshold(prob: float) -> np.uint64:
+    """T such that z < T exactly when (z >> 11) * 2^-53 < prob: with
+    m = z >> 11, m * 2^-53 < prob iff m < ceil(prob * 2^53).  prob < 1,
+    so T <= (2^53 - 1) << 11 fits in 64 bits."""
+    return _U(math.ceil(prob * 2.0 ** 53)) << _U(11)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +216,7 @@ class SurvivorHistogram(PathEnsemble):
 class _RunConfig:
     log_p: float
     log_q: float
-    prob_big: float       # probability of taking the larger branch
+    threshold: np.uint64  # draws below it take the larger branch
     b_step: float
     eps: float
     n_total: int
@@ -226,8 +243,8 @@ def _walk(cfg: _RunConfig, x: np.ndarray, path_hi: np.ndarray,
     for k in range(first, last + 1):
         if x.size == 0:
             break
-        u = _uniforms(cfg.key, path_hi, k)
-        x += np.where(u < cfg.prob_big, cfg.log_p, cfg.log_q)
+        big = _draws(cfg.key, path_hi, k) < cfg.threshold
+        x += np.where(big, cfg.log_p, cfg.log_q)
         if math.isfinite(cfg.eps):
             keep = x > k * cfg.b_step - cfg.eps
             x = x[keep]  # one at a time: each old array is freed at once
@@ -304,17 +321,31 @@ def _combine(chunks: list[_ChunkStats]) -> _ChunkStats:
 
 def _simulate(cfg: _RunConfig, n_paths: int,
               workers: int | None) -> list[_ChunkStats]:
-    """Totals per split, reduced over the chunks in index order."""
+    """Totals per split, reduced over the chunks in index order.
+
+    Chunks run in up to ``workers`` forked processes (default: the CPUs
+    this process may run on), never more than there are chunks.  The pool
+    lives for one call, so workers fork the caller's current module state.
+    """
     if not 1 <= n_paths <= _MAX_PATHS:
         raise DomainError(f"n_paths must be in [1, 2^31], got {n_paths!r}")
-    spans = [(lo, min(CHUNK, n_paths - lo)) for lo in range(0, n_paths, CHUNK)]
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
-    if workers == 1 or len(spans) == 1:
-        chunks = [_run_chunk(cfg, lo, sz) for lo, sz in spans]
+    starts = range(0, n_paths, CHUNK)
+    sizes = [min(CHUNK, n_paths - lo) for lo in starts]
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, len(sizes))
+    if workers == 1:
+        chunks = list(map(_run_chunk, itertools.repeat(cfg), starts, sizes))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda s: _run_chunk(cfg, *s), spans))
+        # fork, not spawn: a spawned worker re-imports the package, which
+        # costs more than a short walk
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            chunks = list(pool.map(_run_chunk, itertools.repeat(cfg),
+                                   starts, sizes))
     return [_combine(per_split) for per_split in zip(*chunks)]
 
 
@@ -331,7 +362,7 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
         raise DomainError("event index must fit in 32 bits of the draw counter")
     return _RunConfig(
         log_p=math.log(big), log_q=math.log(small),
-        prob_big=0.5 if spec.tilt == "none" else big,
+        threshold=_branch_threshold(0.5 if spec.tilt == "none" else big),
         b_step=spec.boundary_step(), eps=spec.eps,
         n_total=n_total, n_split=spec.n_events, splits=splits, tilt=spec.tilt,
         key=_key_from_seed(seed), hist_edges=hist_edges)

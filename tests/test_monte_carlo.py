@@ -166,6 +166,16 @@ class TestDeterminism:
         assert np.array_equal(a.weights, b.weights)
         assert a == b
 
+    def test_histogram_deterministic_across_processes(self):
+        # three chunks and a remainder, so workers = 2 returns the
+        # histogram arrays from worker processes
+        spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40)
+        n = 3 * monte_carlo.CHUNK + 17
+        a = empirical_distribution(spec, n, seed=5, workers=1)
+        b = empirical_distribution(spec, n, seed=5, workers=2)
+        assert np.array_equal(a.weights, b.weights)
+        assert a == b
+
     @pytest.mark.parametrize("tilt", TILTS)
     def test_histogram_walk_carries_the_estimate(self, tilt):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40,
@@ -177,6 +187,65 @@ class TestDeterminism:
             assert getattr(hist, name) == getattr(ens, name), name
         total = math.log(float(hist.weights.sum())) + hist.log_offset
         assert total == pytest.approx(hist.estimate().log_magnitude, abs=1e-9)
+
+
+class _NoPool(Exception):
+    pass
+
+
+class TestWorkerProcesses:
+    SPEC = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=20)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Make creating a process pool raise, recording its size."""
+        sizes = []
+
+        def no_pool(max_workers, mp_context):
+            sizes.append(max_workers)
+            raise _NoPool
+
+        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", no_pool)
+        return sizes
+
+    def test_in_process_without_a_pool(self, pools):
+        # one worker, or one chunk, never starts a process
+        simulate_survivors(self.SPEC, 3 * monte_carlo.CHUNK, seed=1, workers=1)
+        simulate_survivors(self.SPEC, monte_carlo.CHUNK, seed=1, workers=2)
+        simulate_survivors(self.SPEC, monte_carlo.CHUNK, seed=1)
+        assert pools == []
+
+    def test_chunks_reach_the_pool(self, pools, monkeypatch):
+        n = 3 * monte_carlo.CHUNK
+        with pytest.raises(_NoPool):
+            simulate_survivors(self.SPEC, n, seed=1, workers=2)
+        with pytest.raises(_NoPool):  # never more processes than chunks
+            simulate_survivors(self.SPEC, n, seed=1, workers=8)
+        monkeypatch.setattr(monte_carlo.os, "sched_getaffinity",
+                            lambda pid: set(range(8)))
+        with pytest.raises(_NoPool):  # default: one per usable CPU
+            simulate_survivors(self.SPEC, n, seed=1)
+        assert pools == [2, 3, 3]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_worker_count_raises_before_any_process(self, pools, workers):
+        with pytest.raises(DomainError):
+            simulate_survivors(self.SPEC, 3 * monte_carlo.CHUNK, seed=1,
+                               workers=workers)
+        assert pools == []
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.6, 0.9, 0.3, 1 / 3])
+def test_branch_threshold_matches_float_draw(p):
+    """The integer compare takes the same branch as the float uniform
+    (z >> 11) * 2^-53 < p, on either side of the threshold.  Below 1/2,
+    p * 2^53 is not an integer, which pins the rounding up."""
+    t = int(monte_carlo._branch_threshold(p))
+    z = np.array([0, t - (1 << 11), t - 1, t, t + 1, t + (1 << 11),
+                  (1 << 64) - 1], dtype=np.uint64)
+    as_float = (z >> np.uint64(11)) * 2.0 ** -53 < p
+    assert as_float.tolist() == [True, True, True, False, False, False, False]
+    assert np.array_equal(z < monte_carlo._branch_threshold(p), as_float)
 
 
 def _lattice_edges(p: float, eps: float, n_events: int, sites_per_bin: int,
