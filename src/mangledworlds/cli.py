@@ -28,8 +28,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytic, born_experiment, monte_carlo, pde_solver
 from ._io import atomic_write_text, format_float, rows_to_csv
 from .errors import DomainError
@@ -193,20 +191,19 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     snap_times = _floats(cfg["snapshots"])
 
     snap_rows: list[list[str]] = []
-    series: list[list[str]] = []
+    fields: dict[float, pde_solver.Field] = {}  # one survivors row per time
 
     def on_snapshot(t, y, values, growth_log):
         for yi, vi in zip(y, values):
             snap_rows.append([format_float(yi), format_float(vi), format_float(t)])
-        mass = float(np.trapezoid(values, y))
-        log10 = (math.log(mass) + growth_log) / math.log(10.0) if mass > 0 else float("-inf")
-        series.append([format_float(t), format_float(log10), format_float(growth_log)])
+        fields[t] = pde_solver.Field(values=values, t=t)
 
     field = pde_solver.solve(dp, grid, T, snapshot_times=snap_times,
                              on_snapshot=on_snapshot)
+    fields[field.t] = field
     count = pde_solver.survivor_count(field, grid, dp)
-    series.append([format_float(field.t), format_float(count.log10()),
-                   format_float(field.growth_log(dp))])
+    series = [[format_float(t), format_float(pde_solver.survivor_count(f, grid, dp).log10()),
+               format_float(f.growth_log(dp))] for t, f in sorted(fields.items())]
 
     rows_to_csv(run_dir / "snapshots.csv", ["y", "density", "t"], snap_rows)
     rows_to_csv(run_dir / "survivors.csv", ["t", "log10_count", "growth_log"], series)
@@ -218,6 +215,8 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
         f"closed-form W log10       = {closed.log10():.12g}  (rel diff {rel:.3e})",
         f"absorbed (nu frame) = {field.absorbed:.12g}",
         f"far-edge inflow     = {field.far_inflow:.3e}",
+        f"modes kept          = {field.modes} of {grid.n_cells}",
+        f"truncation estimate = {field.truncation:.3e}",
         "snapshot densities are comoving-frame; scale by exp(growth_log)",
     ])
     return 0

@@ -8,37 +8,74 @@ coordinate y = x - x_b(t) the growth-stripped density obeys
 with the boundary frozen at y = 0 (worlds fall toward it at relative rate w)
 and the exact growth factor e^{(v - w/2) t} re-applied at readout.
 
-Time stepping is Crank-Nicolson: trapezoidal in time, central second-order
-differences in space.  At the grids used here the cell Peclet number is
-2h << 1, where central differencing is non-oscillatory.  The delta is
-mollified to a Gaussian of width 2h, which would poison a bare
+The discretization is Crank-Nicolson: trapezoidal in time, central
+second-order differences in space.  At the grids used here the cell Peclet
+number is 2h << 1, where central differencing is non-oscillatory.  The delta
+is mollified to a Gaussian of width 2h, which would poison a bare
 Crank-Nicolson start with ringing, so a run opens with two implicit-Euler
-half-steps (Rannacher smoothing).  The operator is time-invariant, so
-I - (dt/2) L is factored once per run; a step is one back-substitution.
+half-steps (Rannacher smoothing).
 
-Mass bookkeeping is exact by construction: each run credits its net mass
-loss (the per-step losses telescope) to ``absorbed``, so absorbed + surviving
-stays at the initial unit mass up to the far-edge term tracked in
-``far_inflow`` (the zero-gradient outer boundary admits a spurious advective
-inflow ~ w nu(y_max) dt per step, which honest domain sizing keeps below
-1e-8 overall).
+The recurrence is evaluated, not stepped.  The spatial operator L is
+tridiagonal and time-invariant, and sub[i+1] sup[i] > 0 while the cell Peclet
+number is below 1, so S = D L D^-1 with d[i+1]/d[i] = sqrt(sup[i]/sub[i+1])
+is symmetric: S = Q diag(lam) Q^T.  A field is carried as coefficients
+c = Q^T D u and a count n of pending steps; its values are D^-1 Q (c r^n),
+with r = (1 + dt lam/2)/(1 - dt lam/2) the Crank-Nicolson factor.  The
+Rannacher start multiplies c by (1 - dt lam/2)^-2 and a shorter remainder
+step by its own r.  This is the discrete recurrence a stepper would
+compute, up to roundoff and the truncation below.
+
+Only the k slowest modes are kept: faster ones have decayed below roundoff
+by the time anything is read out.  The field's own coefficients decide k
+(an a-priori decay bound asks for several times more): k starts at 64 and
+doubles until, at every readout, the fastest eighth of the kept modes
+carries at most 1e-13 of the largest coefficient.
+
+The zero-gradient far edge leaves one mode with lam ~ 0 that never decays,
+and at long horizons the counts are e^-120 of the start, so roundoff that
+leaks into that mode dominates them.  The eigenpairs therefore come from
+MRRR (LAPACK dstemr; Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 2004),
+whose eigenvectors are accurate even where they are tiny; a bisection plus
+inverse-iteration subset solve was off by e^53 there.  A readout of D u has
+a roundoff floor at the far edge, where the true values are astronomically
+small, and a shift would carry that floor into the mode; so a readout
+zeroes the entries within their rounding bound, 4096 eps sum_j |q_ij c_j|
+(the far-edge noise measured up to 3.3e3 eps times that sum at 4096
+cells).  scipy's dstemr wrappers allocate an n x n eigenvector array whatever the number of modes
+requested; LAPACK's dstemr takes the column count (nzc) itself, so it is
+called through the raw routine scipy.linalg.cython_lapack exports, with
+only the n x k block allocated.
+
+Mass bookkeeping is exact by construction: ``absorbed`` is the mass lost
+over a run, so absorbed + surviving stays at the initial unit mass up to
+the far-edge term ``far_inflow``.  The zero-gradient outer boundary admits
+a spurious advective inflow w nu(y_max) dt per step; honest domain sizing
+keeps it below 1e-8 overall.  It is summed in closed form: a geometric sum
+per kept mode, and two tridiagonal solves for the dropped modes, which are
+not yet negligible at the first steps.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg import cython_lapack, solve_banded
 
 from .errors import DomainError, NumericalError
 from .model_params import DiffusionParams, split_params
 from .special_functions import LogValue
 
 _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
-_RANNACHER_HALF_STEPS = 2
+_MODES_START = 64         # first mode count tried; doubled as needed
+_TAIL_SHARE = 8           # the fastest 1/8 of the kept modes measure the tail
+_TAIL_TOL = 1e-13         # accepted tail, relative to the largest coefficient
+_NOISE = 4096 * float(np.finfo(float).eps)
+# D spans e^y_max; past this both D and D^-1 are no longer normal floats
+_LOG_SCALE_MAX = -math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -69,16 +106,20 @@ class Grid:
 class Field:
     """Comoving-frame state: node densities at time t plus bookkeeping.
 
-    ``absorbed`` accumulates the nu-frame mass lost through y = 0 (exact
-    mass balance per run), and ``far_inflow`` the estimated spurious gain
-    at the zero-gradient outer edge.  The growth exponent (v - w/2) t is
-    re-applied at readout by :func:`survivor_count`.
+    ``absorbed`` is the nu-frame mass lost through y = 0 (exact mass
+    balance), and ``far_inflow`` the estimated spurious gain at the
+    zero-gradient outer edge.  ``modes`` is the number of eigenmodes kept and
+    ``truncation`` the largest tail (see the module docstring) at any
+    readout, 0 when the basis was complete.  The growth exponent
+    (v - w/2) t is re-applied at readout by :func:`survivor_count`.
     """
 
     values: np.ndarray
     t: float = 0.0
     absorbed: float = 0.0
     far_inflow: float = 0.0
+    modes: int = 0
+    truncation: float = 0.0
 
     def mass(self, grid: Grid) -> float:
         """Trapezoid integral of the density over the grid."""
@@ -108,7 +149,7 @@ def init_delta(grid: Grid, eps: float) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# spatial operator and time stepping
+# spatial operator and its eigenbasis
 # ---------------------------------------------------------------------------
 
 def _operator_bands(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,6 +171,173 @@ def _operator_bands(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return sub, diag, sup
 
 
+def _symmetrized(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of S = D L D^-1, and ln d per unknown node."""
+    sub, diag, sup = _operator_bands(grid, w)
+    coupling = sub[1:] * sup[:-1]
+    if not (coupling > 0.0).all():
+        raise DomainError(
+            f"{grid} has cell Peclet number h = {grid.h:.6g}; the grid operator "
+            "is symmetrizable only for h < 1: refine the grid")
+    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sup[:-1] / sub[1:]))))
+    span = float(log_d.max() - log_d.min())
+    if not span < _LOG_SCALE_MAX:
+        raise DomainError(
+            f"{grid}: the symmetrizing scale D ~ e^y spans e^{span:.1f}, beyond "
+            f"the float exponent range (e^{_LOG_SCALE_MAX:.1f}); reduce y_max")
+    return diag, np.sqrt(coupling), log_d
+
+
+def _capsule_address(capsule) -> int:
+    """Address of the C function a Cython ``__pyx_capi__`` capsule holds."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DBL = ctypes.POINTER(ctypes.c_double)
+_ARR = ctypes.c_void_p  # numpy buffers, allocated with their dtype below
+# dstemr(jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
+#        tryrac, work, lwork, iwork, liwork, info)
+_DSTEMR = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, ctypes.c_char_p, _INT, _ARR, _ARR, _DBL, _DBL,
+    _INT, _INT, _INT, _ARR, _ARR, _INT, _INT, _ARR, _INT, _ARR, _INT, _ARR,
+    _INT, _INT)(_capsule_address(cython_lapack.__pyx_capi__["dstemr"]))
+
+
+def _slowest_eigenpairs(diag: np.ndarray, off: np.ndarray,
+                        k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues (ascending) of the symmetric tridiagonal
+    (diag, off) and their orthonormal eigenvectors as an n x k array."""
+    n = diag.size
+    d = np.array(diag, dtype=np.float64)       # overwritten by dstemr
+    e = np.zeros(n)                             # e[n-1] is workspace
+    e[:-1] = off
+    lam = np.empty(n)
+    z = np.empty((n, k), order="F")
+    isuppz = np.empty(2 * k, dtype=np.intc)
+    work = np.empty(18 * n)
+    iwork = np.empty(10 * n, dtype=np.intc)
+    m, info, tryrac = ctypes.c_int(), ctypes.c_int(), ctypes.c_int(1)
+    unused = ctypes.c_double(0.0)               # vl, vu: range 'I' ignores them
+
+    def i(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    _DSTEMR(b"V", b"I", i(n), d.ctypes.data, e.ctypes.data, ctypes.byref(unused),
+            ctypes.byref(unused), i(n - k + 1), i(n), ctypes.byref(m),
+            lam.ctypes.data, z.ctypes.data, i(n), i(k), isuppz.ctypes.data,
+            ctypes.byref(tryrac), work.ctypes.data, i(work.size),
+            iwork.ctypes.data, i(iwork.size), ctypes.byref(info))
+    if info.value != 0 or m.value != k:
+        raise NumericalError(
+            f"dstemr failed: info = {info.value}, {m.value} of {k} eigenpairs")
+    return lam[:k].copy(), z
+
+
+class _Basis:
+    """The k slowest eigenpairs of S = D L D^-1 on one grid (one n x k
+    block), with the diagonal scaling D and the step factors per mode."""
+
+    def __init__(self, grid: Grid, w: float, k: int):
+        self.diag, self.off, log_d = _symmetrized(grid, w)
+        self.lam, self.q = _slowest_eigenpairs(self.diag, self.off, k)
+        # a decaying operator has lam <= 0 up to the eigensolver's roundoff;
+        # that also keeps every 1 - dt lam/2 >= 1, so no step is singular
+        roundoff = self.diag.size * np.finfo(float).eps * (
+            np.abs(self.diag).max() + 2.0 * self.off.max())
+        if self.lam[-1] > roundoff:
+            raise NumericalError(
+                f"{grid}: operator eigenvalue {self.lam[-1]:.6g} > 0, the grid "
+                "solution would grow")
+        self.k = k
+        self.complete = k == grid.n_cells
+        self.dt = grid.dt
+        self.w = w
+        self.d = np.exp(log_d)
+        self.inv_d = np.exp(-log_d)
+        self.edge = self.inv_d[-1] * self.q[-1]     # far-edge node readout
+        self.x = 0.5 * grid.dt * self.lam
+        self.r = self.factor(grid.dt)
+        self.smooth = (1.0 - self.x) ** -2          # two implicit half-steps
+
+    def factor(self, dt: float) -> np.ndarray:
+        """Crank-Nicolson amplification per mode for one step of dt."""
+        x = 0.5 * dt * self.lam
+        return (1.0 + x) / (1.0 - x)
+
+    def step_sum(self, n: int) -> np.ndarray:
+        """sum_{i=1..n} r^i per mode; through ln r = 2 atanh(dt lam/2) where
+        r > 1/3, so that the slowest modes keep their digits."""
+        out = np.empty(self.k)
+        fast = self.x <= -0.5
+        r = self.r[fast]
+        out[fast] = r * (1.0 - r ** n) / (1.0 - r)
+        log_r = 2.0 * np.arctanh(self.x[~fast])
+        out[~fast] = self.r[~fast] * np.divide(
+            np.expm1(n * log_r), np.expm1(log_r),
+            out=np.full(log_r.shape, float(n)), where=log_r != 0.0)
+        return out
+
+    def dropped_inflow(self, values: np.ndarray) -> float:
+        """Far-edge inflow of the modes this basis leaves out, over a run
+        from ``values`` that opens with the Rannacher start.
+
+        Per mode, w dt s (1 + r + r^2 + ...) = w / (-lam (1 - dt lam/2)), so
+        with the kept modes projected out it is two tridiagonal solves with
+        S.  The dropped modes are the fast ones: a run the basis resolves at
+        its end has outlasted them.
+        """
+        if self.complete:
+            return 0.0
+        x = self.d * values[1:]
+        x -= self.q @ (self.q.T @ x)
+        # -S is shifted by 1e-10 of the slowest dropped rate, so the solve
+        # stays regular beside the lam ~ 0 mode; that mode is projected out
+        for diag, off in ((1.0 - 0.5 * self.dt * self.diag, -0.5 * self.dt * self.off),
+                          (1e-10 * abs(self.lam[0]) - self.diag, -self.off)):
+            bands = np.zeros((3, x.size))
+            bands[0, 1:] = bands[2, :-1] = off
+            bands[1] = diag
+            x = solve_banded((1, 1), bands, x, check_finite=False)
+        x -= self.q @ (self.q.T @ x)
+        return self.w * float(self.inv_d[-1] * x[-1])
+
+    def project(self, values: np.ndarray, t: float) -> np.ndarray:
+        """Coefficients Q^T D u of node values (node 0 is the absorbing zero)."""
+        _check_health(values, t)
+        return self.q.T @ (self.d * values[1:])
+
+    def readout(self, coef: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+        """Node values D^-1 Q coef and the tail of ``coef``; the values are
+        checked once the basis resolves them, then clipped."""
+        mag = np.abs(coef)
+        top = float(mag.max())
+        if not math.isfinite(top):
+            raise NumericalError(f"solver produced non-finite density at t = {t:.6g}")
+        tail = 0.0
+        if not self.complete and top > 0.0:
+            tail = float(mag[:max(1, self.k // _TAIL_SHARE)].max()) / top
+        scaled = self.q @ coef                      # D u
+        # D u within its rounding bound is noise, not density: zeroed, it is
+        # no overshoot, and it cannot seed the never-decaying far-edge mode
+        # after a shift (the bound is summed in row blocks of Q, so that no
+        # second n x k array is made)
+        bound = np.concatenate([np.abs(rows) @ mag for rows in np.array_split(self.q, 16)])
+        scaled[np.abs(scaled) <= _NOISE * bound] = 0.0
+        values = np.empty(scaled.size + 1)
+        values[0] = 0.0
+        values[1:] = self.inv_d * scaled
+        if tail <= _TAIL_TOL:
+            _check_health(values, t)
+        # roundoff-scale negatives (inside the health tolerance) are shaved
+        np.clip(values, 0.0, None, out=values)
+        return values, tail
+
+
 def _check_health(values: np.ndarray, t: float) -> None:
     mn = float(values.min())
     if math.isnan(mn) or not np.isfinite(values.max()):
@@ -142,78 +350,78 @@ def _check_health(values: np.ndarray, t: float) -> None:
             f"below tolerance {floor:.3e}")
 
 
-def _cn_step(grid: Grid, w: float, dt: float) -> Callable[[Field, bool], None]:
-    """One Crank-Nicolson step of dt, with I - (dt/2) L factored here once.
+def _fitted(grid: Grid, w: float, evaluate):
+    """``evaluate(basis) -> (result, tail)`` in the fewest modes, from
+    _MODES_START doubling, whose tail is at most _TAIL_TOL; returns
+    (result, modes, tail).  Only one basis is alive at a time."""
+    k = min(grid.n_cells, _MODES_START)
+    while True:
+        result, tail = evaluate(_Basis(grid, w, k))
+        if tail <= _TAIL_TOL or k == grid.n_cells:
+            return result, k, tail
+        k = min(grid.n_cells, 2 * k)
 
-    The returned ``advance(field, smooth)`` moves ``field`` in place (two
-    implicit-Euler half-steps through the same factors when ``smooth``),
-    checks and clips the density, and accumulates ``far_inflow``; the
-    caller credits ``absorbed``.
+
+# ---------------------------------------------------------------------------
+# the Crank-Nicolson recurrence, evaluated per mode
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Modal:
+    """A field as coefficients plus ``steps`` pending steps of dt: its values
+    are D^-1 Q (coef r^steps)."""
+
+    coef: np.ndarray
+    t: float
+    steps: int = 0
+    far_inflow: float = 0.0
+
+    def now(self, basis: _Basis) -> np.ndarray:
+        return self.coef * basis.r ** self.steps
+
+
+def _due(target: float) -> float:
+    """The step-clock time from which a snapshot time counts as reached
+    (up to roundoff)."""
+    return target - 1e-9 * max(1.0, target)
+
+
+def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool,
+             targets: Sequence[float] = ()) -> list[tuple[float, np.ndarray]]:
+    """Move ``field`` on by ``duration`` in place: whole steps of dt, the
+    first a Rannacher start when ``smooth``, then a shorter remainder step.
+
+    Returns (t, coefficients) at the first step time reaching each target
+    (ascending); step j ends at t + j dt, the last one exactly at the end.
     """
-    sub, diag, sup = _operator_bands(grid, w)
-    *lu, info = dgttrf(-0.5 * dt * sub[1:], 1.0 - 0.5 * dt * diag,
-                       -0.5 * dt * sup[:-1])
-    if info != 0:
-        raise NumericalError(f"step matrix is singular (dgttrf info = {info})")
-
-    def solve_lhs(rhs: np.ndarray) -> np.ndarray:
-        x, info = dgttrs(*lu, rhs)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (dgttrs info = {info})")
-        return x
-
-    def advance(field: Field, smooth: bool) -> None:
-        u = field.values[1:]  # node 0 is the absorbing zero
-        if smooth:
-            for _ in range(_RANNACHER_HALF_STEPS):
-                u = solve_lhs(u)
-        else:
-            op_u = diag * u  # L @ u
-            op_u[:-1] += sup[:-1] * u[1:]
-            op_u[1:] += sub[1:] * u[:-1]
-            u = solve_lhs(u + 0.5 * dt * op_u)
-        field.values[1:] = u
-        field.values[0] = 0.0
-        _check_health(field.values, field.t + dt)
-        # roundoff-scale negatives (inside the health tolerance) are shaved
-        np.clip(field.values, 0.0, None, out=field.values)
-        field.t += dt
-        field.far_inflow += dt * w * float(field.values[-1])
-
-    return advance
-
-
-def _reached(t: float, target: float) -> bool:
-    """Whether the step clock t has reached a snapshot time, up to roundoff."""
-    return t >= target - 1e-9 * max(1.0, target)
-
-
-def _run(field: Field, dp: DiffusionParams, grid: Grid, duration: float,
-         snapshot_times: Sequence[float] = (), on_snapshot=None,
-         smooth_first: bool = True) -> None:
-    targets = sorted(float(s) for s in snapshot_times)
-    advance = _cn_step(grid, dp.w, grid.dt)
-    mass_start = field.mass(grid)
+    dt, wdt = basis.dt, basis.w * basis.dt
+    n_full = int(math.floor(duration / dt + 1e-9))
+    remainder = duration - n_full * dt
+    has_remainder = remainder > 1e-9 * max(1.0, dt)
     t_end = field.t + duration
-    n_full = int(math.floor(duration / grid.dt + 1e-9))
-    remainder = duration - n_full * grid.dt
-
-    def fire_snapshots():
-        while targets and _reached(field.t, targets[0]):
-            targets.pop(0)
-            if on_snapshot is not None:
-                on_snapshot(field.t, grid.nodes(), field.values.copy(),
-                            field.growth_log(dp))
-
-    fire_snapshots()
-    for k in range(n_full):
-        advance(field, smooth_first and k == 0)
-        fire_snapshots()
-    if remainder > 1e-9 * max(1.0, grid.dt):
-        _cn_step(grid, dp.w, remainder)(field, False)
-        fire_snapshots()
-    field.t = t_end  # kill step-count roundoff drift
-    field.absorbed += mass_start - field.mass(grid)
+    times = field.t + dt * np.arange(1, n_full + 1 + has_remainder)
+    if times.size:
+        times[-1] = t_end
+    # 1-based step at which each target fires
+    fire = [1 + int(np.searchsorted(times, _due(s))) for s in targets]
+    reads = []
+    first = 0
+    if smooth and n_full:
+        first = 1
+        field.coef = field.coef * basis.smooth
+        field.far_inflow += wdt * float(basis.edge @ field.now(basis))
+    reads += [(float(times[0]), field.now(basis)) for j in fire if j <= first]
+    n_cn = n_full - first
+    reads += [(float(times[j - 1]), field.coef * basis.r ** (field.steps + j - first))
+              for j in fire if first < j <= n_full]
+    field.far_inflow += wdt * float(basis.edge @ (field.now(basis) * basis.step_sum(n_cn)))
+    field.steps += n_cn
+    if has_remainder:
+        field.coef = field.coef * basis.factor(remainder)
+        field.far_inflow += basis.w * remainder * float(basis.edge @ field.now(basis))
+        reads += [(t_end, field.now(basis)) for j in fire if j > n_full]
+    field.t = t_end
+    return reads
 
 
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
@@ -229,11 +437,31 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     dp.require_diffusive()
     if not T > 0.0:
         raise DomainError(f"T must be positive, got {T!r}")
-    for s in map(float, snapshot_times):
-        if not (s >= 0.0 and _reached(T, s)):
+    targets = sorted(float(s) for s in snapshot_times)
+    for s in targets:
+        if not (s >= 0.0 and T >= _due(s)):
             raise DomainError(f"snapshot time {s!r} lies outside [0, T = {T!r}]")
-    field = init_delta(grid, dp.eps)
-    _run(field, dp, grid, T, snapshot_times, on_snapshot, smooth_first=True)
+    start = init_delta(grid, dp.eps)
+    at_start = [s for s in targets if 0.0 >= _due(s)]
+
+    def evaluate(basis):
+        field = _Modal(basis.project(start.values, 0.0), 0.0)
+        reads = _advance(basis, field, T, True, targets[len(at_start):])
+        snaps = [(t, *basis.readout(coef, t)) for t, coef in reads]
+        values, tail = basis.readout(field.now(basis), field.t)
+        far_inflow = field.far_inflow + basis.dropped_inflow(start.values)
+        return (snaps, values, far_inflow), max([tail] + [s[2] for s in snaps])
+
+    (snaps, values, far_inflow), modes, tail = _fitted(grid, dp.w, evaluate)
+    if on_snapshot is not None:
+        y = grid.nodes()
+        for _ in at_start:
+            on_snapshot(0.0, y, start.values.copy(), 0.0)
+        for t, snap, _ in snaps:
+            on_snapshot(t, y, snap, (dp.v - 0.5 * dp.w) * t)
+    field = Field(values=values, t=T, far_inflow=far_inflow, modes=modes,
+                  truncation=tail)
+    field.absorbed = start.mass(grid) - field.mass(grid)
     return field
 
 
@@ -278,25 +506,41 @@ def born_two_stage(dp: DiffusionParams, grid: Grid, t1: float, F: float,
 def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
                           splits: Sequence[tuple[float, float]],
                           t2: float) -> list[LogValue]:
-    """:func:`born_two_stage` for each (F, G) in ``splits``; stage one does
-    not depend on the split, so it is solved once and copied per split."""
+    """:func:`born_two_stage` for each (F, G) in ``splits``.  Stage one does
+    not depend on the split, so it is solved once, and one eigenbasis serves
+    stage one and every split."""
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("t1 and t2 must be positive")
+    start = init_delta(grid, dp.eps)
+    shifts = any(log_F != 0.0 for log_F, _ in log_splits)
 
-    stage_one = solve(dp, grid, t1)
-    counts = []
-    for log_F, G in log_splits:
-        field = replace(stage_one, values=stage_one.values.copy())
-        shift_toward_boundary(field, grid, log_F)
-        if G != 1:  # scales the surviving density, not the absorbed mass
-            field.values *= G
-        # restart smoothing only when the shift actually kinked the profile,
-        # so F = 1, G = 1 stays bit-identical to one continuous solve
-        _run(field, dp, grid, t2, smooth_first=(log_F != 0.0))
-        counts.append(survivor_count(field, grid, dp))
-    return counts
+    def evaluate(basis):
+        one = _Modal(basis.project(start.values, 0.0), 0.0)
+        _advance(basis, one, t1, smooth=True)
+        tails = [0.0]
+        if shifts:
+            values_t1, tail = basis.readout(one.now(basis), one.t)
+            tails.append(tail)
+        counts = []
+        for log_F, G in log_splits:
+            if log_F == 0.0:
+                # stage one's coefficients and step count carry on, so F = 1,
+                # G = 1 is the same expression as one solve to t1 + t2
+                two = replace(one, coef=G * one.coef)
+            else:
+                # the shift kinks the profile, so stage two restarts smoothed
+                shifted = Field(values=values_t1.copy(), t=one.t)
+                shift_toward_boundary(shifted, grid, log_F)
+                two = _Modal(G * basis.project(shifted.values, one.t), one.t)
+            _advance(basis, two, t2, smooth=(log_F != 0.0))
+            values, tail = basis.readout(two.now(basis), two.t)
+            tails.append(tail)
+            counts.append(survivor_count(Field(values=values, t=two.t), grid, dp))
+        return counts, max(tails)
+
+    return _fitted(grid, dp.w, evaluate)[0]
 
 
 def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,

@@ -56,17 +56,17 @@ class TestDeviationTable:
         outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),
                     BornOutcomeSpec("c", 0.125, 2)]
         grid = Grid(y_max=20.0, n_cells=512, dt=0.1)
-        run = pde_solver._run
+        eigenpairs = pde_solver._slowest_eigenpairs
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return run(*args, **kwargs)
+            return eigenpairs(*args, **kwargs)
 
-        monkeypatch.setattr(pde_solver, "_run", counting)
+        monkeypatch.setattr(pde_solver, "_slowest_eigenpairs", counting)
         report = deviation_table(outcomes, dp, eps=0.2, t1=50.0, t2=100.0,
                                  engines=("pde",), grid=grid)
-        assert len(calls) == 1 + len(outcomes)
+        assert len(calls) == 1  # one eigendecomposition serves every outcome
         monkeypatch.undo()
         diff = to_diffusion(dp, 0.2)
         for row, o in zip(report.rows, outcomes):

@@ -84,6 +84,19 @@ class TestArtifacts:
         assert surv[0] == "t,log10_count,growth_log"
         assert _no_temp_droppings(tmp_path)
 
+    def test_pde_survivors_one_row_per_time(self, tmp_path):
+        # T is also a snapshot time: it gets one row, the final count's
+        assert run(["pde", "--out", str(tmp_path), "--T", "2", "--y-max", "10",
+                    "--n-cells", "512", "--dt", "0.005", "--snapshots", "1,2"]) == 0
+        d = tmp_path / "pde"
+        rows = [r.split(",") for r in
+                (d / "survivors.csv").read_text().splitlines()[1:]]
+        assert [float(t) for t, _, _ in rows] == [1.0, 2.0]
+        summary = (d / "summary.txt").read_text()
+        assert f"survivor log10 count = {float(rows[-1][1]):.12g}" in summary
+        assert "modes kept          = " in summary
+        assert "truncation estimate = " in summary
+
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0
         d = tmp_path / "analytic"

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
@@ -154,17 +154,18 @@ class TestStepDynamics:
         assert abs(slope - (-w)) > 0.5 * w  # the correct-direction bound fails
         assert slope == pytest.approx(+w, rel=0.05)
 
-    def test_numerical_failure_detected(self):
+    def test_numerical_failure_detected(self, monkeypatch):
         g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
         f = init_delta(g, 10.0)
         f.values[100] = float("nan")
-        with pytest.raises(NumericalError):
-            pde_solver._run(f, DiffusionParams(v=1.0, w=0.5, eps=10.0), g, g.dt)
+        monkeypatch.setattr(pde_solver, "init_delta", lambda grid, eps: f)
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, g.dt)
 
 
 class TestFactoredStepper:
-    """A whole solve, with its once-factored step matrix, ends bit for bit
-    where a fresh banded solve of the same system at every step ends."""
+    """A whole solve, evaluated in the truncated eigenbasis, ends where the
+    same Crank-Nicolson recurrence stepped with a banded solve ends."""
 
     @staticmethod
     def _banded_reference(grid, w, T):
@@ -199,29 +200,55 @@ class TestFactoredStepper:
         return np.concatenate([[0.0], u]), far_inflow
 
     # the desk grid, and the born_pde benchmark grid (w = 0.01, dt = 0.45),
-    # there also to a horizon that ends in a shorter remainder step
+    # there also to a horizon that ends in a shorter remainder step; the far
+    # edge is out of reach in these, so their inflow is 0 to roundoff, and a
+    # 4-wide grid whose far edge the density reaches checks it
     @pytest.mark.parametrize(
         "y_max,n_cells,w,dt,T",
         [(20.0, 2048, 0.5, 1e-3, 0.3), (40.0, 4096, 0.01, 0.45, 135.0),
-         (40.0, 4096, 0.01, 0.45, 135.2)],
+         (40.0, 4096, 0.01, 0.45, 135.2), (4.0, 512, 0.5, 2e-3, 4.0)],
         ids=["20.0-2048-0.5-0.001", "40.0-4096-0.01-0.45",
-             "40.0-4096-0.01-0.45-remainder"])
+             "40.0-4096-0.01-0.45-remainder", "4.0-512-0.5-0.002-far-edge"])
     def test_matches_banded_solve(self, y_max, n_cells, w, dt, T):
         g = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
         f = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T)
         values, far_inflow = self._banded_reference(g, w, T)
-        assert np.array_equal(f.values, values)
-        assert f.far_inflow == far_inflow
+        assert np.abs(f.values - values).max() <= 1e-10 * values.max()
+        assert f.far_inflow == pytest.approx(far_inflow, rel=1e-10, abs=1e-20)
         assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
 
     def test_singular_step_matrix_is_loud(self, monkeypatch):
-        # with L = 4 I and dt = 0.5, I - (dt/2) L is the zero matrix
+        # L = tridiag(1, 4, 1) grows (every eigenvalue lies in (2, 6)), and
+        # at dt = 0.5 the step matrix I - (dt/2) L is singular where lam = 4
         g = Grid(y_max=10.0, n_cells=64, dt=0.5)
         n = g.n_cells
         monkeypatch.setattr(pde_solver, "_operator_bands",
-                            lambda grid, w: (np.zeros(n), np.full(n, 4.0), np.zeros(n)))
-        with pytest.raises(NumericalError):
+                            lambda grid, w: (np.ones(n), np.full(n, 4.0), np.ones(n)))
+        with pytest.raises(NumericalError, match="eigenvalue"):
             solve(DiffusionParams(v=1.0, w=0.5, eps=2.0), g, 1.0)
+
+    def test_cell_peclet_number_at_least_one_is_loud(self):
+        # h = 2.5: sub = (w/2)(1/h^2 - 1/h) < 0, so no diagonal D symmetrizes L
+        g = Grid(y_max=40.0, n_cells=16, dt=0.1)
+        with pytest.raises(DomainError, match="n_cells=16.*h = 2.5"):
+            solve(DiffusionParams(v=1.0, w=0.5, eps=12.0), g, 1.0)
+
+    def test_scale_beyond_float_range_is_loud(self):
+        # D ~ e^y spans ~e^808 at y_max = 800, past the float exponent range
+        g = Grid(y_max=800.0, n_cells=4096, dt=0.1)
+        with pytest.raises(DomainError, match="y_max=800.0.*exponent range"):
+            solve(DiffusionParams(v=1.0, w=0.5, eps=12.0), g, 1.0)
+
+    def test_eigenpairs_match_a_dense_solver(self):
+        # the dstemr binding against scipy's full tridiagonal eigensolver
+        rng = np.random.default_rng(7)
+        diag, off = -2.0 + 0.1 * rng.standard_normal(300), rng.random(299)
+        lam, q = pde_solver._slowest_eigenpairs(diag, off, 40)
+        want = eigh_tridiagonal(diag, off, eigvals_only=True)[-40:]
+        assert np.abs(lam - want).max() <= 1e-12
+        assert np.abs(q.T @ q - np.eye(40)).max() <= 1e-12
+        s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(s @ q - q * lam).max() <= 1e-12
 
 
 class TestSolve:
@@ -255,13 +282,14 @@ class TestSolve:
         assert l1 <= 0.02
 
     def test_absorption_monotone(self, desk):
-        # one-step runs, so ``absorbed`` is credited after every step
+        # the mass lost by every step time of one solve, from its snapshots
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
-        f = init_delta(g, desk.eps)
-        absorbed = [f.absorbed]
-        for _ in range(500):
-            pde_solver._run(f, desk, g, g.dt, smooth_first=False)
-            absorbed.append(f.absorbed)
+        mass0 = init_delta(g, desk.eps).mass(g)
+        absorbed = [0.0]
+        solve(desk, g, 1.0, snapshot_times=g.dt * np.arange(1, 501),
+              on_snapshot=lambda t, y, values, gl:
+              absorbed.append(mass0 - Field(values=values).mass(g)))
+        assert len(absorbed) == 501
         assert all(b >= a - 1e-15 for a, b in zip(absorbed, absorbed[1:]))
         assert absorbed[-1] > 0.1
 
@@ -309,13 +337,45 @@ class TestSolve:
               on_snapshot=lambda t, *_: seen.append(t))
         assert len(seen) == 1
 
+    def test_snapshot_between_steps_fires_at_the_next_step(self, desk):
+        # dt = 0.01: 0.505 fires with 0.51 at step 51, and 2.001 at the
+        # remainder step that ends the run at T = 2.005
+        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        seen = []
+        f = solve(desk, g, 2.005, snapshot_times=[0.505, 0.51, 2.001],
+                  on_snapshot=lambda t, y, values, gl: seen.append((t, values)))
+        assert [t for t, _ in seen] == [pytest.approx(0.51, abs=1e-12)] * 2 + [2.005]
+        assert np.array_equal(seen[0][1], seen[1][1])
+        assert np.array_equal(seen[2][1], f.values)
+
     def test_empty_field_count_is_zero(self, desk):
         g = Grid(y_max=20.0, n_cells=256, dt=1e-2)
         f = Field(values=np.zeros(257))
         assert survivor_count(f, g, desk).is_zero
 
 
+#: ln of the two-stage count at t1 = 50, t2 = 400 for the desk parameters on
+#: criterion 6c's three grids (4096 cells, dt = 2e-3, keyed by y_max), for
+#: F = 1, e^-2, e^-5, e^-10 with G = 1, from the Crank-Nicolson recurrence
+#: stepped 225 000 times with a factored tridiagonal solve per step
+STEPPED_6C = {
+    94.0: (214.46913378559043, 212.14283222146506, 208.41127939787734, 201.5068678928018),
+    97.0: (214.47448374654698, 212.14820790725744, 208.4165687163739, 201.51208696822945),
+    102.0: (214.48424849692464, 212.15792537552989, 208.42625375768725, 201.5216536921351),
+}
+
+
 class TestBornTwoStage:
+    @pytest.mark.parametrize("y_max", sorted(STEPPED_6C))
+    def test_counts_match_the_stepped_recurrence_at_criterion_6c(self, desk, y_max):
+        # the counts are ~e^-123 of the start there, so roundoff that leaks
+        # into the never-decaying far-edge mode would show
+        grid = Grid(y_max=y_max, n_cells=4096, dt=2e-3)
+        splits = [(math.exp(-big_l), 1) for big_l in (0.0, 2.0, 5.0, 10.0)]
+        got = pde_solver.born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
+        for count, want in zip(got, STEPPED_6C[y_max]):
+            assert count.log_magnitude == pytest.approx(want, abs=1e-8)
+
     def test_unit_split_reduces_to_plain_solve(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
         lam = born_two_stage(desk, g, 2.0, 1.0, 1, 2.0)
