@@ -8,14 +8,14 @@ how close surviving-world counting comes to the Born probabilities.
 
 from .errors import DomainError, NumericalError, RegimeWarning
 from .model_params import (DecoherenceParams, DiffusionParams,
-                           binary_event_stats, count_walk_stats, to_diffusion)
+                           binary_event_stats, to_diffusion)
 from .special_functions import LogValue, bracket, erfc, erfcx, log_erfc
 from .analytic import (boundary, gamma_correction, gamma_correction_log,
-                       lambda_count, lambda_count_log, pde_residual_mu0,
-                       unmangled_count_W)
-from .pde_solver import Field, Grid, born_two_stage, init_delta, solve, survivor_count
+                       lambda_count, pde_residual_mu0, unmangled_count_W)
+from .pde_solver import (Field, Grid, born_two_stage_counts, init_delta, solve,
+                         survivor_count)
 from .monte_carlo import (ExactCount, PathEnsemble, SurvivorHistogram,
-                          WalkSpec, born_two_stage_mc, default_tilt,
+                          WalkSpec, born_two_stage_mc_counts, default_tilt,
                           empirical_distribution, enumerate_survivors,
                           simulate_survivors)
 from .born_experiment import (BornOutcomeSpec, DeviationReport,
@@ -27,13 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "NumericalError", "RegimeWarning",
     "DecoherenceParams", "DiffusionParams", "binary_event_stats",
-    "count_walk_stats", "to_diffusion",
+    "to_diffusion",
     "LogValue", "bracket", "erfc", "erfcx", "log_erfc",
     "boundary", "gamma_correction", "gamma_correction_log", "lambda_count",
-    "lambda_count_log", "pde_residual_mu0", "unmangled_count_W",
-    "Field", "Grid", "born_two_stage", "init_delta", "solve", "survivor_count",
+    "pde_residual_mu0", "unmangled_count_W",
+    "Field", "Grid", "born_two_stage_counts", "init_delta", "solve",
+    "survivor_count",
     "ExactCount", "PathEnsemble", "SurvivorHistogram", "WalkSpec",
-    "born_two_stage_mc", "default_tilt", "empirical_distribution",
+    "born_two_stage_mc_counts", "default_tilt", "empirical_distribution",
     "enumerate_survivors", "simulate_survivors",
     "BornOutcomeSpec", "DeviationReport", "HeadlineReport", "deviation_table",
     "headline_check", "survival_condition_scan",

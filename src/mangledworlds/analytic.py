@@ -215,17 +215,12 @@ def lambda_count(F: float, G: float, t1: float, t2: float,
                  dp: DiffusionParams) -> LogValue:
     """Final unmangled count for an outcome of G children each F smaller.
 
-    For F too small to represent as a float use :func:`lambda_count_log`.
+    For F too small to represent as a float use :func:`log_lambda_count`.
     """
     F = float(F)
     if not 0.0 < F <= 1.0:
         raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
     return LogValue(log_lambda_count(math.log(F), G, t1, t2, dp))
-
-
-def lambda_count_log(log_F: float, G: float, t1: float, t2: float,
-                     dp: DiffusionParams) -> LogValue:
-    return LogValue(log_lambda_count(log_F, G, t1, t2, dp))
 
 
 def gamma_correction(F: float, t1: float, w: float) -> float:

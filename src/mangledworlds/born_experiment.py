@@ -81,9 +81,6 @@ class DeviationReport:
     rows: list[OutcomeRow]
     metadata: dict
 
-    def rows_for(self, engine: str) -> list[OutcomeRow]:
-        return [r for r in self.rows if r.engine == engine]
-
     def to_csv(self, path) -> None:
         header = ["engine", "label", "F", "G", "born_probability",
                   "log10_lambda", "share", "share_over_born",
@@ -131,10 +128,9 @@ def _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed, workers,
     n1, n2 = int(round(n1)), int(round(n2))
     if tilt is None:
         tilt = monte_carlo.default_tilt(dp, n1 + n2)
-    s1 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n1, tilt=tilt)
-    s2 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n2, tilt=tilt)
+    spec = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n1, tilt=tilt)
     ensembles = monte_carlo.born_two_stage_mc_counts(
-        s1, [(o.F, o.G) for o in outcomes], s2, n_paths, seed, workers)
+        spec, [(o.F, o.G) for o in outcomes], n2, n_paths, seed, workers)
     return [ens.estimate() for ens in ensembles]
 
 

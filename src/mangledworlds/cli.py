@@ -46,26 +46,38 @@ class UsageError(Exception):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
+def _floats(cfg: dict, key: str) -> list[float]:
+    """The list of numbers under ``key``: a JSON list or 'a,b,c'."""
+    text = cfg[key]
+    if not isinstance(text, (list, tuple)):
+        text = [tok for tok in str(text).split(",") if tok.strip()]
+    try:
         return [float(x) for x in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} must be a list of numbers, got {cfg[key]!r}") from None
 
 
 def _outcomes(spec) -> list[born_experiment.BornOutcomeSpec]:
     """Outcomes from 'label:F:G,label:F:G' or a JSON list of mappings."""
-    out = []
     if isinstance(spec, str):
+        items = []
         for tok in spec.split(","):
             parts = tok.strip().split(":")
             if len(parts) != 3:
                 raise UsageError(f"outcome {tok!r} is not label:F:G")
-            out.append(born_experiment.BornOutcomeSpec(
-                label=parts[0], F=float(parts[1]), G=int(parts[2])))
+            items.append(dict(zip(("label", "F", "G"), parts)))
+    elif isinstance(spec, list):
+        items = spec
     else:
-        for item in spec:
-            out.append(born_experiment.BornOutcomeSpec(
-                label=str(item["label"]), F=float(item["F"]), G=int(item["G"])))
+        raise UsageError(f"outcomes must be 'label:F:G,...' or a list, got {spec!r}")
+    out = []
+    for item in items:
+        try:
+            label, F, G = str(item["label"]), float(item["F"]), int(item["G"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"outcomes: {item!r} needs a label, a number F and "
+                             f"an integer G ({exc!r})") from None
+        out.append(born_experiment.BornOutcomeSpec(label=label, F=F, G=G))
     return out
 
 
@@ -118,6 +130,17 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
+    for key, value in resolved.items():
+        # the commands convert each number with its default's type; an unset
+        # seed stays None
+        kind = int if key == "seed" else type(DEFAULTS[sub][key])
+        if kind not in (int, float) or (key == "seed" and value is None):
+            continue
+        try:
+            kind(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}"
+                             f", got {value!r}") from None
     return resolved
 
 
@@ -145,10 +168,10 @@ def _write_summary(run_dir: Path, lines: list[str]) -> None:
 
 def _cmd_analytic(cfg: dict, run_dir: Path, args) -> int:
     dp = DiffusionParams(v=float(cfg["v"]), w=float(cfg["w"]), eps=float(cfg["eps"]))
-    times = _floats(cfg["times"])
-    xs = _floats(cfg["x_points"])
-    ys = _floats(cfg["y_points"])
-    fs = _floats(cfg["F_list"])
+    times = _floats(cfg, "times")
+    xs = _floats(cfg, "x_points")
+    ys = _floats(cfg, "y_points")
+    fs = _floats(cfg, "F_list")
     g = int(cfg["G"])
     t1, t2 = float(cfg["t1"]), float(cfg["t2"])
 
@@ -188,7 +211,7 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     grid = pde_solver.Grid(y_max=float(cfg["y_max"]), n_cells=int(cfg["n_cells"]),
                            dt=float(cfg["dt"]))
     T = float(cfg["T"])
-    snap_times = _floats(cfg["snapshots"])
+    snap_times = _floats(cfg, "snapshots")
 
     snap_rows: list[list[str]] = []
     fields: dict[float, pde_solver.Field] = {}  # one survivors row per time
@@ -312,7 +335,7 @@ def _cmd_headline(cfg: dict, run_dir: Path, args) -> int:
 
 def _cmd_scan(cfg: dict, run_dir: Path, args) -> int:
     rows = born_experiment.survival_condition_scan(
-        _floats(cfg["p_list"]), _floats(cfg["r_list"]))
+        _floats(cfg, "p_list"), _floats(cfg, "r_list"))
     born_experiment.scan_to_csv(rows, run_dir / "scan.csv")
     lines = ["p      r      v        w        v-w      regime"]
     for s in rows:

@@ -15,11 +15,8 @@ Per split event the log-size statistics are
 
 and a constant event rate gives v = -r*xtilde1, w = r*sigma1^2.
 
-``sigma1`` is stored as the nonnegative root; only its square enters any
-dynamics.  Note that the *count-weighted* walk (every child equally likely)
-has per-event mean (ln p + ln(1-p))/2 and variance ln^2(p/(1-p))/4, which
-differ from (xtilde1, sigma1^2) at order (p - 1/2)^2; both statistics are
-exposed so discrete-vs-continuum comparisons can state which one they use.
+``sigma1`` is returned as the nonnegative root; only its square enters any
+dynamics.  :func:`binary_event_stats` gives all three statistics.
 """
 
 from __future__ import annotations
@@ -53,17 +50,6 @@ def binary_event_stats(p: float) -> tuple[float, float, float]:
     return xhat1, sigma1, xtilde1
 
 
-def count_walk_stats(p: float) -> tuple[float, float]:
-    """Per-event (mean, variance) of the world-counting walk, where each of
-    the two children is equally likely regardless of its measure."""
-    p = _check_probability(p)
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    mean = 0.5 * (log_p + log_q)
-    half_gap = 0.5 * (log_p - log_q)
-    return mean, half_gap * half_gap
-
-
 def split_params(F: float, G: float) -> tuple[float, float]:
     """(ln F, G) of one measurement split: G children, each carrying a
     fraction F of the parent's measure."""
@@ -86,18 +72,6 @@ class DecoherenceParams:
         _check_probability(self.p)
         if not self.r > 0.0:
             raise DomainError(f"event rate r must be positive, got {self.r!r}")
-
-    @property
-    def xhat1(self) -> float:
-        return binary_event_stats(self.p)[0]
-
-    @property
-    def sigma1(self) -> float:
-        return binary_event_stats(self.p)[1]
-
-    @property
-    def xtilde1(self) -> float:
-        return binary_event_stats(self.p)[2]
 
 
 @dataclass(frozen=True)

@@ -179,33 +179,13 @@ class SurvivorHistogram(PathEnsemble):
 
     ``weights`` are relative; the estimator count in bin b is
     ``weights[b] * exp(log_offset)``; when the bins cover every survivor
-    the weights sum to ``estimate()`` times ``exp(-log_offset)``.
-    ``normalized()`` gives the
-    unit-mass shape used for density comparisons.  The arrays are excluded
-    from equality.
+    the weights sum to ``estimate()`` times ``exp(-log_offset)``.  The
+    arrays are excluded from equality.
     """
 
     edges: np.ndarray = field(compare=False, repr=False)
     weights: np.ndarray = field(compare=False, repr=False)
     log_offset: float
-
-    @property
-    def empty(self) -> bool:
-        return self.survivor_count == 0 or not self.weights.sum() > 0.0
-
-    def normalized(self) -> np.ndarray:
-        """Histogram scaled to unit integral over y (density units)."""
-        if self.empty:
-            raise DomainError("no survivors: the histogram has no shape")
-        widths = np.diff(self.edges)
-        total = float((self.weights * 1.0).sum())
-        return self.weights / (total * widths)
-
-    def first_moment(self) -> float:
-        if self.empty:
-            raise DomainError("no survivors: the histogram has no shape")
-        mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        return float((mids * self.weights).sum() / self.weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -440,33 +420,26 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
                    log_offset=log_offset)
 
 
-def born_two_stage_mc(spec1: WalkSpec, F: float, G: float, spec2: WalkSpec,
-                      n_paths: int, seed: int,
-                      workers: int | None = None) -> PathEnsemble:
-    """Two-stage protocol: after event N1 every lineage drops by |ln F| and
-    the estimator gains a factor G (with an immediate absorption check),
-    then continues through spec2.n_events more background events.  Returns
-    the estimate of the final outcome count lambda."""
-    return born_two_stage_mc_counts(spec1, [(F, G)], spec2, n_paths, seed,
-                                    workers)[0]
-
-
-def born_two_stage_mc_counts(spec1: WalkSpec,
-                             splits: Sequence[tuple[float, float]],
-                             spec2: WalkSpec, n_paths: int, seed: int,
+def born_two_stage_mc_counts(spec: WalkSpec,
+                             splits: Sequence[tuple[float, float]], n2: int,
+                             n_paths: int, seed: int,
                              workers: int | None = None) -> list[PathEnsemble]:
-    """:func:`born_two_stage_mc` for each (F, G) in ``splits``.  Stage one
-    does not depend on the split, so each chunk walks it once and continues
-    every split from its survivors on the same draws; each result equals
-    the one-split call at the same seed, bit for bit."""
+    """Two-stage protocol, per (F, G) in ``splits``: after event
+    spec.n_events every lineage drops by |ln F| and the estimator gains a
+    factor G (with an immediate absorption check), then it continues
+    through n2 more events.  Returns the estimates of the final outcome
+    counts lambda.
+
+    Stage one does not depend on the split, so each chunk walks it once and
+    continues every split from its survivors on the same draws; each result
+    equals the one-split call at the same seed, bit for bit.
+    """
     log_splits = []
     for F, G in splits:
         log_F, G = split_params(F, G)
         log_splits.append((log_F, math.log(G)))
-    if (spec1.dp != spec2.dp or spec1.eps != spec2.eps
-            or spec1.tilt != spec2.tilt):
-        raise DomainError("stage specs must agree in dp, eps and tilt")
-    cfg = _config_for(spec1, n2=spec2.n_events, splits=tuple(log_splits),
-                      seed=seed)
+    if n2 < 1:
+        raise DomainError(f"n2 must be >= 1, got {n2!r}")
+    cfg = _config_for(spec, n2=n2, splits=tuple(log_splits), seed=seed)
     return [_result(PathEnsemble, s, seed)
             for s in _simulate(cfg, n_paths, workers)]

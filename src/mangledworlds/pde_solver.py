@@ -473,46 +473,25 @@ def survivor_count(field: Field, grid: Grid, dp: DiffusionParams) -> LogValue:
     return LogValue(math.log(m) + field.growth_log(dp))
 
 
-def shift_toward_boundary(field: Field, grid: Grid, log_F: float) -> None:
-    """Translate the density by ln F <= 0 (toward the boundary), in place.
-
-    Linear interpolation on the grid; mass pushed below y = 0 (or off the
-    far edge) is credited to ``absorbed``.
-    """
-    if log_F > 0.0:
-        raise DomainError(f"ln F must be <= 0, got {log_F!r}")
-    shift = -log_F
-    if shift >= 0.5 * grid.y_max:
-        raise DomainError(
-            f"|ln F| = {shift!r} is more than half of y_max = {grid.y_max!r}; "
-            "enlarge the grid")
-    if shift == 0.0:
-        return
-    y = grid.nodes()
-    mass_before = field.mass(grid)
-    field.values = np.interp(y + shift, y, field.values, right=0.0)
-    field.values[0] = 0.0
-    field.absorbed += mass_before - field.mass(grid)
-
-
-def born_two_stage(dp: DiffusionParams, grid: Grid, t1: float, F: float,
-                   G: float, t2: float) -> LogValue:
-    """Two-stage protocol: evolve to t1, move every world down by |ln F| and
-    multiply the count by G, evolve on to t1 + t2; returns the survivor
-    count (the grid estimate of lambda)."""
-    return born_two_stage_counts(dp, grid, t1, [(F, G)], t2)[0]
-
-
 def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
                           splits: Sequence[tuple[float, float]],
                           t2: float) -> list[LogValue]:
-    """:func:`born_two_stage` for each (F, G) in ``splits``.  Stage one does
-    not depend on the split, so it is solved once, and one eigenbasis serves
-    stage one and every split."""
+    """Two-stage protocol, per (F, G) in ``splits``: evolve to t1, move every
+    world down by |ln F| and multiply the count by G, evolve on to t1 + t2;
+    returns the survivor counts (the grid estimates of lambda).
+
+    Stage one does not depend on the split, so it is solved once, and one
+    eigenbasis serves stage one and every split.
+    """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
     if not (t1 > 0.0 and t2 > 0.0):
         raise DomainError("t1 and t2 must be positive")
+    for log_F, _ in log_splits:
+        if -log_F >= 0.5 * grid.y_max:
+            raise DomainError(
+                f"|ln F| = {-log_F!r} is more than half of y_max = {grid.y_max!r}; "
+                "enlarge the grid")
     start = init_delta(grid, dp.eps)
     shifts = any(log_F != 0.0 for log_F, _ in log_splits)
 
@@ -530,10 +509,12 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
                 # G = 1 is the same expression as one solve to t1 + t2
                 two = replace(one, coef=G * one.coef)
             else:
-                # the shift kinks the profile, so stage two restarts smoothed
-                shifted = Field(values=values_t1.copy(), t=one.t)
-                shift_toward_boundary(shifted, grid, log_F)
-                two = _Modal(G * basis.project(shifted.values, one.t), one.t)
+                # the shift kinks the profile, so stage two restarts smoothed;
+                # mass moved below y = 0 is absorbed
+                y = grid.nodes()
+                shifted = np.interp(y - log_F, y, values_t1, right=0.0)
+                shifted[0] = 0.0
+                two = _Modal(G * basis.project(shifted, one.t), one.t)
             _advance(basis, two, t2, smooth=(log_F != 0.0))
             values, tail = basis.readout(two.now(basis), two.t)
             tails.append(tail)

@@ -1,4 +1,4 @@
-"""Overflow-safe special functions and signed log-space values.
+"""Overflow-safe special functions and log-space values.
 
 Every closed form in this package reduces to the complementary error
 function, its scaled variant erfcx(a) = exp(a^2) * erfc(a), and the
@@ -40,56 +40,41 @@ _NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
-# signed log-space values
+# log-space values
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as (sign, ln|value|) so huge counts stay finite.
+    """A nonnegative number stored as its natural log, so huge counts stay
+    finite.
 
-    ``sign == 0`` encodes exact zero and forces ``log_magnitude = -inf``.
-    Sums of logs go through :func:`logaddexp` and :func:`logsubexp`.
+    Zero is ``log_magnitude = -inf``.  Sums of logs go through
+    :func:`logaddexp` and :func:`logsubexp`.
     """
 
     log_magnitude: float
-    sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise DomainError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0 and self.log_magnitude != _NEG_INF:
-            object.__setattr__(self, "log_magnitude", _NEG_INF)
         if math.isnan(self.log_magnitude):
             raise DomainError("log_magnitude is NaN")
 
     @classmethod
-    def from_float(cls, value: float) -> "LogValue":
-        if value == 0.0:
-            return cls(_NEG_INF, 0)
-        if math.isnan(value):
-            raise DomainError("cannot build LogValue from NaN")
-        return cls(math.log(abs(value)), 1 if value > 0 else -1)
-
-    @classmethod
     def zero(cls) -> "LogValue":
-        return cls(_NEG_INF, 0)
+        return cls(_NEG_INF)
 
     def to_float(self) -> float:
-        """Back to a plain float; overflows to +-inf for huge magnitudes."""
-        if self.sign == 0:
-            return 0.0
+        """Back to a plain float; overflows to inf for huge magnitudes."""
         try:
-            mag = math.exp(self.log_magnitude)
+            return math.exp(self.log_magnitude)
         except OverflowError:
-            mag = math.inf
-        return self.sign * mag
+            return math.inf
 
     def log10(self) -> float:
         return self.log_magnitude / math.log(10.0)
 
     @property
     def is_zero(self) -> bool:
-        return self.sign == 0
+        return self.log_magnitude == _NEG_INF
 
 
 def logaddexp(a: float, b: float) -> float:

@@ -148,8 +148,9 @@ def test_c06c_two_stage_gamma():
         y_max = float(math.ceil(DESK.eps + big_l
                                 + 6.0 * math.sqrt(DESK.w * (t1 + t2)) + 1.0))
         grid = pde_solver.Grid(y_max=y_max, n_cells=4096, dt=2e-3)
-        num = pde_solver.born_two_stage(DESK, grid, t1, math.exp(-big_l), 1, t2)
-        den = pde_solver.born_two_stage(DESK, grid, t1, 1.0, 1, t2)
+        num = pde_solver.born_two_stage_counts(
+            DESK, grid, t1, [(math.exp(-big_l), 1)], t2)[0]
+        den = pde_solver.born_two_stage_counts(DESK, grid, t1, [(1.0, 1)], t2)[0]
         gamma = math.exp(num.log_magnitude - den.log_magnitude + big_l)
         want = analytic.gamma_correction(math.exp(-big_l), t1, DESK.w)
         gaps[f"e^-{big_l:g}"] = gamma / want - 1.0
@@ -224,10 +225,11 @@ def test_c08_mc_two_stage_gamma():
     eps, n1, n2 = 0.2, 400, 3200
     n_paths = 1 << 23  # 2 runs -> 1.7e7 paths pooled
     s1 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n1, tilt="measure")
-    s2 = monte_carlo.WalkSpec(dp=dp, eps=eps, n_events=n2, tilt="measure")
     F = math.exp(-3.0)
-    num = monte_carlo.born_two_stage_mc(s1, F, 1, s2, n_paths, seed=11, workers=2)
-    den = monte_carlo.born_two_stage_mc(s1, 1.0, 1, s2, n_paths, seed=12, workers=2)
+    num = monte_carlo.born_two_stage_mc_counts(s1, [(F, 1)], n2, n_paths,
+                                               seed=11, workers=2)[0]
+    den = monte_carlo.born_two_stage_mc_counts(s1, [(1.0, 1)], n2, n_paths,
+                                               seed=12, workers=2)[0]
     gamma = math.exp(num.estimate().log_magnitude
                      - den.estimate().log_magnitude - math.log(F))
     rel_se = math.hypot(
@@ -254,9 +256,9 @@ def test_c09_numerical_stability():
         / _erfcx_cf(ERFCX_CROSSOVER)
     extreme = DiffusionParams(v=2.0, w=1.0, eps=0.1)
     w_log = analytic.unmangled_count_W(1e10, extreme)
-    lam_log = analytic.lambda_count_log(-1e5, 1, 1e10, 1e10, extreme)
-    extremes_ok = (w_log.sign == 1 and math.isfinite(w_log.log_magnitude)
-                   and lam_log.sign == 1 and math.isfinite(lam_log.log_magnitude))
+    lam_log = analytic.log_lambda_count(-1e5, 1, 1e10, 1e10, extreme)
+    extremes_ok = (not w_log.is_zero and math.isfinite(w_log.log_magnitude)
+                   and math.isfinite(lam_log))
     report("9", worst <= 1e-8 and seam <= 1e-12 and extremes_ok,
            f"bracket vs 50-digit oracle worst rel {worst:.2e} (tolerance 1e-8); "
            f"erfcx seam {seam:.2e} (tolerance 1e-12); counts at (v-w)t = 1e10 "

@@ -56,6 +56,24 @@ class TestExitCodes:
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2
 
+    @pytest.mark.parametrize("argv,config,key", [
+        (["born", "--outcomes", "a:0.5:x,b:0.5:1"], None, "outcomes"),
+        (["born", "--outcomes", "a:0.5:1.5"], None, "outcomes"),
+        (["scan", "--p-list", "0.5,abc"], None, "p_list"),
+        (["analytic", "--times", "1,zz"], None, "times"),
+        (["pde"], {"n_cells": "abc"}, "n_cells"),
+        (["born"], {"outcomes": [{"F": 0.5, "G": 2}]}, "label"),
+    ])
+    def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, argv,
+                                               config, key):
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
 
 class TestArtifacts:
     def test_headline_layout(self, tmp_path):

@@ -11,8 +11,7 @@ from hypothesis import given, strategies as st
 
 from mangledworlds.errors import DomainError
 from mangledworlds.model_params import (DecoherenceParams, DiffusionParams,
-                                        binary_event_stats, count_walk_stats,
-                                        to_diffusion)
+                                        binary_event_stats, to_diffusion)
 
 # the complement 1 - p itself carries ~1e-16 absolute representation error,
 # which caps the attainable p <-> 1-p symmetry at extreme p; stay inside
@@ -67,35 +66,14 @@ class TestBinaryEventStats:
             assert xtilde1 < xhat1
 
 
-class TestCountWalkStats:
-    def test_symmetric(self):
-        mean, var = count_walk_stats(0.5)
-        assert mean == pytest.approx(-math.log(2.0), rel=1e-15)
-        assert var == 0.0
-
-    def test_p06_oracle(self):
-        mean, var = count_walk_stats(0.6)
-        assert mean == pytest.approx(-0.71355817782007287, rel=1e-14)
-        assert var == pytest.approx(0.041100488473291357, rel=1e-13)
-
-    def test_variance_dominates_measure_weighted(self):
-        # var / sigma1^2 = 1 / (4 p (1-p)) >= 1 with equality only at 1/2
-        for p in [0.5 + 0.01 * k for k in range(1, 50)]:
-            _, sigma1, _ = binary_event_stats(p)
-            _, var = count_walk_stats(p)
-            assert var >= sigma1 ** 2
-            assert var / sigma1 ** 2 == pytest.approx(
-                1.0 / (4.0 * p * (1.0 - p)), rel=1e-12)
-
-
 class TestParamsTypes:
     def test_decoherence_validation(self):
         with pytest.raises(DomainError):
             DecoherenceParams(p=0.5, r=0.0)
         with pytest.raises(DomainError):
             DecoherenceParams(p=1.2)
-        dp = DecoherenceParams(p=0.6, r=2.0)
-        assert dp.xtilde1 == pytest.approx(dp.xhat1 - dp.sigma1 ** 2, rel=1e-15)
+        xhat1, sigma1, xtilde1 = binary_event_stats(DecoherenceParams(p=0.6, r=2.0).p)
+        assert xtilde1 == pytest.approx(xhat1 - sigma1 ** 2, rel=1e-15)
 
     def test_diffusion_validation(self):
         with pytest.raises(DomainError):

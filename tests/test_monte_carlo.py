@@ -17,7 +17,6 @@ from mangledworlds.errors import DomainError
 from mangledworlds.model_params import (DecoherenceParams, binary_event_stats,
                                         to_diffusion)
 from mangledworlds.monte_carlo import (TILTS, ExactCount, WalkSpec,
-                                       born_two_stage_mc,
                                        born_two_stage_mc_counts,
                                        default_tilt, empirical_distribution,
                                        enumerate_survivors, simulate_survivors)
@@ -275,9 +274,9 @@ class TestSurvivorHistogram:
         # boundary tight enough that nothing survives 40 events
         spec = WalkSpec(dp=DecoherenceParams(p=0.9), eps=1e-6, n_events=40)
         hist = empirical_distribution(spec, 2_000, seed=7)
-        assert hist.empty
-        with pytest.raises(DomainError):
-            hist.normalized()
+        assert hist.survivor_count == 0
+        assert float(hist.weights.sum()) == 0.0
+        assert hist.estimate().is_zero
 
     def test_shape_matches_closed_form_density(self):
         # p = 0.55, N = 400, eps = 0.2; importance sampling supplies the
@@ -292,7 +291,7 @@ class TestSurvivorHistogram:
         diff = to_diffusion(dp, eps)
         t1 = n / dp.r
         widths = np.diff(hist.edges)
-        dens_mc = hist.normalized()
+        dens_mc = hist.weights / (float(hist.weights.sum()) * widths)
         dens_an = np.empty_like(dens_mc)
         for i, (lo, hi) in enumerate(zip(hist.edges[:-1], hist.edges[1:])):
             val, _ = quad(lambda yy: math.exp(analytic.log_mu1_approx(yy, t1, diff))
@@ -306,26 +305,27 @@ class TestSurvivorHistogram:
                       if yy > 0 else 0.0, 0.0, 30.0, limit=200)
         den, _ = quad(lambda yy: math.exp(analytic.log_mu1_approx(yy, t1, diff))
                       if yy > 0 else 0.0, 0.0, 30.0, limit=200)
-        assert hist.first_moment() == pytest.approx(num / den, rel=0.05)
+        mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
+        moment = float((mids * hist.weights).sum() / hist.weights.sum())
+        assert moment == pytest.approx(num / den, rel=0.05)
 
 
 class TestBornTwoStage:
     def test_unit_split_is_bit_identical_to_plain_run(self):
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=100, tilt="measure")
-        s2 = WalkSpec(dp=dp, eps=0.2, n_events=300, tilt="measure")
         plain = simulate_survivors(
             WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="measure"),
             200_000, seed=11)
-        staged = born_two_stage_mc(s1, 1.0, 1, s2, 200_000, seed=11)
+        staged = born_two_stage_mc_counts(s1, [(1.0, 1)], 300, 200_000,
+                                          seed=11)[0]
         assert staged == plain
 
     def test_children_scale_exactly(self):
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=50, tilt="measure")
-        s2 = WalkSpec(dp=dp, eps=0.2, n_events=150, tilt="measure")
-        one = born_two_stage_mc(s1, 0.5, 1, s2, 100_000, seed=12)
-        four = born_two_stage_mc(s1, 0.5, 4, s2, 100_000, seed=12)
+        one = born_two_stage_mc_counts(s1, [(0.5, 1)], 150, 100_000, seed=12)[0]
+        four = born_two_stage_mc_counts(s1, [(0.5, 4)], 150, 100_000, seed=12)[0]
         assert (four.estimate().log_magnitude - one.estimate().log_magnitude
                 == pytest.approx(math.log(4.0), abs=1e-12))
 
@@ -334,13 +334,13 @@ class TestBornTwoStage:
         # three chunks, so workers = 2 really splits the schedule
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=40, tilt="measure")
-        s2 = WalkSpec(dp=dp, eps=0.2, n_events=120, tilt="measure")
         splits = [(1, 1), (0.5, 1), (0.25, 2)]
         n = 3 * monte_carlo.CHUNK
-        many = born_two_stage_mc_counts(s1, splits, s2, n, seed=21,
+        many = born_two_stage_mc_counts(s1, splits, 120, n, seed=21,
                                         workers=workers)
-        assert many == [born_two_stage_mc(s1, F, G, s2, n, seed=21, workers=1)
-                        for F, G in splits]
+        assert many == [born_two_stage_mc_counts(s1, [split], 120, n, seed=21,
+                                                 workers=1)[0]
+                        for split in splits]
 
     @pytest.mark.parametrize("bad", [(0.0, 1), (1.5, 1), (0.5, 0)])
     def test_bad_split_raises_before_walking(self, bad, monkeypatch):
@@ -350,30 +350,33 @@ class TestBornTwoStage:
         monkeypatch.setattr(monte_carlo, "_simulate", no_walk)
         s = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=10)
         with pytest.raises(DomainError):
-            born_two_stage_mc_counts(s, [(0.5, 1), bad, (0.25, 2)], s,
+            born_two_stage_mc_counts(s, [(0.5, 1), bad, (0.25, 2)], 10,
                                      1000, seed=1)
 
-    def test_stage_specs_must_agree(self):
-        a = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=10)
-        b = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.2, n_events=10)
+    @pytest.mark.parametrize("n1,n2", [(10, 0), (10, -3), (1 << 31, 1 << 31)])
+    def test_bad_stage_two_length_raises_before_walking(self, n1, n2, monkeypatch):
+        # n2 >= 1, and the event index N1 + n2 must fit the draw counter's
+        # 32 bits
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before validating n2")
+
+        monkeypatch.setattr(monte_carlo, "_simulate", no_walk)
+        s = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=n1)
         with pytest.raises(DomainError):
-            born_two_stage_mc(a, 0.5, 1, b, 1000, seed=1)
-        c = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.3, n_events=10)
-        with pytest.raises(DomainError):
-            born_two_stage_mc(a, 0.5, 1, c, 1000, seed=1)
+            born_two_stage_mc_counts(s, [(0.5, 1)], n2, 1000, seed=1)
 
     def test_gamma_monotone_in_fraction(self):
         # gamma estimates for F = e^-1, e^-3, e^-6 are nonincreasing
         # within pooled noise
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=200, tilt="measure")
-        s2 = WalkSpec(dp=dp, eps=0.2, n_events=800, tilt="measure")
         n = 1 << 19
-        den = born_two_stage_mc(s1, 1.0, 1, s2, n, seed=100, workers=2)
+        den = born_two_stage_mc_counts(s1, [(1.0, 1)], 800, n, seed=100,
+                                       workers=2)[0]
         gammas, rels = [], []
         for k, lf in enumerate((-1.0, -3.0, -6.0)):
-            num = born_two_stage_mc(s1, math.exp(lf), 1, s2, n,
-                                    seed=200 + k, workers=2)
+            num = born_two_stage_mc_counts(s1, [(math.exp(lf), 1)], 800, n,
+                                           seed=200 + k, workers=2)[0]
             gammas.append(math.exp(num.estimate().log_magnitude
                                    - den.estimate().log_magnitude - lf))
             rels.append(math.exp(num.std_error().log_magnitude

@@ -20,8 +20,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
 from mangledworlds.model_params import DiffusionParams
-from mangledworlds.pde_solver import Field, Grid, born_two_stage, init_delta, \
-    solve, survivor_count
+from mangledworlds.pde_solver import Field, Grid, born_two_stage_counts, \
+    init_delta, solve, survivor_count
 from mangledworlds.special_functions import erfc
 
 from conftest import rel_log_gap
@@ -372,27 +372,27 @@ class TestBornTwoStage:
         # into the never-decaying far-edge mode would show
         grid = Grid(y_max=y_max, n_cells=4096, dt=2e-3)
         splits = [(math.exp(-big_l), 1) for big_l in (0.0, 2.0, 5.0, 10.0)]
-        got = pde_solver.born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
+        got = born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
         for count, want in zip(got, STEPPED_6C[y_max]):
             assert count.log_magnitude == pytest.approx(want, abs=1e-8)
 
     def test_unit_split_reduces_to_plain_solve(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
-        lam = born_two_stage(desk, g, 2.0, 1.0, 1, 2.0)
+        lam = born_two_stage_counts(desk, g, 2.0, [(1.0, 1)], 2.0)[0]
         ref = survivor_count(solve(desk, g, 4.0), g, desk)
         assert lam.log_magnitude == ref.log_magnitude  # bit-identical path
 
     def test_children_scale_exactly(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
-        one = born_two_stage(desk, g, 2.0, 0.5, 1, 2.0)
-        four = born_two_stage(desk, g, 2.0, 0.5, 4, 2.0)
+        one = born_two_stage_counts(desk, g, 2.0, [(0.5, 1)], 2.0)[0]
+        four = born_two_stage_counts(desk, g, 2.0, [(0.5, 4)], 2.0)[0]
         assert four.log_magnitude - one.log_magnitude == pytest.approx(
             math.log(4.0), abs=1e-12)
 
     def test_shift_needs_room(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
         with pytest.raises(DomainError):
-            born_two_stage(desk, g, 2.0, math.exp(-6.0), 1, 2.0)
+            born_two_stage_counts(desk, g, 2.0, [(math.exp(-6.0), 1)], 2.0)
 
     def test_gamma_against_exact_composition_oracle(self, desk):
         # the true two-stage count: quadrature of the exact stage-two
@@ -416,7 +416,7 @@ class TestBornTwoStage:
         gamma_true = math.exp(big_l) * lam(big_l) / lam(0.0)
 
         g = Grid(y_max=43.0, n_cells=2048, dt=2e-3)
-        num = born_two_stage(desk, g, t1, math.exp(-big_l), 1, t2)
-        den = born_two_stage(desk, g, t1, 1.0, 1, t2)
+        num = born_two_stage_counts(desk, g, t1, [(math.exp(-big_l), 1)], t2)[0]
+        den = born_two_stage_counts(desk, g, t1, [(1.0, 1)], t2)[0]
         gamma_pde = math.exp(num.log_magnitude - den.log_magnitude + big_l)
         assert gamma_pde == pytest.approx(gamma_true, rel=0.02)
