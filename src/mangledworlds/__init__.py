@@ -9,9 +9,9 @@ how close surviving-world counting comes to the Born probabilities.
 from .errors import DomainError, NumericalError, RegimeWarning
 from .model_params import (DecoherenceParams, DiffusionParams,
                            binary_event_stats, to_diffusion)
-from .special_functions import LogValue, bracket, erfc, erfcx, log_erfc
+from .special_functions import bracket, erfc, erfcx, log_erfc
 from .analytic import (boundary, gamma_correction, gamma_correction_log,
-                       lambda_count, pde_residual_mu0, unmangled_count_W)
+                       lambda_count, log_unmangled_count, pde_residual_mu0)
 from .pde_solver import (Field, Grid, born_two_stage_counts, init_delta, solve,
                          survivor_count)
 from .monte_carlo import (ExactCount, PathEnsemble, SurvivorHistogram,
@@ -28,9 +28,9 @@ __all__ = [
     "DomainError", "NumericalError", "RegimeWarning",
     "DecoherenceParams", "DiffusionParams", "binary_event_stats",
     "to_diffusion",
-    "LogValue", "bracket", "erfc", "erfcx", "log_erfc",
+    "bracket", "erfc", "erfcx", "log_erfc",
     "boundary", "gamma_correction", "gamma_correction_log", "lambda_count",
-    "pde_residual_mu0", "unmangled_count_W",
+    "log_unmangled_count", "pde_residual_mu0",
     "Field", "Grid", "born_two_stage_counts", "init_delta", "solve",
     "survivor_count",
     "ExactCount", "PathEnsemble", "SurvivorHistogram", "WalkSpec",

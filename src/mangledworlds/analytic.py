@@ -23,9 +23,9 @@ Two conventions are fixed here and relied on by the self-tests:
   ``gamma(F) = erfc(-ln F / sqrt(2 w t1))`` is a ratio and does not depend
   on any of this.
 
-Counts are returned as :class:`~mangledworlds.special_functions.LogValue`
-so (v - w) t up to ~1e10 stays representable; ``log_*`` variants return the
-plain log-density and broadcast over numpy arrays.
+Counts are returned as their natural log, a plain float, so (v - w) t up
+to ~1e10 stays representable; the ``log_*`` densities broadcast over numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeWarning
 from .model_params import DiffusionParams
-from .special_functions import LogValue, bracket, erfc, log_erfc
+from .special_functions import bracket, erfc, log_erfc
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -179,12 +179,7 @@ def log_unmangled_count(t: float, dp: DiffusionParams) -> float:
     t = _check_time(t)
     dp.require_diffusive()
     return (math.log(dp.eps) + dp.eps + (dp.v - dp.w) * t
-            + bracket(dp.w * t).log_magnitude)
-
-
-def unmangled_count_W(t: float, dp: DiffusionParams) -> LogValue:
-    """Total unmangled world count W(t; eps), in log form."""
-    return LogValue(log_unmangled_count(t, dp))
+            + math.log(bracket(dp.w * t)))
 
 
 def log_lambda_count(log_F: float, G: float, t1: float, t2: float,
@@ -198,9 +193,9 @@ def log_lambda_count(log_F: float, G: float, t1: float, t2: float,
     t2 = _check_time(t2, "t2")
     dp.require_diffusive()
     log_F = float(log_F)
-    if log_F > 0.0:
+    if not log_F <= 0.0:
         raise DomainError(f"measure fraction F must satisfy F <= 1, got ln F = {log_F!r}")
-    if G < 1:
+    if not G >= 1:
         raise DomainError(f"child count G must be >= 1, got {G!r}")
     wt1 = dp.w * t1
     _warn_if_outside_regime(wt1, dp.eps)
@@ -208,19 +203,20 @@ def log_lambda_count(log_F: float, G: float, t1: float, t2: float,
             + log_erfc(-log_F / math.sqrt(2.0 * wt1))
             + math.log(dp.eps) + dp.eps
             + (dp.v - dp.w) * (t1 + t2)
-            + bracket(dp.w * t2).log_magnitude)
+            + math.log(bracket(dp.w * t2)))
 
 
 def lambda_count(F: float, G: float, t1: float, t2: float,
-                 dp: DiffusionParams) -> LogValue:
-    """Final unmangled count for an outcome of G children each F smaller.
+                 dp: DiffusionParams) -> float:
+    """ln of the final unmangled count for an outcome of G children each F
+    smaller.
 
     For F too small to represent as a float use :func:`log_lambda_count`.
     """
     F = float(F)
     if not 0.0 < F <= 1.0:
         raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    return LogValue(log_lambda_count(math.log(F), G, t1, t2, dp))
+    return log_lambda_count(math.log(F), G, t1, t2, dp)
 
 
 def gamma_correction(F: float, t1: float, w: float) -> float:
@@ -238,7 +234,7 @@ def gamma_correction(F: float, t1: float, w: float) -> float:
 def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
     """gamma(F) with F passed as ln F <= 0 (F = e^{-1e5} is a fine input)."""
     log_F = float(log_F)
-    if log_F > 0.0:
+    if not log_F <= 0.0:
         raise DomainError(f"measure fraction F must satisfy F <= 1, got ln F = {log_F!r}")
     t1 = _check_time(t1, "t1")
     wt1 = float(w) * t1
@@ -252,8 +248,8 @@ def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
 # quadrature cross-checks (the independent route used by `validate`)
 # ---------------------------------------------------------------------------
 
-def quad_unmangled_count(t: float, dp: DiffusionParams) -> LogValue:
-    """W(t; eps) by adaptive quadrature of the approximate density over
+def quad_unmangled_count(t: float, dp: DiffusionParams) -> float:
+    """ln W(t; eps) by adaptive quadrature of the approximate density over
     [0, max(10, 8 sqrt(w t))]; the closed form must reproduce this."""
     from scipy.integrate import quad
 
@@ -264,12 +260,12 @@ def quad_unmangled_count(t: float, dp: DiffusionParams) -> LogValue:
     shift = float(np.max(log_mu1_approx(np.linspace(1e-6, y_hi, 512), t, dp)))
     val, _ = quad(lambda y: math.exp(log_mu1_approx(y, t, dp) - shift)
                   if y > 0.0 else 0.0, 0.0, y_hi, limit=200)
-    return LogValue(math.log(val) + shift)
+    return math.log(val) + shift
 
 
 def quad_lambda_count(F: float, G: float, t1: float, t2: float,
-                      dp: DiffusionParams) -> LogValue:
-    """lambda by direct quadrature of the stage-composition integrand
+                      dp: DiffusionParams) -> float:
+    """ln lambda by direct quadrature of the stage-composition integrand
 
         G * W(t2; y) * mu1(y - ln F, t1; eps)
 
@@ -284,7 +280,7 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
     if not 0.0 < F <= 1.0:
         raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
     big_l = -math.log(F)
-    log_b2 = bracket(dp.w * t2).log_magnitude
+    log_b2 = math.log(bracket(dp.w * t2))
     vw = dp.v - dp.w
 
     def log_integrand(y: float) -> float:
@@ -298,4 +294,4 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
     shift = max(log_integrand(float(y)) for y in probe)
     val, _ = quad(lambda y: math.exp(log_integrand(y) - shift), 0.0, y_hi,
                   limit=200)
-    return LogValue(math.log(G) + math.log(val) + shift)
+    return math.log(G) + math.log(val) + shift

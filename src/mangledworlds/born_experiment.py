@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from . import analytic, monte_carlo, pde_solver
 from .errors import DomainError
 from .model_params import DecoherenceParams, binary_event_stats, to_diffusion
-from .special_functions import LogValue
 from ._io import atomic_write_text, format_float, rows_to_csv
 
 ENGINES = ("analytic", "pde", "mc")
@@ -44,7 +43,7 @@ class BornOutcomeSpec:
     def __post_init__(self):
         if not 0.0 < self.F <= 1.0:
             raise DomainError(f"outcome {self.label!r}: F must lie in (0, 1], got {self.F!r}")
-        if self.G < 1:
+        if not self.G >= 1:
             raise DomainError(f"outcome {self.label!r}: G must be >= 1, got {self.G!r}")
 
     @property
@@ -57,7 +56,7 @@ def validate_outcomes(outcomes: list[BornOutcomeSpec]) -> None:
     if not outcomes:
         raise DomainError("an experiment needs at least one outcome")
     total = math.fsum(o.born_probability for o in outcomes)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise DomainError(f"outcome probabilities sum to {total!r}, not 1 "
                           "(tolerance 1e-12)")
 
@@ -109,17 +108,17 @@ def _shares(log_lambdas: list[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-def _analytic_lambdas(outcomes, diff, t1, t2) -> list[LogValue]:
+def _analytic_lambdas(outcomes, diff, t1, t2) -> list[float]:
     return [analytic.lambda_count(o.F, o.G, t1, t2, diff) for o in outcomes]
 
 
-def _pde_lambdas(outcomes, diff, t1, t2, grid) -> list[LogValue]:
+def _pde_lambdas(outcomes, diff, t1, t2, grid) -> list[float]:
     return pde_solver.born_two_stage_counts(
         diff, grid, t1, [(o.F, o.G) for o in outcomes], t2)
 
 
 def _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed, workers,
-                tilt) -> list[LogValue]:
+                tilt) -> list[float]:
     n1 = dp.r * t1
     n2 = dp.r * t2
     if abs(n1 - round(n1)) > 1e-9 or abs(n2 - round(n2)) > 1e-9:
@@ -154,6 +153,9 @@ def deviation_table(outcomes: list[BornOutcomeSpec], dp: DecoherenceParams,
             raise DomainError(f"unknown engine {e!r}; choose from {ENGINES}")
     if "mc" in engines and seed is None:
         raise DomainError("the mc engine requires an explicit seed")
+    if tilt not in (None, *monte_carlo.TILTS):
+        raise DomainError(f"tilt must be one of {monte_carlo.TILTS} or None, "
+                          f"got {tilt!r}")
 
     diff = to_diffusion(dp, eps)
     gammas = [analytic.gamma_correction(o.F, t1, diff.w) for o in outcomes]
@@ -171,13 +173,12 @@ def deviation_table(outcomes: list[BornOutcomeSpec], dp: DecoherenceParams,
             else:
                 lams = _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed,
                                    workers, tilt)
-            logs = [lv.log_magnitude for lv in lams]
-            shares = _shares(logs)
-            for o, lv, share, g in zip(outcomes, lams, shares, gammas):
+            shares = _shares(lams)
+            for o, lam, share, g in zip(outcomes, lams, shares, gammas):
                 rows.append(OutcomeRow(
                     engine=engine, label=o.label, F=o.F, G=o.G,
                     born_probability=o.born_probability,
-                    log10_lambda=lv.log10(), share=share,
+                    log10_lambda=lam / math.log(10.0), share=share,
                     share_over_born=share / o.born_probability,
                     gamma_analytic=g))
         except Exception as exc:  # partial results stay useful

@@ -189,12 +189,12 @@ def _cmd_analytic(cfg: dict, run_dir: Path, args) -> int:
                 ["y", "t", "log_density_exact", "log_density_approx"], mu1_rows)
     rows_to_csv(run_dir / "w.csv", ["t", "log10_W", "boundary_x"],
                 [[format_float(t),
-                  format_float(analytic.unmangled_count_W(t, dp).log10()),
+                  format_float(analytic.log_unmangled_count(t, dp) / math.log(10.0)),
                   format_float(analytic.boundary(t, dp))] for t in times])
     born_rows = []
     for f in fs:
         lam = analytic.lambda_count(f, g, t1, t2, dp)
-        born_rows.append([format_float(f), g, format_float(lam.log10()),
+        born_rows.append([format_float(f), g, format_float(lam / math.log(10.0)),
                           format_float(analytic.gamma_correction(f, t1, dp.w))])
     rows_to_csv(run_dir / "born.csv", ["F", "G", "log10_lambda", "gamma"], born_rows)
 
@@ -225,17 +225,18 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
                              on_snapshot=on_snapshot)
     fields[field.t] = field
     count = pde_solver.survivor_count(field, grid, dp)
-    series = [[format_float(t), format_float(pde_solver.survivor_count(f, grid, dp).log10()),
+    series = [[format_float(t),
+               format_float(pde_solver.survivor_count(f, grid, dp) / math.log(10.0)),
                format_float(f.growth_log(dp))] for t, f in sorted(fields.items())]
 
     rows_to_csv(run_dir / "snapshots.csv", ["y", "density", "t"], snap_rows)
     rows_to_csv(run_dir / "survivors.csv", ["t", "log10_count", "growth_log"], series)
-    closed = analytic.unmangled_count_W(T, dp)
-    rel = math.expm1(count.log_magnitude - closed.log_magnitude)
+    closed = analytic.log_unmangled_count(T, dp)
+    rel = math.expm1(count - closed)
     _write_summary(run_dir, [
         f"grid: y_max={grid.y_max} n_cells={grid.n_cells} dt={grid.dt}",
-        f"T={T}  survivor log10 count = {count.log10():.12g}",
-        f"closed-form W log10       = {closed.log10():.12g}  (rel diff {rel:.3e})",
+        f"T={T}  survivor log10 count = {count / math.log(10.0):.12g}",
+        f"closed-form W log10       = {closed / math.log(10.0):.12g}  (rel diff {rel:.3e})",
         f"absorbed (nu frame) = {field.absorbed:.12g}",
         f"far-edge inflow     = {field.far_inflow:.3e}",
         f"modes kept          = {field.modes} of {grid.n_cells}",
@@ -265,15 +266,15 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
     rows_to_csv(run_dir / "histogram.csv", ["y_lo", "y_hi", "weight"],
                 [[format_float(lo), format_float(hi), format_float(wt)]
                  for lo, hi, wt in zip(hist.edges[:-1], hist.edges[1:], hist.weights)])
-    est = hist.estimate()
-    se = hist.std_error()
+    est = hist.estimate() / math.log(10.0)
+    se = hist.std_error() / math.log(10.0)
     payload = {
         "spec": {"p": dp.p, "r": dp.r, "eps": spec.eps, "n_events": n_events,
                  "tilt": tilt},
         "seed": seed, "n_paths": n_paths,
         "survivor_count": hist.survivor_count,
-        "log10_estimate": None if est.is_zero else est.log10(),
-        "log10_std_error": None if se.is_zero else se.log10(),
+        "log10_estimate": est if est > -math.inf else None,
+        "log10_std_error": se if se > -math.inf else None,
         "histogram_log_offset": hist.log_offset,
     }
     atomic_write_text(run_dir / "estimates.json",
@@ -281,16 +282,14 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
     _write_summary(run_dir, [
         f"spec: p={dp.p} r={dp.r} eps={spec.eps} N={n_events} tilt={tilt}",
         f"paths={n_paths} seed={seed} survivors={hist.survivor_count}",
-        f"log10 estimate = {'-inf' if est.is_zero else f'{est.log10():.9g}'}",
-        f"log10 std err  = {'-inf' if se.is_zero else f'{se.log10():.9g}'}",
+        f"log10 estimate = {est:.9g}",
+        f"log10 std err  = {se:.9g}",
     ])
     return 0
 
 
 def _cmd_born(cfg: dict, run_dir: Path, args) -> int:
     engines = tuple(tok.strip() for tok in str(cfg["engines"]).split(",") if tok.strip())
-    if "mc" in engines and cfg["seed"] is None:
-        raise UsageError("the mc engine requires --seed")
     dp = DecoherenceParams(p=float(cfg["p"]), r=float(cfg["r"]))
     outcomes = _outcomes(cfg["outcomes"])
     t1, t2 = float(cfg["t1"]), float(cfg["t2"])
@@ -380,8 +379,8 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
     detail = []
     for tt in (2.0, 8.0):
         q = analytic.quad_unmangled_count(tt, desk)
-        c = analytic.unmangled_count_W(tt, desk)
-        rel = abs(math.expm1(q.log_magnitude - c.log_magnitude))
+        c = analytic.log_unmangled_count(tt, desk)
+        rel = abs(math.expm1(q - c))
         ok = ok and rel <= 1e-6
         detail.append(f"wt={desk.w * tt:g}: {rel:.2e}")
     checks.append(("quadrature vs W", ok, "; ".join(detail)))
@@ -395,24 +394,25 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
                                        DiffusionParams(1.0, 0.5, 0.05))
     lam_c = analytic.lambda_count(0.25, 4, 50.0, 800.0,
                                   DiffusionParams(1.0, 0.5, 0.05))
-    rel = abs(math.expm1(lam_q.log_magnitude - lam_c.log_magnitude))
+    rel = abs(math.expm1(lam_q - lam_c))
     checks.append(("lambda closed vs quadrature", rel <= 0.02, f"rel {rel:.2e}"))
 
     grid = pde_solver.Grid(y_max=20.0, n_cells=2048, dt=1e-3)
     field = pde_solver.solve(desk, grid, 4.0)
     got = pde_solver.survivor_count(field, grid, desk)
-    want = analytic.unmangled_count_W(4.0, desk)
-    rel = abs(math.expm1(got.log_magnitude - want.log_magnitude))
+    want = analytic.log_unmangled_count(4.0, desk)
+    rel = abs(math.expm1(got - want))
     checks.append(("grid solver vs W", rel <= 0.01, f"rel {rel:.2e}"))
 
     spec = monte_carlo.WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=12)
     exact = monte_carlo.enumerate_survivors(spec)
     ens = monte_carlo.simulate_survivors(spec, 200_000, seed=20260810,
                                          workers=workers)
-    se = ens.std_error().to_float()
-    gap = abs(ens.estimate().to_float() - exact.count)
+    se = math.exp(ens.std_error())
+    estimate = math.exp(ens.estimate())
+    gap = abs(estimate - exact.count)
     checks.append(("walker vs enumeration", gap <= 4.0 * se,
-                   f"exact {exact.count}, estimate {ens.estimate().to_float():.2f}, "
+                   f"exact {exact.count}, estimate {estimate:.2f}, "
                    f"gap/se {gap / se:.2f}"))
 
     other = 2 if workers == 1 else 1  # another worker count, another schedule

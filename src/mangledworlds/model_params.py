@@ -56,7 +56,7 @@ def split_params(F: float, G: float) -> tuple[float, float]:
     F = float(F)
     if not 0.0 < F <= 1.0:
         raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    if G < 1:
+    if not G >= 1:
         raise DomainError(f"child count G must be >= 1, got {G!r}")
     return math.log(F), G
 
@@ -90,7 +90,7 @@ class DiffusionParams:
     def __post_init__(self):
         if not self.v > 0.0:
             raise DomainError(f"drift v must be positive, got {self.v!r}")
-        if self.w < 0.0:
+        if not self.w >= 0.0:
             raise DomainError(f"diffusion w must be nonnegative, got {self.w!r}")
         if not self.eps > 0.0:
             raise DomainError(f"boundary offset eps must be positive, got {self.eps!r}")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model_params import DecoherenceParams, binary_event_stats, split_params
-from .special_functions import LogValue, logaddexp, logsubexp
+from .special_functions import logaddexp, logsubexp
 
 _LN2 = math.log(2.0)
 CHUNK = 1 << 16
@@ -144,23 +144,23 @@ class PathEnsemble:
     log_weight_sq_sum: float
     seed: int
 
-    def estimate(self) -> LogValue:
-        """Unbiased estimate of the surviving world count."""
+    def estimate(self) -> float:
+        """ln of the unbiased estimate of the surviving world count."""
         if self.survivor_count == 0:
-            return LogValue.zero()
-        return LogValue(self.log_weight_sum - math.log(self.n_paths))
+            return -math.inf
+        return self.log_weight_sum - math.log(self.n_paths)
 
-    def std_error(self) -> LogValue:
-        """Standard error of :meth:`estimate`, from the sample variance."""
+    def std_error(self) -> float:
+        """ln of the standard error of the count, from the sample variance."""
         if self.survivor_count == 0 or self.n_paths < 2:
-            return LogValue.zero()
+            return -math.inf
         n = self.n_paths
         t_sq = self.log_weight_sq_sum
         t_mean = 2.0 * self.log_weight_sum - math.log(n)
         if t_sq <= t_mean + 1e-12:  # all weights equal and all survive
-            return LogValue.zero()
+            return -math.inf
         log_var = logsubexp(t_sq, t_mean) - math.log(n - 1)
-        return LogValue(0.5 * (log_var - math.log(n)))
+        return 0.5 * (log_var - math.log(n))
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ class SurvivorHistogram(PathEnsemble):
 
     ``weights`` are relative; the estimator count in bin b is
     ``weights[b] * exp(log_offset)``; when the bins cover every survivor
-    the weights sum to ``estimate()`` times ``exp(-log_offset)``.  The
+    the weights sum to ``exp(estimate() - log_offset)``.  The
     arrays are excluded from equality.
     """
 
@@ -401,6 +401,8 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
     (spec, n_paths, seed), bit for bit.
     """
     if isinstance(bins, (int, np.integer)):
+        if bins < 1:
+            raise DomainError(f"bins must be >= 1, got {bins!r}")
         sigma1 = binary_event_stats(spec.dp.p)[1]
         wt = spec.n_events * sigma1 * sigma1
         y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \

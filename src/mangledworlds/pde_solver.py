@@ -67,7 +67,6 @@ from scipy.linalg import cython_lapack, solve_banded
 
 from .errors import DomainError, NumericalError
 from .model_params import DiffusionParams, split_params
-from .special_functions import LogValue
 
 _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
 _MODES_START = 64         # first mode count tried; doubled as needed
@@ -465,20 +464,21 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     return field
 
 
-def survivor_count(field: Field, grid: Grid, dp: DiffusionParams) -> LogValue:
-    """Unmangled world count e^{(v - w/2) t} * integral of nu, log-safe."""
+def survivor_count(field: Field, grid: Grid, dp: DiffusionParams) -> float:
+    """ln of the unmangled world count e^{(v - w/2) t} * integral of nu;
+    -inf for an empty field."""
     m = field.mass(grid)
     if m <= 0.0:
-        return LogValue.zero()
-    return LogValue(math.log(m) + field.growth_log(dp))
+        return -math.inf
+    return math.log(m) + field.growth_log(dp)
 
 
 def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
                           splits: Sequence[tuple[float, float]],
-                          t2: float) -> list[LogValue]:
+                          t2: float) -> list[float]:
     """Two-stage protocol, per (F, G) in ``splits``: evolve to t1, move every
     world down by |ln F| and multiply the count by G, evolve on to t1 + t2;
-    returns the survivor counts (the grid estimates of lambda).
+    returns the log survivor counts (the grid estimates of ln lambda).
 
     Stage one does not depend on the split, so it is solved once, and one
     eigenbasis serves stage one and every split.

@@ -1,4 +1,4 @@
-"""Overflow-safe special functions and log-space values.
+"""Overflow-safe special functions and log-space sums.
 
 Every closed form in this package reduces to the complementary error
 function, its scaled variant erfcx(a) = exp(a^2) * erfc(a), and the
@@ -10,6 +10,10 @@ evaluated for wt anywhere between ~1e-6 and ~1e12.  The error functions are
 implemented in-repo (series + Laplace continued fraction) so their accuracy
 regimes are pinned by this module's tests instead of an unspecified platform
 library.
+
+Counts throughout the package are plain floats holding their natural log,
+with -inf for zero, so a count like e^{1e10} stays finite;
+:func:`logaddexp` and :func:`logsubexp` add and subtract them.
 
 Regime constants (each seam is covered by an agreement test):
 
@@ -27,7 +31,6 @@ Regime constants (each seam is covered by an agreement test):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 
@@ -40,42 +43,8 @@ _NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
-# log-space values
+# log-space sums
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogValue:
-    """A nonnegative number stored as its natural log, so huge counts stay
-    finite.
-
-    Zero is ``log_magnitude = -inf``.  Sums of logs go through
-    :func:`logaddexp` and :func:`logsubexp`.
-    """
-
-    log_magnitude: float
-
-    def __post_init__(self):
-        if math.isnan(self.log_magnitude):
-            raise DomainError("log_magnitude is NaN")
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(_NEG_INF)
-
-    def to_float(self) -> float:
-        """Back to a plain float; overflows to inf for huge magnitudes."""
-        try:
-            return math.exp(self.log_magnitude)
-        except OverflowError:
-            return math.inf
-
-    def log10(self) -> float:
-        return self.log_magnitude / math.log(10.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_magnitude == _NEG_INF
-
 
 def logaddexp(a: float, b: float) -> float:
     """ln(e^a + e^b) with the max factored out (floats are logs)."""
@@ -234,8 +203,8 @@ def _bracket_asymptotic(wt: float) -> float:
     return total / (math.sqrt(a2) * _SQRT_PI)
 
 
-def bracket(wt: float) -> LogValue:
-    """The positive factor sqrt(2/(pi*wt)) - erfcx(sqrt(wt/2)), in log form.
+def bracket(wt: float) -> float:
+    """The positive factor sqrt(2/(pi*wt)) - erfcx(sqrt(wt/2)).
 
     Direct subtraction loses one digit per factor-of-ten in wt, so above
     ``BRACKET_CROSSOVER_WT`` the asymptotic tail series is used instead; the
@@ -250,4 +219,4 @@ def bracket(wt: float) -> LogValue:
         value = _bracket_asymptotic(wt)
     if not value > 0.0:
         raise NumericalError(f"bracket({wt!r}) evaluated non-positive: {value!r}")
-    return LogValue(math.log(value))
+    return value

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from mangledworlds import DiffusionParams
@@ -9,10 +7,3 @@ from mangledworlds import DiffusionParams
 def desk() -> DiffusionParams:
     """The standard desk-scale continuum parameters used across suites."""
     return DiffusionParams(v=1.0, w=0.5, eps=0.1)
-
-
-def rel_log_gap(a, b) -> float:
-    """|a/b - 1| for two LogValues (or raw log floats)."""
-    la = a.log_magnitude if hasattr(a, "log_magnitude") else a
-    lb = b.log_magnitude if hasattr(b, "log_magnitude") else b
-    return abs(math.expm1(la - lb))

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,10 @@ class TestOutcomeSpecs:
             BornOutcomeSpec(label="bad", F=1.5, G=1)
         with pytest.raises(DomainError):
             BornOutcomeSpec(label="bad", F=0.5, G=0)
+        with pytest.raises(DomainError, match="F must"):
+            BornOutcomeSpec(label="bad", F=math.nan, G=1)
+        with pytest.raises(DomainError, match="G must"):
+            BornOutcomeSpec(label="bad", F=0.5, G=math.nan)
 
     def test_probabilities_must_total_one(self):
         good = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 2)]
@@ -33,6 +38,8 @@ class TestOutcomeSpecs:
             validate_outcomes([BornOutcomeSpec("a", 0.5, 1)])
         with pytest.raises(DomainError):
             validate_outcomes([])
+        with pytest.raises(DomainError, match="sum to nan"):
+            validate_outcomes([SimpleNamespace(born_probability=math.nan)])
 
 
 class TestDeviationTable:
@@ -72,7 +79,7 @@ class TestDeviationTable:
         for row, o in zip(report.rows, outcomes):
             alone = pde_solver.born_two_stage_counts(diff, grid, 50.0,
                                                      [(o.F, o.G)], 100.0)[0]
-            assert row.log10_lambda == alone.log10()
+            assert row.log10_lambda == alone / math.log(10.0)
 
     def test_mc_shares_stage_one(self, monkeypatch):
         dp = DecoherenceParams(p=0.6, r=1.0)
@@ -95,7 +102,7 @@ class TestDeviationTable:
         for row, o in zip(report.rows, outcomes):
             alone = monte_carlo.born_two_stage_mc_counts(s1, [(o.F, o.G)], 120,
                                                          20_000, 9)[0]
-            assert row.log10_lambda == alone.estimate().log10()
+            assert row.log10_lambda == alone.estimate() / math.log(10.0)
 
     def test_analytic_shares_near_born_at_huge_wt1(self):
         # w t1 = 1e10 makes each gamma ~1 - 1e-5; shares deviate from the
@@ -150,6 +157,9 @@ class TestDeviationTable:
         with pytest.raises(DomainError):
             deviation_table(outcomes, dp, eps=0.1, t1=10.0, t2=10.0,
                             engines=("mc",))
+        with pytest.raises(DomainError, match="tilt"):
+            deviation_table(outcomes, dp, eps=0.1, t1=10.0, t2=10.0,
+                            engines=("mc",), seed=1, tilt="bogus")
         report = deviation_table(outcomes, dp, eps=0.1, t1=10.5, t2=10.0,
                                  engines=("mc",), seed=1)
         assert report.rows[0].status.startswith("error")

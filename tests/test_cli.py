@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, artifact layout, determinism,
 config round-trips, and the validate suite."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -52,9 +53,22 @@ class TestExitCodes:
         assert code == 2
         assert "snapshot time 3.0" in capsys.readouterr().err
 
-    def test_born_mc_engine_requires_seed(self, tmp_path):
+    def test_born_mc_engine_requires_seed(self, tmp_path, capsys):
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_born_rejects_unknown_tilt(self, tmp_path, capsys):
+        assert run(["born", "--out", str(tmp_path), "--tilt", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tilt" in err
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_mc_bins_out_of_range(self, tmp_path, capsys, bins):
+        assert run(["mc", "--out", str(tmp_path), "--seed", "1", "--n-events",
+                    "10", "--n-paths", "1000", "--bins", bins]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bins" in err
 
     @pytest.mark.parametrize("argv,config,key", [
         (["born", "--outcomes", "a:0.5:x,b:0.5:1"], None, "outcomes"),
@@ -75,7 +89,53 @@ class TestExitCodes:
         assert err.startswith("error:") and key in err
 
 
+#: SHA-256 of every file the GOLDEN_RUNS write.  A refactor must leave every
+#: artifact byte-identical; re-record only for a deliberate change of output
+#: (or another numpy/LAPACK build, whose last-bit rounding may differ).
+GOLDEN_RUNS = [
+    ["analytic"], ["headline"], ["scan"],
+    ["pde", "--n-cells", "512", "--y-max", "10", "--T", "2", "--snapshots", "1,2"],
+    ["mc", "--seed", "7", "--n-paths", "70000", "--workers", "2"],
+    ["born", "--engines", "analytic,pde,mc", "--seed", "3", "--n-paths", "70000",
+     "--workers", "2"],
+]
+GOLDEN_SHA256 = {
+    "analytic/born.csv": "023219dff5abf22c9a1460b9132f707f982a1941941ed4c62df4f6b1729ab9ab",
+    "analytic/config.json": "507ba9ec524357041729c9388acc48d5ed9ba96f0dadfbdecb295949892742bc",
+    "analytic/mu0.csv": "572891137cab936d5583efea0f210e25f7949c547c0a3ad191aba961da87bed7",
+    "analytic/mu1.csv": "676a0113a823d5ba71943e9369251211e79288bd8299e6b96f719db4a88588e8",
+    "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
+    "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
+    "born/config.json": "a4ccfb6b4a78648fa00a9e5a871583b806bcf62ed070b8ecc1e7dde9caedeb33",
+    "born/deviation.csv": "cc6f68a26ff694e0c4c1bc1ee6ed45bda01316a2b046c481f66df49a0c1fcab1",
+    "born/deviation.json": "0c481e1552368a7a2ebe864c3e51fe36bf73d07c63f8c44c32c649eae58c0285",
+    "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
+    "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
+    "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
+    "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
+    "mc/config.json": "ae37816f73595832bd2314a09f79df5b01daa48cc8c40f1dab406e085957c3d7",
+    "mc/estimates.json": "fae03145d1d028fb7b633492fbc5689397d2ab1e81aaaee36e73364afde16da4",
+    "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
+    "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
+    "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",
+    "pde/snapshots.csv": "3997630cace94679f219fb8f0b52520369a9942440a51773d1e9504339176433",
+    "pde/summary.txt": "50c40103389163d8c83247cb67ad1c46057d643d7b699cb98dddada57d7245d6",
+    "pde/survivors.csv": "5a191123aeea6f06bcc8311056eec33bf0efd97a2c4c14ac327df52b1cb82e19",
+    "scan/config.json": "046b5d3c2145aefc62ccfd364031222e761beff2f380e5cc7e998a07464fbea2",
+    "scan/scan.csv": "73c211d070d6bada6daa1caafa0bb4d0069d8099894ee900b662781e2a7c8acd",
+    "scan/summary.txt": "e143df59a1b6138d04709f0ec3457ae72db473f8f3b314f0da45ac477f2db57b",
+}
+
+
 class TestArtifacts:
+    def test_golden_artifacts_are_byte_identical(self, tmp_path):
+        for argv in GOLDEN_RUNS:
+            assert run(argv + ["--out", str(tmp_path)]) == 0, argv
+        got = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()}
+        assert got == GOLDEN_SHA256
+
     def test_headline_layout(self, tmp_path):
         assert run(["headline", "--out", str(tmp_path), "--name", "h1"]) == 0
         d = tmp_path / "h1"

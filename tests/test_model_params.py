@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from mangledworlds.errors import DomainError
 from mangledworlds.model_params import (DecoherenceParams, DiffusionParams,
-                                        binary_event_stats, to_diffusion)
+                                        binary_event_stats, split_params,
+                                        to_diffusion)
 
 # the complement 1 - p itself carries ~1e-16 absolute representation error,
 # which caps the attainable p <-> 1-p symmetry at extreme p; stay inside
@@ -82,6 +83,17 @@ class TestParamsTypes:
             DiffusionParams(v=1.0, w=-0.1, eps=0.1)
         with pytest.raises(DomainError):
             DiffusionParams(v=1.0, w=0.5, eps=0.0)
+        for field in ("v", "w", "eps"):
+            kwargs = {"v": 1.0, "w": 0.5, "eps": 0.1, field: math.nan}
+            with pytest.raises(DomainError, match=field):
+                DiffusionParams(**kwargs)
+
+    def test_split_validation(self):
+        assert split_params(0.5, 2) == (math.log(0.5), 2)
+        for F, G, name in ((0.0, 1, "F"), (math.nan, 1, "F"), (0.5, 0, "G"),
+                           (0.5, math.nan, "G")):
+            with pytest.raises(DomainError, match=name):
+                split_params(F, G)
 
     def test_immutable(self):
         dp = DiffusionParams(v=1.0, w=0.5, eps=0.1)

@@ -25,9 +25,9 @@ from mangledworlds.monte_carlo import (TILTS, ExactCount, WalkSpec,
 def z_score(a, b) -> float:
     """Separation of two ensemble estimates in mutual standard errors."""
     ea, eb = a.estimate(), b.estimate()
-    rel_a = math.exp(a.std_error().log_magnitude - ea.log_magnitude)
-    rel_b = math.exp(b.std_error().log_magnitude - eb.log_magnitude)
-    return (ea.log_magnitude - eb.log_magnitude) / math.hypot(rel_a, rel_b)
+    rel_a = math.exp(a.std_error() - ea)
+    rel_b = math.exp(b.std_error() - eb)
+    return (ea - eb) / math.hypot(rel_a, rel_b)
 
 
 class TestWalkSpec:
@@ -50,8 +50,8 @@ class TestAgainstEnumeration:
     def test_single_event_no_absorption(self):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=10.0, n_events=1)
         ens = simulate_survivors(spec, 5000, seed=1)
-        assert ens.estimate().to_float() == pytest.approx(2.0, rel=1e-12)
-        assert ens.std_error().is_zero
+        assert math.exp(ens.estimate()) == pytest.approx(2.0, rel=1e-12)
+        assert ens.std_error() == -math.inf
 
     def test_two_events_brute_force(self):
         # all four leaves checked by hand against the boundary at n = 1, 2
@@ -68,20 +68,20 @@ class TestAgainstEnumeration:
         spec = WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=2)
         assert enumerate_survivors(spec).count == exact
         ens = simulate_survivors(spec, 200_000, seed=2)
-        se = ens.std_error().to_float()
-        assert abs(ens.estimate().to_float() - exact) <= 3.0 * max(se, 1e-12)
+        se = math.exp(ens.std_error())
+        assert abs(math.exp(ens.estimate()) - exact) <= 3.0 * max(se, 1e-12)
 
     def test_no_boundary_gives_full_tree(self):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=math.inf, n_events=10)
         assert enumerate_survivors(spec).count == 2 ** 10
         ens = simulate_survivors(spec, 10_000, seed=3)
-        assert ens.estimate().to_float() == pytest.approx(2.0 ** 10, rel=1e-12)
-        assert ens.std_error().is_zero
+        assert math.exp(ens.estimate()) == pytest.approx(2.0 ** 10, rel=1e-12)
+        assert ens.std_error() == -math.inf
         tilted = simulate_survivors(
             WalkSpec(dp=DecoherenceParams(p=0.6), eps=math.inf, n_events=10,
                      tilt="measure"), 40_000, seed=4)
-        se = tilted.std_error().to_float()
-        assert abs(tilted.estimate().to_float() - 2.0 ** 10) <= 3.0 * se
+        se = math.exp(tilted.std_error())
+        assert abs(math.exp(tilted.estimate()) - 2.0 ** 10) <= 3.0 * se
 
     def test_tight_boundary_absorbs_something(self):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=1e-9, n_events=6)
@@ -110,8 +110,8 @@ class TestAgainstEnumeration:
         spec = WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n, tilt=tilt)
         exact = enumerate_survivors(spec).count
         ens = simulate_survivors(spec, 150_000, seed=777)
-        se = ens.std_error().to_float()
-        assert abs(ens.estimate().to_float() - exact) <= 4.0 * max(se, 1e-9)
+        se = math.exp(ens.std_error())
+        assert abs(math.exp(ens.estimate()) - exact) <= 4.0 * max(se, 1e-9)
 
 
 class TestTiltedEstimator:
@@ -125,8 +125,7 @@ class TestTiltedEstimator:
             1 << 20, seed=42, workers=2)
         assert abs(z_score(none, measure)) <= 3.0
         # the tilt helps here, though modestly: survival is only ~1e-2 rare
-        ratio = math.exp(none.std_error().log_magnitude
-                         - measure.std_error().log_magnitude)
+        ratio = math.exp(none.std_error() - measure.std_error())
         assert ratio > 1.5
 
     def test_variance_reduction_grows_with_depth(self):
@@ -140,8 +139,7 @@ class TestTiltedEstimator:
             WalkSpec(dp=dp, eps=0.2, n_events=1000, tilt="measure"),
             1 << 21, seed=22, workers=2)
         assert abs(z_score(none, measure)) <= 4.0
-        ratio = math.exp(none.std_error().log_magnitude
-                         - measure.std_error().log_magnitude)
+        ratio = math.exp(none.std_error() - measure.std_error())
         assert ratio >= 8.0
 
 
@@ -185,7 +183,7 @@ class TestDeterminism:
                      "log_weight_sq_sum", "seed"):
             assert getattr(hist, name) == getattr(ens, name), name
         total = math.log(float(hist.weights.sum())) + hist.log_offset
-        assert total == pytest.approx(hist.estimate().log_magnitude, abs=1e-9)
+        assert total == pytest.approx(hist.estimate(), abs=1e-9)
 
 
 class _NoPool(Exception):
@@ -276,7 +274,7 @@ class TestSurvivorHistogram:
         hist = empirical_distribution(spec, 2_000, seed=7)
         assert hist.survivor_count == 0
         assert float(hist.weights.sum()) == 0.0
-        assert hist.estimate().is_zero
+        assert hist.estimate() == -math.inf
 
     def test_shape_matches_closed_form_density(self):
         # p = 0.55, N = 400, eps = 0.2; importance sampling supplies the
@@ -326,7 +324,7 @@ class TestBornTwoStage:
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=50, tilt="measure")
         one = born_two_stage_mc_counts(s1, [(0.5, 1)], 150, 100_000, seed=12)[0]
         four = born_two_stage_mc_counts(s1, [(0.5, 4)], 150, 100_000, seed=12)[0]
-        assert (four.estimate().log_magnitude - one.estimate().log_magnitude
+        assert (four.estimate() - one.estimate()
                 == pytest.approx(math.log(4.0), abs=1e-12))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -377,10 +375,8 @@ class TestBornTwoStage:
         for k, lf in enumerate((-1.0, -3.0, -6.0)):
             num = born_two_stage_mc_counts(s1, [(math.exp(lf), 1)], 800, n,
                                            seed=200 + k, workers=2)[0]
-            gammas.append(math.exp(num.estimate().log_magnitude
-                                   - den.estimate().log_magnitude - lf))
-            rels.append(math.exp(num.std_error().log_magnitude
-                                 - num.estimate().log_magnitude))
+            gammas.append(math.exp(num.estimate() - den.estimate() - lf))
+            rels.append(math.exp(num.std_error() - num.estimate()))
         for i in (0, 1):
             slack = 3.0 * math.hypot(rels[i], rels[i + 1]) * gammas[i]
             assert gammas[i] >= gammas[i + 1] - slack
