@@ -73,6 +73,8 @@ def log_mu0(x, t: float, dp: DiffusionParams):
     dp.require_diffusive()
     var = dp.w * t
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise DomainError("x must be a number, got nan")
     out = ((dp.v - 0.5 * dp.w) * t
            - 0.5 * (_LOG_2PI + math.log(var))
            - (x + dp.v * t) ** 2 / (2.0 * var))
@@ -119,7 +121,7 @@ def pde_residual_mu0(x: float, t: float, dp: DiffusionParams, h: float = 1e-4,
 
 def boundary(t: float, dp: DiffusionParams) -> float:
     """Absorbing-boundary position x_b(t) = -(v - w) t - eps in log-size."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be nonnegative, got {t!r}")
     return -(dp.v - dp.w) * t - dp.eps
 
@@ -133,7 +135,7 @@ def log_mu1_exact(y, t: float, dp: DiffusionParams):
     t = _check_time(t)
     dp.require_diffusive()
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0):
+    if not np.all(y_arr >= 0.0):
         raise DomainError("mu1 is defined on the unmangled side y >= 0 only")
     s = dp.w * t
     eps = dp.eps
@@ -159,7 +161,7 @@ def log_mu1_approx(y, t: float, dp: DiffusionParams):
     t = _check_time(t)
     dp.require_diffusive()
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0):
+    if not np.all(y_arr >= 0.0):
         raise DomainError("mu1 is defined on the unmangled side y >= 0 only")
     s = dp.w * t
     with np.errstate(divide="ignore"):

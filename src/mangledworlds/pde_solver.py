@@ -31,20 +31,22 @@ by the time anything is read out.  The field's own coefficients decide k
 doubles until, at every readout, the fastest eighth of the kept modes
 carries at most 1e-13 of the largest coefficient.
 
-The zero-gradient far edge leaves one mode with lam ~ 0 that never decays,
-and at long horizons the counts are e^-120 of the start, so roundoff that
-leaks into that mode dominates them.  The eigenpairs therefore come from
-MRRR (LAPACK dstemr; Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 2004),
-whose eigenvectors are accurate even where they are tiny; a bisection plus
-inverse-iteration subset solve was off by e^53 there.  A readout of D u has
-a roundoff floor at the far edge, where the true values are astronomically
-small, and a shift would carry that floor into the mode; so a readout
-zeroes the entries within their rounding bound, 4096 eps sum_j |q_ij c_j|
-(the far-edge noise measured up to 3.3e3 eps times that sum at 4096
-cells).  scipy's dstemr wrappers allocate an n x n eigenvector array whatever the number of modes
-requested; LAPACK's dstemr takes the column count (nzc) itself, so it is
-called through the raw routine scipy.linalg.cython_lapack exports, with
-only the n x k block allocated.
+The eigenpairs are closed forms (Yueh, Appl. Math. E-Notes 2005).  S is
+tridiag(b, -2 diff, b), diff = w/(2h^2), b = sqrt(diff^2 - adv^2), adv = w/(2h),
+but for its last coupling c = sqrt(2 diff (diff + adv)).  So v_i = sin(i theta)
+(i < n), v_n = (b/c) sin(n theta), and lam = -2 diff + 2 b cos(theta), formed
+as -2 adv^2/(diff + b) - 4 b sin^2(theta/2) so that it does not cancel; theta
+is bisected from c^2 sin((n-1) theta) = 2 b^2 cos(theta) sin(n theta).  For
+y_max > 1 the slowest mode is evanescent, theta = i kappa, lam ~ -e^(-2 y_max):
+the far edge's mode, which never decays while the counts fall to e^-120 of
+the start, so error that leaks into it dominates them.  Each entry (sinh(i
+kappa) as e^((i-n) kappa) ratios) is an elementary function evaluated to its
+own relative precision, so the vectors stay accurate where they are tiny.
+A readout of D u has a roundoff floor at the far edge, where the true values
+are astronomically small, and a shift would carry it into that mode; so a
+readout zeroes the entries within 4096 eps sum_j |q_ij c_j| (at criterion 6c
+the noise is 1.8e3 eps times that sum in the median, 4.6e3 at most, with
+correctly rounded vectors too; a 4x bound moves 6c by < 3e-12).
 
 Mass bookkeeping is exact by construction: ``absorbed`` is the mass lost
 over a run, so absorbed + surviving stays at the initial unit mass up to
@@ -57,13 +59,12 @@ not yet negligible at the first steps.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cython_lapack, solve_banded
+from scipy.linalg import solve_banded
 
 from .errors import DomainError, NumericalError
 from .model_params import DiffusionParams, split_params
@@ -158,10 +159,8 @@ def _operator_bands(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.nd
     the zero-gradient ghost folds the super coefficient back onto sub, which
     also cancels the advective term there.
     """
-    n = grid.n_cells
-    h = grid.h
-    diff = 0.5 * w / (h * h)
-    adv = 0.5 * w / h
+    n, h = grid.n_cells, grid.h
+    diff, adv = 0.5 * w / (h * h), 0.5 * w / h
     sub = np.full(n, diff - adv)
     diag = np.full(n, -2.0 * diff)
     sup = np.full(n, diff + adv)
@@ -187,71 +186,70 @@ def _symmetrized(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return diag, np.sqrt(coupling), log_d
 
 
-def _capsule_address(capsule) -> int:
-    """Address of the C function a Cython ``__pyx_capi__`` capsule holds."""
-    api = ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))(capsule)
-    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
+def _bisect(f, lo, hi):
+    """Roots of f, rising through 0 between lo and hi (never evaluated there)."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-_INT = ctypes.POINTER(ctypes.c_int)
-_DBL = ctypes.POINTER(ctypes.c_double)
-_ARR = ctypes.c_void_p  # numpy buffers, allocated with their dtype below
-# dstemr(jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz,
-#        tryrac, work, lwork, iwork, liwork, info)
-_DSTEMR = ctypes.CFUNCTYPE(
-    None, ctypes.c_char_p, ctypes.c_char_p, _INT, _ARR, _ARR, _DBL, _DBL,
-    _INT, _INT, _INT, _ARR, _ARR, _INT, _INT, _ARR, _INT, _ARR, _INT, _ARR,
-    _INT, _INT)(_capsule_address(cython_lapack.__pyx_capi__["dstemr"]))
-
-
-def _slowest_eigenpairs(diag: np.ndarray, off: np.ndarray,
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues (ascending) of the symmetric tridiagonal
-    (diag, off) and their orthonormal eigenvectors as an n x k array."""
-    n = diag.size
-    d = np.array(diag, dtype=np.float64)       # overwritten by dstemr
-    e = np.zeros(n)                             # e[n-1] is workspace
-    e[:-1] = off
-    lam = np.empty(n)
-    z = np.empty((n, k), order="F")
-    isuppz = np.empty(2 * k, dtype=np.intc)
-    work = np.empty(18 * n)
-    iwork = np.empty(10 * n, dtype=np.intc)
-    m, info, tryrac = ctypes.c_int(), ctypes.c_int(), ctypes.c_int(1)
-    unused = ctypes.c_double(0.0)               # vl, vu: range 'I' ignores them
-
-    def i(value):
-        return ctypes.byref(ctypes.c_int(value))
-
-    _DSTEMR(b"V", b"I", i(n), d.ctypes.data, e.ctypes.data, ctypes.byref(unused),
-            ctypes.byref(unused), i(n - k + 1), i(n), ctypes.byref(m),
-            lam.ctypes.data, z.ctypes.data, i(n), i(k), isuppz.ctypes.data,
-            ctypes.byref(tryrac), work.ctypes.data, i(work.size),
-            iwork.ctypes.data, i(iwork.size), ctypes.byref(info))
-    if info.value != 0 or m.value != k:
-        raise NumericalError(
-            f"dstemr failed: info = {info.value}, {m.value} of {k} eigenpairs")
-    return lam[:k].copy(), z
+def _modes(grid: Grid, w: float, k: int, diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues (ascending) of S = tridiag(off, diag, off) and
+    their orthonormal eigenvectors (n x k), in closed form; see the docstring."""
+    n, h = grid.n_cells, grid.h
+    diff, adv = 0.5 * w / (h * h), 0.5 * w / h
+    b, c = math.sqrt((diff - adv) * (diff + adv)), math.sqrt(2.0 * diff * (diff + adv))
+    want = np.concatenate((np.full(n, -2.0 * diff), np.full(n - 2, b), [c]))
+    if not np.allclose(np.concatenate((diag, off)), want, rtol=1e-14, atol=0.0):
+        raise NumericalError(f"{grid}: the operator bands are not (-2 diff; b..b, c), "
+                             "so the closed-form eigenbasis does not describe them")
+    i = np.arange(1.0, n + 1.0)
+    alt = (-1.0) ** (i + 1.0)
+    lam, blocks = np.empty(k), np.empty((n // 64 + 1, 64, k))
+    q = blocks.reshape(-1, k)[1:n + 1]          # blocks hold i = 0, 1, ...
+    evanescent = int(n * h > 1.0)
+    # theta_m = pi - theta_(n-1-m), v_i -> (-1)^(i+1) v_i: solve (m pi + psi)/n <= pi/2
+    m = np.arange(min(k, n - evanescent) - 1, evanescent - 1, -1)
+    near = np.minimum(m, n - 1 - m) * np.pi
+    psi = _bisect(lambda p: p - np.arctan2(np.sin((near + p) / n), h * np.cos((near + p) / n)),
+                  np.zeros(m.size), np.full(m.size, np.pi))
+    theta = (near + psi) / n
+    far = near != m * np.pi
+    osc = slice(k - evanescent - m.size, k - evanescent)
+    lam[osc] = -2.0 * adv * adv / (diff + b) - 4.0 * b * np.where(
+        far, np.cos(0.5 * theta), np.sin(0.5 * theta)) ** 2
+    # sin(i theta) by angle addition, i = 64 j + l: 4 (n/64 + 64) sines a mode
+    big = np.multiply.outer(64.0 * np.arange(blocks.shape[0]), theta)[:, None]
+    small = np.multiply.outer(np.arange(64.0), theta)
+    np.multiply(np.sin(big), np.cos(small), out=blocks[..., osc])
+    blocks[..., osc] += np.cos(big) * np.sin(small)
+    q[:, osc][:, far] *= alt[:, None]
+    if evanescent:
+        # tanh(kappa) = h tanh(n kappa), lam = 2 b (cosh kappa - cosh kinf) <= 0,
+        # kinf - kappa = atanh(2 h e/(1 + e - h^2 (1 - e))) with e = e^(-2 n kappa)
+        kinf = math.atanh(h)
+        kappa = float(_bisect(lambda x: np.tanh(x) - h * np.tanh(n * x), 0.0, kinf))
+        e = math.exp(-2.0 * n * kappa)
+        lam[-1] = -4.0 * b * math.sinh(0.5 * (kappa + kinf)) * math.sinh(
+            0.5 * math.atanh(2.0 * h * e / (1.0 + e - h * h * (1.0 - e))))
+        q[:, -1] = -np.exp((i - n) * kappa) * np.expm1(-2.0 * i * kappa)  # ~ sinh(i kappa)
+        if k == n:
+            lam[0] = -4.0 * diff - lam[-1]       # its mirror, theta = pi + i kappa
+            q[:, 0] = alt * q[:, -1]
+    q[-1] *= b / c
+    q /= np.sqrt(np.einsum("ij,ij->j", q, q))
+    return lam, q
 
 
 class _Basis:
-    """The k slowest eigenpairs of S = D L D^-1 on one grid (one n x k
-    block), with the diagonal scaling D and the step factors per mode."""
+    """The k slowest eigenpairs of S = D L D^-1 (n x k), D and the step factors."""
 
     def __init__(self, grid: Grid, w: float, k: int):
         self.diag, self.off, log_d = _symmetrized(grid, w)
-        self.lam, self.q = _slowest_eigenpairs(self.diag, self.off, k)
-        # a decaying operator has lam <= 0 up to the eigensolver's roundoff;
-        # that also keeps every 1 - dt lam/2 >= 1, so no step is singular
-        roundoff = self.diag.size * np.finfo(float).eps * (
-            np.abs(self.diag).max() + 2.0 * self.off.max())
-        if self.lam[-1] > roundoff:
-            raise NumericalError(
-                f"{grid}: operator eigenvalue {self.lam[-1]:.6g} > 0, the grid "
-                "solution would grow")
+        # every lam <= 0, so each 1 - dt lam/2 >= 1 and no step is singular
+        self.lam, self.q = _modes(grid, w, k, self.diag, self.off)
         self.k = k
         self.complete = k == grid.n_cells
         self.dt = grid.dt

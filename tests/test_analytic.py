@@ -45,6 +45,13 @@ class TestMu0:
         with pytest.raises(DomainError):
             analytic.log_mu0(0.0, -1.0, desk)
 
+    def test_rejects_nan(self, desk):
+        with pytest.raises(DomainError, match="nan"):
+            analytic.log_mu0(math.nan, 1.0, desk)
+        with pytest.raises(DomainError, match="nan"):
+            analytic.log_mu0(np.array([0.0, math.nan]), 1.0, desk)
+        assert analytic.log_mu0(-math.inf, 1.0, desk) == -math.inf
+
 
 class TestPdeResidual:
     def test_small_at_center(self, desk):
@@ -86,6 +93,10 @@ class TestBoundary:
         with pytest.raises(DomainError):
             analytic.boundary(-0.5, desk)
 
+    def test_nan_time(self, desk):
+        with pytest.raises(DomainError, match="nan"):
+            analytic.boundary(math.nan, desk)
+
 
 class TestMu1:
     def test_vanishes_at_boundary(self, desk):
@@ -97,6 +108,13 @@ class TestMu1:
             analytic.log_mu1_exact(-0.1, 3.0, desk)
         with pytest.raises(DomainError):
             analytic.log_mu1_approx(np.array([0.5, -0.5]), 3.0, desk)
+
+    @pytest.mark.parametrize("form", [analytic.log_mu1_exact, analytic.log_mu1_approx])
+    def test_rejects_nan(self, desk, form):
+        with pytest.raises(DomainError):
+            form(math.nan, 3.0, desk)
+        with pytest.raises(DomainError):
+            form(np.array([0.0, math.nan]), 3.0, desk)
 
     def test_positive_in_interior(self, desk):
         y = np.linspace(1e-6, 12.0, 400)

@@ -63,17 +63,17 @@ class TestDeviationTable:
         outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),
                     BornOutcomeSpec("c", 0.125, 2)]
         grid = Grid(y_max=20.0, n_cells=512, dt=0.1)
-        eigenpairs = pde_solver._slowest_eigenpairs
+        basis = pde_solver._Basis
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return eigenpairs(*args, **kwargs)
+            return basis(*args, **kwargs)
 
-        monkeypatch.setattr(pde_solver, "_slowest_eigenpairs", counting)
+        monkeypatch.setattr(pde_solver, "_Basis", counting)
         report = deviation_table(outcomes, dp, eps=0.2, t1=50.0, t2=100.0,
                                  engines=("pde",), grid=grid)
-        assert len(calls) == 1  # one eigendecomposition serves every outcome
+        assert len(calls) == 1  # one eigenbasis serves every outcome
         monkeypatch.undo()
         diff = to_diffusion(dp, 0.2)
         for row, o in zip(report.rows, outcomes):

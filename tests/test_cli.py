@@ -63,6 +63,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tilt" in err
 
+    def test_analytic_rejects_nan_points(self, tmp_path, capsys):
+        assert run(["analytic", "--out", str(tmp_path), "--y-points", "0,nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "y >= 0" in err
+
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_mc_bins_out_of_range(self, tmp_path, capsys, bins):
         assert run(["mc", "--out", str(tmp_path), "--seed", "1", "--n-events",
@@ -107,8 +112,8 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
     "born/config.json": "a4ccfb6b4a78648fa00a9e5a871583b806bcf62ed070b8ecc1e7dde9caedeb33",
-    "born/deviation.csv": "cc6f68a26ff694e0c4c1bc1ee6ed45bda01316a2b046c481f66df49a0c1fcab1",
-    "born/deviation.json": "0c481e1552368a7a2ebe864c3e51fe36bf73d07c63f8c44c32c649eae58c0285",
+    "born/deviation.csv": "aeda07247cb71ff740ae938f9be88d40a0c17370a39e26fb8ad3566eb921c3c8",
+    "born/deviation.json": "a7d1d0bfeb3a52c8bdb3775dee103abec97412ef8d142ca66a641e5f7d303e56",
     "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
@@ -118,9 +123,9 @@ GOLDEN_SHA256 = {
     "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
     "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
     "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",
-    "pde/snapshots.csv": "3997630cace94679f219fb8f0b52520369a9942440a51773d1e9504339176433",
-    "pde/summary.txt": "50c40103389163d8c83247cb67ad1c46057d643d7b699cb98dddada57d7245d6",
-    "pde/survivors.csv": "5a191123aeea6f06bcc8311056eec33bf0efd97a2c4c14ac327df52b1cb82e19",
+    "pde/snapshots.csv": "ac36c1a29d51b1979edfa45098af1da88468b1344e3182aa1ae55ded865af703",
+    "pde/summary.txt": "cdb6f7e0373291358da120a463d05701db4a432951d77028881dbaa60da11b3f",
+    "pde/survivors.csv": "5ae2a02bb149c7b29ba819cd8a830bb7777a7e7a5abef7ff6add72990a386152",
     "scan/config.json": "046b5d3c2145aefc62ccfd364031222e761beff2f380e5cc7e998a07464fbea2",
     "scan/scan.csv": "73c211d070d6bada6daa1caafa0bb4d0069d8099894ee900b662781e2a7c8acd",
     "scan/summary.txt": "e143df59a1b6138d04709f0ec3457ae72db473f8f3b314f0da45ac477f2db57b",

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
@@ -217,12 +218,13 @@ class TestFactoredStepper:
 
     def test_singular_step_matrix_is_loud(self, monkeypatch):
         # L = tridiag(1, 4, 1) grows (every eigenvalue lies in (2, 6)), and
-        # at dt = 0.5 the step matrix I - (dt/2) L is singular where lam = 4
+        # at dt = 0.5 the step matrix I - (dt/2) L is singular where lam = 4;
+        # it is no drift-diffusion operator, so the closed-form basis refuses it
         g = Grid(y_max=10.0, n_cells=64, dt=0.5)
         n = g.n_cells
         monkeypatch.setattr(pde_solver, "_operator_bands",
                             lambda grid, w: (np.ones(n), np.full(n, 4.0), np.ones(n)))
-        with pytest.raises(NumericalError, match="eigenvalue"):
+        with pytest.raises(NumericalError, match=r"not \(-2 diff; b\.\.b, c\)"):
             solve(DiffusionParams(v=1.0, w=0.5, eps=2.0), g, 1.0)
 
     def test_cell_peclet_number_at_least_one_is_loud(self):
@@ -237,16 +239,39 @@ class TestFactoredStepper:
         with pytest.raises(DomainError, match="y_max=800.0.*exponent range"):
             solve(DiffusionParams(v=1.0, w=0.5, eps=12.0), g, 1.0)
 
+    @staticmethod
+    def _check_against_a_dense_solver(y_max, n_cells, w, k):
+        # the closed-form eigenpairs against scipy's tridiagonal eigensolver;
+        # eigenvalues and residuals in units of the spectral radius 4 diff
+        grid = Grid(y_max=y_max, n_cells=n_cells, dt=1e-3)
+        diag, off, _ = pde_solver._symmetrized(grid, w)
+        basis = pde_solver._Basis(grid, w, k)
+        lam, q = basis.lam, basis.q
+        radius = 2.0 * abs(diag[0])
+        want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(n_cells - k, n_cells - 1))
+        assert np.abs(lam - want).max() <= 1e-12 * radius
+        assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
+        s_q = diag[:, None] * q
+        s_q[:-1] += off[:, None] * q[1:]
+        s_q[1:] += off[:, None] * q[:-1]
+        assert np.abs(s_q - q * lam).max() <= 1e-12 * radius
+        assert lam.max() <= 0.0
+
     def test_eigenpairs_match_a_dense_solver(self):
-        # the dstemr binding against scipy's full tridiagonal eigensolver
-        rng = np.random.default_rng(7)
-        diag, off = -2.0 + 0.1 * rng.standard_normal(300), rng.random(299)
-        lam, q = pde_solver._slowest_eigenpairs(diag, off, 40)
-        want = eigh_tridiagonal(diag, off, eigvals_only=True)[-40:]
-        assert np.abs(lam - want).max() <= 1e-12
-        assert np.abs(q.T @ q - np.eye(40)).max() <= 1e-12
-        s = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.abs(s @ q - q * lam).max() <= 1e-12
+        # born_pde's grid, validate's, the far-edge grid, and a complete basis
+        for y_max, n_cells, w, k in [(40.0, 4096, 0.01, 64), (20.0, 2048, 0.5, 64),
+                                     (4.0, 512, 0.5, 64), (4.0, 512, 0.5, 512)]:
+            self._check_against_a_dense_solver(y_max, n_cells, w, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_cells=st.integers(16, 4096), h=st.floats(1e-3, 0.99))
+    def test_eigenpairs_match_a_dense_solver_over_grids(self, n_cells, h):
+        # y_max = n h runs from 0.016 to ~700, across y_max = 1, where the
+        # slowest mode turns from oscillatory to evanescent; D spans
+        # ~e^(n atanh h), which must stay within the float range
+        assume(n_cells * math.atanh(h) < 700.0)
+        self._check_against_a_dense_solver(n_cells * h, n_cells, 0.5, min(n_cells, 64))
 
 
 class TestSolve:
