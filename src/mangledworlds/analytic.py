@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, RegimeWarning
+from .errors import DomainError, NumericalError, RegimeWarning
 from .model_params import DiffusionParams
 from .special_functions import bracket, erfc, log_erfc
 
@@ -247,22 +247,48 @@ def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature cross-checks (the independent route used by `validate`)
+# quadrature cross-checks (the independent route used by `validate`):
+# composite 20-point Gauss-Legendre, panels doubled until two estimates agree
 # ---------------------------------------------------------------------------
 
-def quad_unmangled_count(t: float, dp: DiffusionParams) -> float:
-    """ln W(t; eps) by adaptive quadrature of the approximate density over
-    [0, max(10, 8 sqrt(w t))]; the closed form must reproduce this."""
-    from scipy.integrate import quad
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_QUAD_RTOL = 1e-13
+_QUAD_MAX_PANELS = 1 << 12
 
+
+def _log_quad(log_f, a: float, b: float) -> float:
+    """ln of the integral of e^log_f over [a, b], log_f vectorized.
+
+    Composite 20-point Gauss-Legendre (Golub-Welsch nodes) over 1, 2, 4, ...
+    equal panels, until two successive estimates agree to 1e-13 relative.
+    Each estimate is scaled by the largest e^log_f at its own nodes, so the
+    integrand may lie far outside the float range.  Raises NumericalError if
+    4096 panels do not converge (a kink or jump inside a panel does that).
+    """
+    previous = math.nan
+    panels = 1
+    while panels <= _QUAD_MAX_PANELS:
+        half = 0.5 * (b - a) / panels
+        centres = a + half * np.arange(1.0, 2.0 * panels, 2.0)
+        logs = log_f(np.add.outer(centres, half * _GL_NODES))
+        shift = float(np.max(logs))
+        estimate = shift + math.log(half * float(np.exp(logs - shift).sum(axis=0)
+                                                 @ _GL_WEIGHTS))
+        if abs(math.expm1(estimate - previous)) <= _QUAD_RTOL:
+            return estimate
+        previous = estimate
+        panels *= 2
+    raise NumericalError(f"Gauss-Legendre quadrature over [{a!r}, {b!r}] did not "
+                         f"converge to {_QUAD_RTOL:g} in {_QUAD_MAX_PANELS} panels")
+
+
+def quad_unmangled_count(t: float, dp: DiffusionParams) -> float:
+    """ln W(t; eps) by quadrature of the approximate density over
+    [0, max(10, 8 sqrt(w t))]; the closed form must reproduce this."""
     t = _check_time(t)
     dp.require_diffusive()
-    s = dp.w * t
-    y_hi = max(10.0, 8.0 * math.sqrt(s))
-    shift = float(np.max(log_mu1_approx(np.linspace(1e-6, y_hi, 512), t, dp)))
-    val, _ = quad(lambda y: math.exp(log_mu1_approx(y, t, dp) - shift)
-                  if y > 0.0 else 0.0, 0.0, y_hi, limit=200)
-    return math.log(val) + shift
+    y_hi = max(10.0, 8.0 * math.sqrt(dp.w * t))
+    return _log_quad(lambda y: log_mu1_approx(y, t, dp), 0.0, y_hi)
 
 
 def quad_lambda_count(F: float, G: float, t1: float, t2: float,
@@ -273,8 +299,6 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
 
     where W(t2; y) is the count formula with its boundary offset replaced by
     the stage-two starting height y."""
-    from scipy.integrate import quad
-
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
     dp.require_diffusive()
@@ -285,15 +309,9 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
     log_b2 = math.log(bracket(dp.w * t2))
     vw = dp.v - dp.w
 
-    def log_integrand(y: float) -> float:
-        if y <= 0.0:
-            return -math.inf
-        log_w_t2 = math.log(y) + y + vw * t2 + log_b2
+    def log_integrand(y: np.ndarray) -> np.ndarray:
+        log_w_t2 = np.log(y) + y + vw * t2 + log_b2
         return log_w_t2 + log_mu1_approx(y + big_l, t1, dp)
 
     y_hi = max(10.0, 8.0 * math.sqrt(dp.w * t1))
-    probe = np.linspace(1e-6, y_hi, 512)
-    shift = max(log_integrand(float(y)) for y in probe)
-    val, _ = quad(lambda y: math.exp(log_integrand(y) - shift), 0.0, y_hi,
-                  limit=200)
-    return math.log(G) + math.log(val) + shift
+    return math.log(G) + _log_quad(log_integrand, 0.0, y_hi)

@@ -57,6 +57,14 @@ def _floats(cfg: dict, key: str) -> list[float]:
         raise UsageError(f"{key} must be a list of numbers, got {cfg[key]!r}") from None
 
 
+def _integer(value) -> int:
+    """int(value), but a ValueError for a JSON boolean or a non-integral
+    number, which int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _outcomes(spec) -> list[born_experiment.BornOutcomeSpec]:
     """Outcomes from 'label:F:G,label:F:G' or a JSON list of mappings."""
     if isinstance(spec, str):
@@ -73,7 +81,7 @@ def _outcomes(spec) -> list[born_experiment.BornOutcomeSpec]:
     out = []
     for item in items:
         try:
-            label, F, G = str(item["label"]), float(item["F"]), int(item["G"])
+            label, F, G = str(item["label"]), float(item["F"]), _integer(item["G"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"outcomes: {item!r} needs a label, a number F and "
                              f"an integer G ({exc!r})") from None
@@ -131,13 +139,13 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
         if flag is not None:
             resolved[key] = flag
     for key, value in resolved.items():
-        # the commands convert each number with its default's type; an unset
-        # seed stays None
+        # the commands convert each number with its default's type, so an
+        # integer key must hold an integral value; an unset seed stays None
         kind = int if key == "seed" else type(DEFAULTS[sub][key])
         if kind not in (int, float) or (key == "seed" and value is None):
             continue
         try:
-            kind(value)
+            (_integer if kind is int else float)(value)
         except (TypeError, ValueError):
             raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}"
                              f", got {value!r}") from None
@@ -367,11 +375,10 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
     bseam = abs(_bracket_direct(wt) - _bracket_asymptotic(wt)) / _bracket_asymptotic(wt)
     checks.append(("bracket seam", bseam <= 1e-10, f"rel gap {bseam:.2e} at wt={wt}"))
 
-    from scipy.integrate import quad
     t = 2.0
-    total, _ = quad(lambda x: math.exp(x + analytic.log_mu0(x, t, desk)),
-                    -1.0 - desk.v * t - 12.0 * math.sqrt(desk.w * t),
-                    -desk.v * t + 14.0 * math.sqrt(desk.w * t), limit=200)
+    total = math.exp(analytic._log_quad(lambda x: x + analytic.log_mu0(x, t, desk),
+                                        -1.0 - desk.v * t - 12.0 * math.sqrt(desk.w * t),
+                                        -desk.v * t + 14.0 * math.sqrt(desk.w * t)))
     checks.append(("measure conservation", abs(total - 1.0) <= 1e-8,
                    f"integral e^x mu0 = {total:.12f}"))
 

@@ -54,7 +54,9 @@ the far-edge term ``far_inflow``.  The zero-gradient outer boundary admits
 a spurious advective inflow w nu(y_max) dt per step; honest domain sizing
 keeps it below 1e-8 overall.  It is summed in closed form: a geometric sum
 per kept mode, and two tridiagonal solves for the dropped modes, which are
-not yet negligible at the first steps.
+not yet negligible at the first steps.  Both systems, I - (dt/2) S and a
+slightly shifted -S, are symmetric positive definite because lam <= 0, so a
+Thomas sweep without pivoting solves them stably.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, NumericalError
 from .model_params import DiffusionParams, split_params
@@ -285,8 +286,10 @@ class _Basis:
 
         Per mode, w dt s (1 + r + r^2 + ...) = w / (-lam (1 - dt lam/2)), so
         with the kept modes projected out it is two tridiagonal solves with
-        S.  The dropped modes are the fast ones: a run the basis resolves at
-        its end has outlasted them.
+        S, by :func:`_sweep`: every lam <= 0, so I - (dt/2) S and the shifted
+        -S are symmetric positive definite and need no pivoting.  The dropped
+        modes are the fast ones: a run the basis resolves at its end has
+        outlasted them.
         """
         if self.complete:
             return 0.0
@@ -294,12 +297,8 @@ class _Basis:
         x -= self.q @ (self.q.T @ x)
         # -S is shifted by 1e-10 of the slowest dropped rate, so the solve
         # stays regular beside the lam ~ 0 mode; that mode is projected out
-        for diag, off in ((1.0 - 0.5 * self.dt * self.diag, -0.5 * self.dt * self.off),
-                          (1e-10 * abs(self.lam[0]) - self.diag, -self.off)):
-            bands = np.zeros((3, x.size))
-            bands[0, 1:] = bands[2, :-1] = off
-            bands[1] = diag
-            x = solve_banded((1, 1), bands, x, check_finite=False)
+        x = _sweep(1.0 - 0.5 * self.dt * self.diag, -0.5 * self.dt * self.off, x)
+        x = _sweep(1e-10 * abs(self.lam[0]) - self.diag, -self.off, x)
         x -= self.q @ (self.q.T @ x)
         return self.w * float(self.inv_d[-1] * x[-1])
 
@@ -333,6 +332,23 @@ class _Basis:
         # roundoff-scale negatives (inside the health tolerance) are shaved
         np.clip(values, 0.0, None, out=values)
         return values, tail
+
+
+def _sweep(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve tridiag(off, diag, off) x = rhs by the Thomas sweep, without
+    pivoting: for a symmetric positive-definite system no pivot vanishes."""
+    d, e, x = diag.tolist(), off.tolist(), rhs.tolist()
+    pivot = d[0]
+    pivots = [pivot]
+    for i in range(1, len(x)):
+        m = e[i - 1] / pivot
+        pivot = d[i] - m * e[i - 1]
+        x[i] -= m * x[i - 1]
+        pivots.append(pivot)
+    x[-1] /= pivot
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / pivots[i]
+    return np.array(x)
 
 
 def _check_health(values: np.ndarray, t: float) -> None:

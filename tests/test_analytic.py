@@ -9,8 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from mangledworlds import analytic
-from mangledworlds.errors import DomainError, RegimeWarning
+from mangledworlds.errors import DomainError, NumericalError, RegimeWarning
 from mangledworlds.model_params import DiffusionParams
+from mangledworlds.special_functions import bracket
 
 
 class TestMu0:
@@ -251,6 +252,56 @@ class TestLambdaAndGamma:
             analytic.log_lambda_count(-1.0, math.nan, 50.0, 400.0, desk)
         with pytest.raises(DomainError, match="child count G"):
             analytic.lambda_count(0.5, math.nan, 50.0, 400.0, desk)
+
+
+def _scipy_log_quad(log_f, a, b):
+    """ln of the integral of e^log_f over [a, b] by scipy's adaptive quad,
+    scaled by the largest log_f on a dense probe."""
+    shift = float(np.max(log_f(np.linspace(a, b, 4097)[1:-1])))
+    val, _ = quad(lambda y: math.exp(log_f(y) - shift), a, b, epsabs=0.0,
+                  epsrel=1e-13, limit=400)
+    return math.log(val) + shift
+
+
+class TestLogQuad:
+    """The in-repo Gauss-Legendre quadrature against scipy's adaptive quad,
+    on validate's integrands and this module's points, to 1e-12 in the log."""
+
+    def test_measure_conservation_integrand(self, desk):
+        t = 2.0
+        lo = -1.0 - desk.v * t - 12.0 * math.sqrt(desk.w * t)
+        hi = -desk.v * t + 14.0 * math.sqrt(desk.w * t)
+
+        def log_f(x):
+            return x + analytic.log_mu0(x, t, desk)
+
+        got = analytic._log_quad(log_f, lo, hi)
+        assert got == pytest.approx(_scipy_log_quad(log_f, lo, hi), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [2.0, 8.0, 50.0])  # w t = 1, 4, 25
+    def test_unmangled_count(self, t, desk):
+        y_hi = max(10.0, 8.0 * math.sqrt(desk.w * t))
+        want = _scipy_log_quad(lambda y: analytic.log_mu1_approx(y, t, desk),
+                               0.0, y_hi)
+        assert analytic.quad_unmangled_count(t, desk) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("F", [0.25, math.exp(-5.0)])
+    def test_lambda_count(self, F):
+        dp = DiffusionParams(v=1.0, w=0.5, eps=0.05)
+        t1, t2 = 50.0, 800.0
+        const = math.log(4.0) + (dp.v - dp.w) * t2 + math.log(bracket(dp.w * t2))
+        want = const + _scipy_log_quad(
+            lambda y: np.log(y) + y + analytic.log_mu1_approx(y - math.log(F), t1, dp),
+            0.0, max(10.0, 8.0 * math.sqrt(dp.w * t1)))
+        got = analytic.quad_lambda_count(F, 4, t1, t2, dp)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_jump_inside_a_panel_is_loud(self):
+        # a unit step at 1/pi never falls on a panel edge, so each doubling
+        # only halves the error and two estimates never agree to 1e-13
+        with pytest.raises(NumericalError, match="did not converge"):
+            analytic._log_quad(lambda y: np.where(y < 1.0 / math.pi, 0.0, -np.inf),
+                               0.0, 1.0)
 
 
 class TestRegimeWarnings:

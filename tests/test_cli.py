@@ -4,10 +4,14 @@ config round-trips, and the validate suite."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mangledworlds
 from mangledworlds import monte_carlo
 from mangledworlds.cli import run
 
@@ -82,6 +86,16 @@ class TestExitCodes:
         (["analytic", "--times", "1,zz"], None, "times"),
         (["pde"], {"n_cells": "abc"}, "n_cells"),
         (["born"], {"outcomes": [{"F": 0.5, "G": 2}]}, "label"),
+        # integral keys are not truncated, and a JSON boolean is no number
+        (["mc"], {"seed": 7.9, "n_paths": 70000}, "seed"),
+        (["mc"], {"seed": 7, "n_paths": 70000.5}, "n_paths"),
+        (["mc"], {"seed": True}, "seed"),
+        (["mc", "--seed", "7"], {"n_events": 10.5}, "n_events"),
+        (["mc", "--seed", "7"], {"bins": True}, "bins"),
+        (["pde"], {"n_cells": 512.5}, "n_cells"),
+        (["born"], {"n_cells": True}, "n_cells"),
+        (["born"], {"outcomes": [{"label": "b", "F": 0.25, "G": 2.9}]}, "G"),
+        (["born"], {"outcomes": [{"label": "b", "F": 0.25, "G": True}]}, "G"),
     ])
     def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, argv,
                                                config, key):
@@ -273,3 +287,24 @@ class TestValidate:
         assert "[FAIL]" not in out
         summary = (tmp_path / "validate" / "summary.txt").read_text()
         assert "all checks passed" in summary
+
+
+class TestImports:
+    def test_no_scipy_at_runtime(self, tmp_path):
+        # a fresh interpreter, since the test suite itself loads scipy
+        script = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import mangledworlds.cli as cli
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in (["validate"], ["born", "--engines", "analytic,pde"],
+             ["pde", "--n-cells", "512", "--y-max", "10", "--T", "2",
+              "--snapshots", "1,2"]):
+    assert cli.run(argv + ["--out", sys.argv[1]]) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(mangledworlds.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

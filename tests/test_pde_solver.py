@@ -264,6 +264,49 @@ class TestFactoredStepper:
                                      (4.0, 512, 0.5, 64), (4.0, 512, 0.5, 512)]:
             self._check_against_a_dense_solver(y_max, n_cells, w, k)
 
+    # validate's grid, born_pde's, and the far-edge grid, where the dropped
+    # modes' inflow is not roundoff-small; k = 64
+    SWEEP_GRIDS = [(20.0, 2048, 0.5, 1e-3), (40.0, 4096, 0.01, 0.45),
+                   (4.0, 512, 0.5, 2e-3)]
+
+    @staticmethod
+    def _banded(diag, off, rhs):
+        ab = np.zeros((3, rhs.size))
+        ab[0, 1:] = ab[2, :-1] = off
+        ab[1] = diag
+        return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    @pytest.mark.parametrize("y_max,n_cells,w,dt", SWEEP_GRIDS)
+    def test_sweep_matches_banded_solve(self, y_max, n_cells, w, dt):
+        basis = pde_solver._Basis(Grid(y_max=y_max, n_cells=n_cells, dt=dt), w, 64)
+        rhs = np.random.default_rng(n_cells).standard_normal(n_cells)
+        rhs -= basis.q @ (basis.q.T @ rhs)
+        step = (1.0 - 0.5 * dt * basis.diag, -0.5 * dt * basis.off)
+        got, want = pde_solver._sweep(*step, rhs), self._banded(*step, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the shifted -S is nearly singular along the lam ~ 0 mode, where each
+        # solver amplifies its own roundoff; dropped_inflow projects the kept
+        # modes out of its right-hand side and its result, so compare there
+        shifted = (1e-10 * abs(basis.lam[0]) - basis.diag, -basis.off)
+        got, want = pde_solver._sweep(*shifted, rhs), self._banded(*shifted, rhs)
+        got -= basis.q @ (basis.q.T @ got)
+        want -= basis.q @ (basis.q.T @ want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("y_max,n_cells,w,dt", SWEEP_GRIDS)
+    def test_dropped_inflow_matches_banded_solves(self, y_max, n_cells, w, dt):
+        grid = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
+        basis = pde_solver._Basis(grid, w, 64)
+        values = init_delta(grid, 0.2).values
+        x = basis.d * values[1:]
+        x -= basis.q @ (basis.q.T @ x)
+        x = self._banded(1.0 - 0.5 * dt * basis.diag, -0.5 * dt * basis.off, x)
+        x = self._banded(1e-10 * abs(basis.lam[0]) - basis.diag, -basis.off, x)
+        x -= basis.q @ (basis.q.T @ x)
+        want = w * basis.inv_d[-1] * x[-1]
+        assert want != 0.0
+        assert basis.dropped_inflow(values) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     @settings(max_examples=40, deadline=None)
     @given(n_cells=st.integers(16, 4096), h=st.floats(1e-3, 0.99))
     def test_eigenpairs_match_a_dense_solver_over_grids(self, n_cells, h):
