@@ -52,9 +52,17 @@ def _floats(cfg: dict, key: str) -> list[float]:
     if not isinstance(text, (list, tuple)):
         text = [tok for tok in str(text).split(",") if tok.strip()]
     try:
-        return [float(x) for x in text]
+        return [_number(x) for x in text]
     except (TypeError, ValueError):
         raise UsageError(f"{key} must be a list of numbers, got {cfg[key]!r}") from None
+
+
+def _number(value) -> float:
+    """float(value), but a ValueError for a JSON boolean, which float()
+    would take as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _integer(value) -> int:
@@ -81,7 +89,7 @@ def _outcomes(spec) -> list[born_experiment.BornOutcomeSpec]:
     out = []
     for item in items:
         try:
-            label, F, G = str(item["label"]), float(item["F"]), _integer(item["G"])
+            label, F, G = str(item["label"]), _number(item["F"]), _integer(item["G"])
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"outcomes: {item!r} needs a label, a number F and "
                              f"an integer G ({exc!r})") from None
@@ -145,7 +153,7 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
         if kind not in (int, float) or (key == "seed" and value is None):
             continue
         try:
-            (_integer if kind is int else float)(value)
+            (_integer if kind is int else _number)(value)
         except (TypeError, ValueError):
             raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}"
                              f", got {value!r}") from None

@@ -18,25 +18,41 @@ Both estimators are unbiased for the same count; their agreement is a
 standing cross-check.  Estimates and standard errors are carried in log
 space (weights like 2^3600 never materialize).
 
+Lattice state: after n events a lineage's log-size depends only on k, its
+number of larger-branch steps, x = k ln p_big + (n - k) ln p_small.  A path
+therefore carries the integer k, and survives event n while k >= kmin(n),
+the smallest k whose log-size passes the boundary test in floating point.
+That test is the expression of the lattice dynamic program in
+``bench/oracle.py``, so the walk and the program judge ties alike.  x and
+the weights are formed only for the final survivors.  k never falls, so an
+event at which kmin does not rise absorbs nothing and is not tested.
+
 Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, event index), so a path's
-randomness is a pure function of its index.  A branch is taken by comparing
-the raw 64-bit hash with an integer threshold, which decides exactly as the
-float uniform (z >> 11) * 2^-53 < p would.  Paths are processed in fixed
-chunks of 2^16 and the per-chunk partials are reduced in index order, which
-makes results bit-identical for any worker count.  Absorbed paths are
-compacted away each event, so the cost per event is proportional to the
-number of still-alive paths.
+randomness is a pure function of its index.  The hash runs in place in one
+scratch buffer per chunk.  A branch is taken by comparing the raw 64-bit
+hash with an integer threshold, which decides exactly as the float uniform
+(z >> 11) * 2^-53 < p would.  Paths are processed in fixed chunks of 2^16
+and the per-chunk partials are reduced in index order, which makes results
+bit-identical for any worker count.  Absorbed paths are compacted away as
+they die, so the cost per event is proportional to the number of
+still-alive paths.
 
 Parallelism: with more than one worker and more than one chunk, the chunks
 run in worker processes forked for that call (Linux ``fork``; the events are
 many small numpy calls, which threads would serialize on the interpreter
 lock).  ``workers=None`` means one process per CPU this process may use.
 
-Two-stage runs with several (F, G) splits walk stage one once per chunk and
-continue each split from its survivors.  The splits share every draw
-(common random numbers) and the seed is not offset per split, so each
-split's result equals its one-split run at the same seed, bit for bit.
+Two-stage runs with several (F, G) splits walk stage one once per chunk,
+then stage two once for all splits together.  Each split shifts log-size by
+ln F and so has its own thresholds kmin_F(n); floating-point addition is
+monotone, so a smaller F's survivors are a subset of a larger F's.  Each
+path carries the number of splits, largest F first, under which it still
+survives, and is dropped when that reaches 0; a split's survivors are the
+paths whose number exceeds its rank.  The splits share every draw (common
+random numbers) and the seed is not offset per split, so each split's
+result equals its one-split run at the same seed, bit for bit, by
+construction.
 """
 
 from __future__ import annotations
@@ -72,24 +88,44 @@ _M1 = _U(0xBF58476D1CE4E5B9)
 _M2 = _U(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2^64
-    z = z + _GAMMA
-    z = (z ^ (z >> _U(30))) * _M1
-    z = (z ^ (z >> _U(27))) * _M2
-    return z ^ (z >> _U(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer of z, in place; tmp is scratch of z's shape.
+    uint64 arithmetic wraps mod 2^64."""
+    z += _GAMMA
+    np.right_shift(z, _U(30), out=tmp)
+    z ^= tmp
+    z *= _M1
+    np.right_shift(z, _U(27), out=tmp)
+    z ^= tmp
+    z *= _M2
+    np.right_shift(z, _U(31), out=tmp)
+    z ^= tmp
 
 
 def _key_from_seed(seed: int) -> np.uint64:
-    z = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-    return _mix64(z)[0]
+    z = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    tmp = np.empty_like(z)
+    _mix64(z, tmp)
+    _mix64(z, tmp)
+    return z[0]
 
 
-def _draws(key: np.uint64, path_hi: np.ndarray, event: int) -> np.ndarray:
+def _draws(key: np.uint64, path_hi: np.ndarray, event: int,
+           scratch: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit hash for every path at one event; path_hi is
-    path_index << 32.  Its uniform is u = (z >> 11) * 2^-53."""
-    z = _mix64((path_hi | _U(event)) ^ key)
-    return _mix64(z + key)
+    path_index << 32.  Its uniform is u = (z >> 11) * 2^-53.
+
+    The hash is computed in place in ``scratch``, two uint64 rows at least
+    as long as path_hi (allocated when None); the result is a view of its
+    first row, overwritten by the next call."""
+    if scratch is None:
+        scratch = np.empty((2, path_hi.size), dtype=np.uint64)
+    z, tmp = scratch[0, :path_hi.size], scratch[1, :path_hi.size]
+    np.bitwise_xor(path_hi, _U(event) ^ key, out=z)  # path_hi | event, ^ key
+    _mix64(z, tmp)
+    z += key
+    _mix64(z, tmp)
+    return z
 
 
 def _branch_threshold(prob: float) -> np.uint64:
@@ -194,8 +230,8 @@ class SurvivorHistogram(PathEnsemble):
 
 @dataclass(frozen=True)
 class _RunConfig:
-    log_p: float
-    log_q: float
+    log_big: float
+    log_small: float
     threshold: np.uint64  # draws below it take the larger branch
     b_step: float
     eps: float
@@ -216,52 +252,101 @@ class _ChunkStats:
     hist: np.ndarray | None = None
 
 
-def _walk(cfg: _RunConfig, x: np.ndarray, path_hi: np.ndarray,
-          first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the alive paths through events first..last (x in place),
-    dropping each path the first time it falls to the boundary."""
-    for k in range(first, last + 1):
-        if x.size == 0:
-            break
-        big = _draws(cfg.key, path_hi, k) < cfg.threshold
-        x += np.where(big, cfg.log_p, cfg.log_q)
-        if math.isfinite(cfg.eps):
-            keep = x > k * cfg.b_step - cfg.eps
-            x = x[keep]  # one at a time: each old array is freed at once
-            path_hi = path_hi[keep]
-    return x, path_hi
+_BLOCK = 256  # events whose thresholds are computed together
+
+
+def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
+    """Per event n, the smallest k with
+    k*log_big + (n-k)*log_small + log_F > n*b_step - eps, or n + 1 where no
+    k <= n passes.  That float expression is the absorption test of the
+    lattice dynamic program (bench/oracle.py), so the walk and the program
+    judge every tie alike.  eps = inf gives 0: nothing is absorbed."""
+    bound = n * cfg.b_step - cfg.eps
+
+    def passes(k):
+        return k * cfg.log_big + (n - k) * cfg.log_small + log_F > bound
+
+    delta = cfg.log_big - cfg.log_small
+    if delta > 0.0:
+        guess = np.floor((bound - n * cfg.log_small - log_F) / delta) + 1.0
+    else:  # p = 1/2: every lineage has the same log-size
+        guess = np.where(passes(0), 0.0, n + 1.0)
+    k = np.clip(guess, 0, n + 1).astype(np.int64)
+    # the guess is the real-arithmetic root; step to the float test's own
+    while (down := (k > 0) & passes(k - 1)).any():
+        k -= down
+    while (up := (k <= n) & ~passes(k)).any():
+        k += up
+    return k
+
+
+def _walk(cfg: _RunConfig, log_Fs: Sequence[float], k: np.ndarray,
+          path_hi: np.ndarray, alive: np.ndarray | None, first: int,
+          last: int, scratch: np.ndarray):
+    """Advance the paths through events first..last.
+
+    ``log_Fs`` is sorted largest first.  A path survives event n under the
+    outcome of rank r while k >= kmin_r(n).  The thresholds grow with rank,
+    so a path survives under a prefix of the outcomes, whose length
+    ``alive`` carries (None for a single outcome, which then need not
+    compact it); it is dropped once it fails rank 0.  k never falls, so an event at which a rank's threshold
+    does not rise cannot absorb under that rank and is not tested.
+    """
+    for lo in range(first, last + 1, _BLOCK):
+        n = np.arange(lo - 1, min(lo + _BLOCK, last + 1))
+        kmins = np.stack([_kmin(cfg, n, log_F) for log_F in log_Fs], axis=1)
+        rises = kmins[1:] > kmins[:-1]
+        for event, row, rise in zip(n[1:].tolist(), kmins[1:].tolist(),
+                                    rises.tolist()):
+            if k.size == 0:
+                return k, path_hi, alive
+            k += _draws(cfg.key, path_hi, event, scratch) < cfg.threshold
+            for r in range(1, len(rise)):
+                if rise[r]:  # below rank r's threshold: alive under < r
+                    np.minimum(alive, r, out=alive, where=k < row[r])
+            if rise[0]:
+                keep = k >= row[0]
+                k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
+                if alive is not None:
+                    alive = alive[keep]
+    return k, path_hi, alive
 
 
 def _run_chunk(cfg: _RunConfig, start: int, size: int) -> list[_ChunkStats]:
-    """One chunk's statistics per split.  Stage one is walked once; every
-    split continues from a copy of its survivors on the same draws."""
-    x1, hi1 = _walk(cfg, np.zeros(size),
-                    np.arange(start, start + size, dtype=np.uint64) << _U(32),
-                    1, cfg.n_split)
-    b_split = cfg.n_split * cfg.b_step - cfg.eps
-    out = []
-    for i, (log_F, log_G) in enumerate(cfg.splits):
-        # nothing reads stage one after the last split, so it takes x1 over
-        x = x1 if i == len(cfg.splits) - 1 else x1.copy()
-        x += log_F
-        path_hi = hi1
-        if math.isfinite(cfg.eps) and log_F != 0.0:
-            keep = x > b_split
-            x = x[keep]
-            path_hi = path_hi[keep]
-        x, _ = _walk(cfg, x, path_hi, cfg.n_split + 1, cfg.n_total)
-        out.append(_survivor_stats(cfg, x, size, log_F, log_G))
+    """One chunk's statistics per split.  Stage one is walked once, then
+    stage two once for every split together: each path carries the number
+    of splits it survives, and each split reads its own survivors off it."""
+    scratch = np.empty((2, size), dtype=np.uint64)
+    k, path_hi, _ = _walk(
+        cfg, (0.0,), np.zeros(size, dtype=np.int64),
+        np.arange(start, start + size, dtype=np.uint64) << _U(32), None,
+        1, cfg.n_split, scratch)
+    order = sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
+    log_Fs = [cfg.splits[i][0] for i in order]
+    n_split = np.array([cfg.n_split])
+    alive = np.zeros(k.size, dtype=np.int64)
+    for log_F in log_Fs:  # the split's own absorption test
+        alive += k >= _kmin(cfg, n_split, log_F)[0]
+    keep = alive > 0
+    k, path_hi, alive = _walk(cfg, log_Fs, k[keep], path_hi[keep],
+                              alive[keep] if len(log_Fs) > 1 else None,
+                              cfg.n_split + 1, cfg.n_total, scratch)
+    out = [None] * len(order)
+    for rank, i in enumerate(order):
+        survivors = k if alive is None else k[alive > rank]
+        out[i] = _survivor_stats(cfg, survivors, size, *cfg.splits[i])
     return out
 
 
-def _survivor_stats(cfg: _RunConfig, x: np.ndarray, size: int,
+def _survivor_stats(cfg: _RunConfig, k: np.ndarray, size: int,
                     log_F: float, log_G: float) -> _ChunkStats:
-    stats = _ChunkStats(n_paths=size, n_survivors=int(x.size))
+    stats = _ChunkStats(n_paths=size, n_survivors=int(k.size))
     if cfg.hist_edges is not None:
         stats.hist = np.zeros(len(cfg.hist_edges) - 1)
-    if x.size == 0:
+    if k.size == 0:
         return stats
 
+    x = k * cfg.log_big + (cfg.n_total - k) * cfg.log_small + log_F
     b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
     if cfg.tilt == "none":
         log_w = cfg.n_total * _LN2 + log_G
@@ -341,7 +426,7 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
     if n_total > 0xFFFFFFFF:
         raise DomainError("event index must fit in 32 bits of the draw counter")
     return _RunConfig(
-        log_p=math.log(big), log_q=math.log(small),
+        log_big=math.log(big), log_small=math.log(small),
         threshold=_branch_threshold(0.5 if spec.tilt == "none" else big),
         b_step=spec.boundary_step(), eps=spec.eps,
         n_total=n_total, n_split=spec.n_events, splits=splits, tilt=spec.tilt,
@@ -432,9 +517,9 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     through n2 more events.  Returns the estimates of the final outcome
     counts lambda.
 
-    Stage one does not depend on the split, so each chunk walks it once and
-    continues every split from its survivors on the same draws; each result
-    equals the one-split call at the same seed, bit for bit.
+    Each chunk walks stage one once and stage two once for all splits, on
+    the same draws; each result equals the one-split call at the same
+    seed, bit for bit.
     """
     log_splits = []
     for F, G in splits:

@@ -96,6 +96,12 @@ class TestExitCodes:
         (["born"], {"n_cells": True}, "n_cells"),
         (["born"], {"outcomes": [{"label": "b", "F": 0.25, "G": 2.9}]}, "G"),
         (["born"], {"outcomes": [{"label": "b", "F": 0.25, "G": True}]}, "G"),
+        # nor is it a float: not for a float key, a list entry or outcome F
+        (["analytic"], {"v": True}, "v"),
+        (["born"], {"eps": True}, "eps"),
+        (["analytic"], {"times": [1, True]}, "times"),
+        (["scan"], {"p_list": [0.55, False]}, "p_list"),
+        (["born"], {"outcomes": [{"label": "a", "F": True, "G": 1}]}, "F"),
     ])
     def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, argv,
                                                config, key):
@@ -126,8 +132,8 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
     "born/config.json": "a4ccfb6b4a78648fa00a9e5a871583b806bcf62ed070b8ecc1e7dde9caedeb33",
-    "born/deviation.csv": "aeda07247cb71ff740ae938f9be88d40a0c17370a39e26fb8ad3566eb921c3c8",
-    "born/deviation.json": "a7d1d0bfeb3a52c8bdb3775dee103abec97412ef8d142ca66a641e5f7d303e56",
+    "born/deviation.csv": "f1af845b85b8acd8cd75706a7a597e723bf75ad58fcc20b705d944d51ac902dc",
+    "born/deviation.json": "70e464e1660187ff76d7b5d59cfeaf9f11d626948f263ffcfa33ff6ebf53cac3",
     "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",

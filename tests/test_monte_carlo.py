@@ -245,6 +245,83 @@ def test_branch_threshold_matches_float_draw(p):
     assert np.array_equal(z < monte_carlo._branch_threshold(p), as_float)
 
 
+def test_hash_stream_is_pinned():
+    """Raw draws recorded from the allocating hash; the in-place one, with
+    or without a reused scratch buffer, must give the same stream."""
+    key = monte_carlo._key_from_seed(7)
+    paths = np.array([0, 1, 65535, 65536, 2 ** 31 - 1],
+                     dtype=np.uint64) << np.uint64(32)
+    want = {
+        1: [0x1114a7dd47bf7c09, 0xc505ac7317ae3c9e, 0xa6186ba0605948e5,
+            0xa53e38f91cb0b903, 0xd4a0fc0a0abad1bd],
+        400: [0x0da6f7c139e88739, 0xe043bee22e83f475, 0x13c5a9d9c0af2836,
+              0xf5bdacb6b732aa60, 0x07c1222fcf1ab3d8],
+        3600: [0xb3b929397a9e7927, 0xf2283bae650e7aa2, 0x608a28aab3cec0ca,
+               0x7be55e35c91e793c, 0x1a0ef3a7b68ecf29],
+    }
+    scratch = np.empty((2, 8), dtype=np.uint64)
+    for event, values in want.items():
+        assert monte_carlo._draws(key, paths, event).tolist() == values
+        assert monte_carlo._draws(key, paths, event, scratch).tolist() == values
+
+
+class TestLatticeThreshold:
+    """The walker keeps a path at event n while its larger-branch count k is
+    at least kmin(n).  That must be exactly the lattice dynamic program's
+    float test k ln p + (n - k) ln q + ln F > n xhat1 - eps."""
+
+    @staticmethod
+    def assert_threshold_is_the_programs_test(p, eps, n_events, log_Fs):
+        cfg = monte_carlo._config_for(
+            WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n_events))
+        log_big, log_small = math.log(max(p, 1.0 - p)), math.log(min(p, 1.0 - p))
+        b_step = binary_event_stats(p)[0]
+        k = np.arange(n_events + 1)
+        kmins = {log_F: monte_carlo._kmin(cfg, np.arange(n_events + 1), log_F)
+                 for log_F in log_Fs}
+        if eps == math.inf:
+            assert not any(kmin.any() for kmin in kmins.values())
+        for lo in range(0, n_events + 1, 400):
+            n = np.arange(lo, min(lo + 400, n_events + 1))[:, None]
+            log_size = k * log_big + (n - k) * log_small
+            bound = n * b_step - eps
+            exists = k <= n
+            for log_F, kmin in kmins.items():
+                program = log_size + log_F > bound
+                walker = k >= kmin[n]
+                assert np.array_equal(walker & exists, program & exists), (lo, log_F)
+
+    @pytest.mark.parametrize("eps", [0.2, 1.5, math.inf])
+    @pytest.mark.parametrize("p", [0.51, 0.55, 0.7, 0.9])
+    def test_threshold_is_the_programs_test_at_production_size(self, p, eps):
+        self.assert_threshold_is_the_programs_test(p, eps, 3600, (0.0, -0.7, -3.0))
+
+    @pytest.mark.parametrize("p,n_tie,k_tie", [(0.55, 7, 3), (0.6, 7, 4),
+                                               (0.55, 1000, 442)])
+    def test_threshold_at_a_lattice_tie(self, p, n_tie, k_tie):
+        # eps puts the boundary on a lattice site, where the real-arithmetic
+        # root is off by one from the float test
+        log_big, log_small = math.log(max(p, 1.0 - p)), math.log(min(p, 1.0 - p))
+        eps = (n_tie * binary_event_stats(p)[0]
+               - (k_tie * log_big + (n_tie - k_tie) * log_small))
+        self.assert_threshold_is_the_programs_test(p, eps, n_tie, (0.0,))
+
+    @pytest.mark.parametrize("p,eps,n", [
+        (0.6, 0.3, 12), (0.55, 0.2, 20), (0.7, 0.5, 18), (0.7, 1.0, 14),
+        (0.9, 0.5, 20), (0.6, 1e-9, 6), (0.5, 0.3, 16), (0.6, math.inf, 10),
+    ])
+    def test_walkers_thresholds_count_the_enumerated_tree(self, p, eps, n):
+        spec = WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n)
+        kmin = monte_carlo._kmin(monte_carlo._config_for(spec),
+                                 np.arange(n + 1), 0.0)
+        counts = np.zeros(n + 1, dtype=np.int64)  # leaves per k
+        counts[0] = 1
+        for event in range(1, n + 1):
+            counts[1:] += counts[:-1].copy()  # k grows on a larger branch
+            counts[:kmin[event]] = 0
+        assert int(counts.sum()) == enumerate_survivors(spec).count
+
+
 def _lattice_edges(p: float, eps: float, n_events: int, sites_per_bin: int,
                    n_bins: int) -> np.ndarray:
     """Bin edges aligned to the walk's log-size lattice.
@@ -339,6 +416,17 @@ class TestBornTwoStage:
         assert many == [born_two_stage_mc_counts(s1, [split], 120, n, seed=21,
                                                  workers=1)[0]
                         for split in splits]
+        # unsorted fractions, a repeated fraction, and a fraction so small
+        # that no path survives the split
+        for splits in ([(0.25, 2), (1, 1), (0.5, 1)],
+                       [(0.5, 1), (0.25, 2), (0.5, 3)],
+                       [(0.5, 1), (1e-300, 1), (1, 1)]):
+            many = born_two_stage_mc_counts(s1, splits, 120, n, seed=21,
+                                            workers=workers)
+            ones = [born_two_stage_mc_counts(s1, [split], 120, n, seed=21,
+                                             workers=1)[0] for split in splits]
+            assert many == ones, splits
+        assert ones[1].survivor_count == 0
 
     @pytest.mark.parametrize("bad", [(0.0, 1), (1.5, 1), (0.5, 0)])
     def test_bad_split_raises_before_walking(self, bad, monkeypatch):
