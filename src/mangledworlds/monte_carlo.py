@@ -25,18 +25,27 @@ the smallest k whose log-size passes the boundary test in floating point.
 That test is the expression of the lattice dynamic program in
 ``bench/oracle.py``, so the walk and the program judge ties alike.  x and
 the weights are formed only for the final survivors.  k never falls, so an
-event at which kmin does not rise absorbs nothing and is not tested.
+event at which kmin does not rise absorbs nothing, and a block of such
+events is not tested.
 
 Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, event index), so a path's
-randomness is a pure function of its index.  The hash runs in place in one
-scratch buffer per chunk.  A branch is taken by comparing the raw 64-bit
-hash with an integer threshold, which decides exactly as the float uniform
-(z >> 11) * 2^-53 < p would.  Paths are processed in fixed chunks of 2^16
-and the per-chunk partials are reduced in index order, which makes results
-bit-identical for any worker count.  Absorbed paths are compacted away as
-they die, so the cost per event is proportional to the number of
-still-alive paths.
+randomness is a pure function of its index.  A branch is taken by
+comparing the raw 64-bit hash with an integer threshold, which decides
+exactly as the float uniform (z >> 11) * 2^-53 < p would.  Paths are
+processed in fixed chunks of 2^16 and the per-chunk partials are reduced
+in index order, which makes results bit-identical for any worker count.
+
+Cost: a draw depends only on its (path, event), so a chunk walks its
+alive paths a block of events at a time.  One numpy pass hashes every
+alive path at every event of the block, in place in one scratch buffer
+per chunk; a log-step scan turns the branches into prefix counts of
+larger-branch steps, and the whole block's absorption is tested at once.
+Absorbed paths are compacted away once per block, so a path that dies
+mid-block is hashed to the block's end.  A block holds about 2^16
+path-events: one event while 2^16 paths are alive, more as they die, up
+to the 256 events whose thresholds are computed together.  The fixed cost
+of a numpy call is thus paid per block, not per event.
 
 Parallelism: with more than one worker and more than one chunk, the chunks
 run in worker processes forked for that call (Linux ``fork``; the events are
@@ -110,18 +119,23 @@ def _key_from_seed(seed: int) -> np.uint64:
     return z[0]
 
 
-def _draws(key: np.uint64, path_hi: np.ndarray, event: int,
+def _draws(key: np.uint64, path_hi: np.ndarray, event: int | np.ndarray,
            scratch: np.ndarray | None = None) -> np.ndarray:
-    """Raw 64-bit hash for every path at one event; path_hi is
-    path_index << 32.  Its uniform is u = (z >> 11) * 2^-53.
+    """Raw 64-bit hash for every path at one event, or at each of a 1-D
+    array of events (one row per event); path_hi is path_index << 32.  Its
+    uniform is u = (z >> 11) * 2^-53.
 
-    The hash is computed in place in ``scratch``, two uint64 rows at least
-    as long as path_hi (allocated when None); the result is a view of its
+    The hash is computed in place in ``scratch``, two uint64 rows with room
+    for the whole result (allocated when None); the result is a view of its
     first row, overwritten by the next call."""
+    event = np.asarray(event, dtype=np.uint64)
+    size = event.size * path_hi.size
     if scratch is None:
-        scratch = np.empty((2, path_hi.size), dtype=np.uint64)
-    z, tmp = scratch[0, :path_hi.size], scratch[1, :path_hi.size]
-    np.bitwise_xor(path_hi, _U(event) ^ key, out=z)  # path_hi | event, ^ key
+        scratch = np.empty((2, size), dtype=np.uint64)
+    shape = event.shape + path_hi.shape
+    z, tmp = (row[:size].reshape(shape) for row in scratch)
+    # path_hi | event, ^ key
+    np.bitwise_xor(path_hi, np.expand_dims(event ^ key, -1), out=z)
     _mix64(z, tmp)
     z += key
     _mix64(z, tmp)
@@ -253,6 +267,7 @@ class _ChunkStats:
 
 
 _BLOCK = 256  # events whose thresholds are computed together
+_BUDGET = 1 << 16  # path-events hashed in one numpy pass
 
 
 def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
@@ -289,26 +304,77 @@ def _walk(cfg: _RunConfig, log_Fs: Sequence[float], k: np.ndarray,
     outcome of rank r while k >= kmin_r(n).  The thresholds grow with rank,
     so a path survives under a prefix of the outcomes, whose length
     ``alive`` carries (None for a single outcome, which then need not
-    compact it); it is dropped once it fails rank 0.  k never falls, so an event at which a rank's threshold
-    does not rise cannot absorb under that rank and is not tested.
+    compact it); it is dropped once it fails rank 0.
+
+    The events go in blocks of b = _BUDGET // (alive paths) events, at
+    least one and never past a 256-event threshold window: each numpy pass
+    covers the whole block, and the paths are compacted once per block.
     """
     for lo in range(first, last + 1, _BLOCK):
         n = np.arange(lo - 1, min(lo + _BLOCK, last + 1))
-        kmins = np.stack([_kmin(cfg, n, log_F) for log_F in log_Fs], axis=1)
-        rises = kmins[1:] > kmins[:-1]
-        for event, row, rise in zip(n[1:].tolist(), kmins[1:].tolist(),
-                                    rises.tolist()):
-            if k.size == 0:
-                return k, path_hi, alive
-            k += _draws(cfg.key, path_hi, event, scratch) < cfg.threshold
-            for r in range(1, len(rise)):
-                if rise[r]:  # below rank r's threshold: alive under < r
-                    np.minimum(alive, r, out=alive, where=k < row[r])
-            if rise[0]:
-                keep = k >= row[0]
-                k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
-                if alive is not None:
-                    alive = alive[keep]
+        kmins = np.stack([_kmin(cfg, n, log_F) for log_F in log_Fs])
+        rises = kmins[:, 1:] > kmins[:, :-1]
+        i = 0  # events n[1..i] are walked
+        while i < n.size - 1 and k.size:
+            b = min(n.size - 1 - i, max(1, _BUDGET // k.size))
+            k, path_hi, alive = _advance(
+                cfg, n[i + 1:i + b + 1], kmins[:, i + 1:i + b + 1],
+                rises[:, i:i + b], k, path_hi, alive, scratch)
+            i += b
+    return k, path_hi, alive
+
+
+def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
+             rises: np.ndarray, k: np.ndarray, path_hi: np.ndarray,
+             alive: np.ndarray | None, scratch: np.ndarray):
+    """Advance the paths through one block of b events.
+
+    ``kmins[r]`` holds rank r's threshold at each event of the block, and
+    ``rises[r]`` whether it rises there from the event before.  A path
+    fails rank r if k + c_j < kmin_r(j) at some block event j, c_j being
+    its larger branches in the block up to j.  A path alive under rank r
+    met kmin_r before the block and k never falls, so an event at which
+    kmin_r does not rise fails no such path.
+    """
+    b = events.size
+    z = _draws(cfg.key, path_hi, events, scratch)
+    if b == 1:  # one event: a single compare per rank, on the new k
+        k += z[0] < cfg.threshold
+    else:
+        # the hash's second row is free: two int16 blocks of prefix counts
+        c, spare = scratch[1].view(np.int16)[:2 * z.size].reshape(2, *z.shape)
+        np.less(z, cfg.threshold, out=c)
+        step = 1
+        while step < b:  # log-step scan: c[j] becomes the sum of rows 0..j
+            np.add(c[step:], c[:-step], out=spare[step:])
+            spare[:step] = c[:step]
+            c, spare = spare, c
+            step *= 2
+
+    def fails(r: int) -> np.ndarray | None:
+        if not rises[r].any():
+            return None
+        if b == 1:
+            return k < kmins[r, 0]
+        top = kmins[r].max()
+        # k fails iff k + min_j (c_j - (kmin_j - top)) < top.  c_j <= b, so
+        # a row with kmin_j < top - b never sets the minimum, and clipping
+        # its slack at -(b + 1) keeps every slack in int16 exactly.
+        slack = np.maximum(kmins[r] - top, -(b + 1)).astype(np.int16)
+        low = np.subtract(c, slack[:, None], out=spare).min(axis=0)
+        return k + low < top
+
+    for r in range(1, len(kmins)):  # below rank r: alive under < r
+        if (fail := fails(r)) is not None:
+            np.minimum(alive, r, out=alive, where=fail)
+    drop = fails(0)
+    if b > 1:
+        k += c[-1]
+    if drop is not None:
+        keep = ~drop
+        k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
+        if alive is not None:
+            alive = alive[keep]
     return k, path_hi, alive
 
 
@@ -316,7 +382,7 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> list[_ChunkStats]:
     """One chunk's statistics per split.  Stage one is walked once, then
     stage two once for every split together: each path carries the number
     of splits it survives, and each split reads its own survivors off it."""
-    scratch = np.empty((2, size), dtype=np.uint64)
+    scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
     k, path_hi, _ = _walk(
         cfg, (0.0,), np.zeros(size, dtype=np.int64),
         np.arange(start, start + size, dtype=np.uint64) << _U(32), None,

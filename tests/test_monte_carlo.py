@@ -265,6 +265,117 @@ def test_hash_stream_is_pinned():
         assert monte_carlo._draws(key, paths, event, scratch).tolist() == values
 
 
+def test_hash_of_an_event_block_stacks_the_single_events():
+    key = monte_carlo._key_from_seed(7)
+    paths = np.array([0, 1, 65535, 65536, 2 ** 31 - 1],
+                     dtype=np.uint64) << np.uint64(32)
+    events = np.array([1, 2, 400, 3600, 2 ** 32 - 1])
+    want = np.stack([monte_carlo._draws(key, paths, int(e)) for e in events])
+    scratch = np.empty((2, 64), dtype=np.uint64)
+    assert np.array_equal(monte_carlo._draws(key, paths, events), want)
+    assert np.array_equal(monte_carlo._draws(key, paths, events, scratch), want)
+
+
+class TestBlockWalk:
+    """``_walk`` hashes and tests a block of events per numpy pass.  It must
+    keep exactly the paths, k and outcome counts of a plain walk that draws,
+    tests and compacts one event at a time."""
+
+    @staticmethod
+    def reference_walk(cfg, log_Fs, k, path_hi, alive, first, last):
+        for event in range(first, last + 1):
+            draws = monte_carlo._draws(cfg.key, path_hi, event)
+            k = k + (draws < cfg.threshold)
+            for r, log_F in enumerate(log_Fs):
+                below = k < monte_carlo._kmin(cfg, np.array([event]), log_F)
+                if r == 0:
+                    keep = ~below
+                else:
+                    alive = np.where(below, np.minimum(alive, r), alive)
+            k, path_hi = k[keep], path_hi[keep]
+            if alive is not None:
+                alive = alive[keep]
+        return k, path_hi, alive
+
+    @classmethod
+    def assert_walks_agree(cls, spec, log_Fs, k, first):
+        cfg = monte_carlo._config_for(spec, seed=5)
+        path_hi = np.arange(k.size, dtype=np.uint64) << np.uint64(32)
+        alive = None
+        if len(log_Fs) > 1:  # the outcomes whose threshold k meets
+            before = np.array([first - 1])
+            alive = sum(k >= monte_carlo._kmin(cfg, before, log_F)
+                        for log_F in log_Fs).astype(np.int64)
+        scratch = np.empty((2, max(monte_carlo._BUDGET, k.size)),
+                           dtype=np.uint64)
+        last = first + spec.n_events - 1
+        got = monte_carlo._walk(cfg, log_Fs, k.copy(), path_hi,
+                                None if alive is None else alive.copy(),
+                                first, last, scratch)
+        want = cls.reference_walk(cfg, log_Fs, k, path_hi, alive, first, last)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.tolist() == w.tolist()
+        return want
+
+    @pytest.mark.parametrize("p,eps,n_events,log_Fs,n_paths,tilt", [
+        # one event per block while 2^16 paths are alive, growing as they die
+        (0.55, 0.2, 300, (0.0,), 1 << 16, "measure"),
+        # 256-event blocks across three windows; three outcomes, one F twice
+        (0.6, 1.5, 600, (-0.2, -0.5, -0.5), 200, "measure"),
+        # 65-event blocks, cut short at each window's end
+        (0.7, 1.0, 700, (0.0, -0.4), 1000, "measure"),
+        (0.6, 0.3, 1, (0.0,), 500, "none"),
+        (0.6, math.inf, 300, (0.0, -2.0), 300, "none"),
+        # p = 1/2, all lineages one log-size: with ln F just above -eps the
+        # second outcome's float test fails from event 369 on
+        (0.5, 0.3, 600, (0.0, -0.3 + 1.6e-14), 300, "none"),
+    ])
+    def test_walk_equals_the_per_event_walk(self, p, eps, n_events, log_Fs,
+                                            n_paths, tilt):
+        spec = WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n_events,
+                        tilt=tilt)
+        k, _, alive = self.assert_walks_agree(
+            spec, log_Fs, np.zeros(n_paths, dtype=np.int64), 1)
+        if len(log_Fs) > 1 and math.isfinite(eps):
+            assert (alive < len(log_Fs)).any()  # some outcome absorbed a path
+
+    def test_thresholds_far_apart_within_a_block(self, monkeypatch):
+        """Within a block, thresholds more than 2^15 apart: the slack of the
+        lower ones is clipped, not wrapped, in int16."""
+        def spiky_kmin(cfg, n, log_F):
+            return (np.where(n % 37 == 0, n - 5_000, (n - 40_000) // 10)
+                    + round(-1000 * log_F))
+
+        monkeypatch.setattr(monte_carlo, "_kmin", spiky_kmin)
+        spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=600)
+        k = np.random.default_rng(0).integers(34_000, 36_000, size=200)
+        k, _, alive = self.assert_walks_agree(spec, (0.0, -0.5), k, 40_001)
+        assert 0 < k.size < 200 and (alive == 1).any()
+
+
+def test_hash_stays_within_the_budget(monkeypatch):
+    """The scratch rows hold max(_BUDGET, chunk size) uint64: the hash of a
+    block never runs on more than that, and small walks use whole blocks."""
+    sizes = []
+    mix64 = monte_carlo._mix64
+
+    def recording_mix64(z, tmp):
+        sizes.append(z.size)
+        mix64(z, tmp)
+
+    monkeypatch.setattr(monte_carlo, "_mix64", recording_mix64)
+    spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
+                    tilt="measure")
+    born_two_stage_mc_counts(spec, [(0.2, 1.0), (0.5, 1.6)], 800,
+                             monte_carlo.CHUNK + 100, seed=3, workers=1)
+    assert max(sizes) <= max(monte_carlo._BUDGET, monte_carlo.CHUNK)
+    sizes.clear()
+    simulate_survivors(spec, 100, seed=3, workers=1)
+    assert 100 < max(sizes) <= monte_carlo._BUDGET
+
+
 class TestLatticeThreshold:
     """The walker keeps a path at event n while its larger-branch count k is
     at least kmin(n).  That must be exactly the lattice dynamic program's
