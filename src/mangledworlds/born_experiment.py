@@ -108,15 +108,6 @@ def _shares(log_lambdas: list[float]) -> list[float]:
     return [w / total for w in weights]
 
 
-def _analytic_lambdas(outcomes, diff, t1, t2) -> list[float]:
-    return [analytic.lambda_count(o.F, o.G, t1, t2, diff) for o in outcomes]
-
-
-def _pde_lambdas(outcomes, diff, t1, t2, grid) -> list[float]:
-    return pde_solver.born_two_stage_counts(
-        diff, grid, t1, [(o.F, o.G) for o in outcomes], t2)
-
-
 def _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed, workers,
                 tilt) -> list[float]:
     n1 = dp.r * t1
@@ -162,32 +153,32 @@ def deviation_table(outcomes: list[BornOutcomeSpec], dp: DecoherenceParams,
 
     rows: list[OutcomeRow] = []
     for engine in engines:
+        status = "ok"
         try:
             if engine == "analytic":
-                lams = _analytic_lambdas(outcomes, diff, t1, t2)
+                lams = [analytic.lambda_count(o.F, o.G, t1, t2, diff)
+                        for o in outcomes]
             elif engine == "pde":
                 if grid is None:
                     max_l = max(-math.log(o.F) for o in outcomes)
                     grid = pde_solver.suggested_grid(diff, t1 + t2, max_abs_log_F=max_l)
-                lams = _pde_lambdas(outcomes, diff, t1, t2, grid)
+                lams = pde_solver.born_two_stage_counts(
+                    diff, grid, t1, [(o.F, o.G) for o in outcomes], t2)
             else:
                 lams = _mc_lambdas(outcomes, dp, eps, t1, t2, n_paths, seed,
                                    workers, tilt)
             shares = _shares(lams)
-            for o, lam, share, g in zip(outcomes, lams, shares, gammas):
-                rows.append(OutcomeRow(
-                    engine=engine, label=o.label, F=o.F, G=o.G,
-                    born_probability=o.born_probability,
-                    log10_lambda=lam / math.log(10.0), share=share,
-                    share_over_born=share / o.born_probability,
-                    gamma_analytic=g))
         except Exception as exc:  # partial results stay useful
-            for o, g in zip(outcomes, gammas):
-                rows.append(OutcomeRow(
-                    engine=engine, label=o.label, F=o.F, G=o.G,
-                    born_probability=o.born_probability,
-                    log10_lambda=None, share=None, share_over_born=None,
-                    gamma_analytic=g, status=f"error: {exc}"))
+            lams = shares = [None] * len(outcomes)
+            status = f"error: {exc}"
+        for o, lam, share, g in zip(outcomes, lams, shares, gammas):
+            rows.append(OutcomeRow(
+                engine=engine, label=o.label, F=o.F, G=o.G,
+                born_probability=o.born_probability,
+                log10_lambda=None if lam is None else lam / math.log(10.0),
+                share=share,
+                share_over_born=None if share is None else share / o.born_probability,
+                gamma_analytic=g, status=status))
 
     metadata = {
         "p": dp.p, "r": dp.r, "eps": eps, "t1": t1, "t2": t2,

@@ -126,6 +126,12 @@ DEFAULTS = {
 }
 
 
+def _kind(sub: str, key: str) -> type:
+    """The type of a config key, for its flag and its config-file value: its
+    default's, and int for the seed, whose default is None."""
+    return int if key == "seed" else type(DEFAULTS[sub][key])
+
+
 def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
     resolved = dict(DEFAULTS[sub])
     if args.config:
@@ -147,9 +153,9 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
         if flag is not None:
             resolved[key] = flag
     for key, value in resolved.items():
-        # the commands convert each number with its default's type, so an
-        # integer key must hold an integral value; an unset seed stays None
-        kind = int if key == "seed" else type(DEFAULTS[sub][key])
+        # the commands convert each number to its key's type, so an integer
+        # key must hold an integral value; an unset seed stays None
+        kind = _kind(sub, key)
         if kind not in (int, float) or (key == "seed" and value is None):
             continue
         try:
@@ -479,14 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--name", help=f"run name (default {sub!r})")
         sp.add_argument("--workers", type=int,
                         help="walker processes (default: one per usable CPU)")
-        for key, value in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(value, int):
-                sp.add_argument(flag, dest=key, type=int)
-            elif isinstance(value, float):
-                sp.add_argument(flag, dest=key, type=float)
-            else:
-                sp.add_argument(flag, dest=key, type=str)
+        for key in defaults:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=_kind(sub, key))
     return parser
 
 

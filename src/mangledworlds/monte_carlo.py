@@ -28,6 +28,10 @@ the weights are formed only for the final survivors.  k never falls, so an
 event at which kmin does not rise absorbs nothing, and a block of such
 events is not tested.
 
+Exact count: the lattice collapses the 2^N tree to n + 1 integer leaf
+counts, so :func:`enumerate_survivors`, the walker's ground truth, counts
+exactly in O(N^2) with the walker's own kmin(n) and judges ties alike.
+
 Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, event index), so a path's
 randomness is a pure function of its index.  A branch is taken by
@@ -215,7 +219,7 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class ExactCount:
-    """Result of brute-force tree enumeration."""
+    """Exact survivor count and surviving measure of the full tree."""
 
     count: int
     measure: float
@@ -250,6 +254,7 @@ class _RunConfig:
     b_step: float
     eps: float
     n_total: int
+    b_final: float        # boundary after the last event; 0 without one
     n_split: int          # event after which each split is applied
     splits: tuple[tuple[float, float], ...]  # (log_F, log_G) per split
     tilt: str
@@ -413,26 +418,22 @@ def _survivor_stats(cfg: _RunConfig, k: np.ndarray, size: int,
         return stats
 
     x = k * cfg.log_big + (cfg.n_total - k) * cfg.log_small + log_F
-    b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
-    if cfg.tilt == "none":
-        log_w = cfg.n_total * _LN2 + log_G
-        stats.log_sum_w = math.log(x.size) + log_w
-        stats.log_sum_w2 = math.log(x.size) + 2.0 * log_w
-        if cfg.hist_edges is not None:
-            y = x - b_final
-            stats.hist, _ = np.histogram(y, bins=cfg.hist_edges)
-            stats.hist = stats.hist.astype(float)
-    else:
+    uniform = cfg.tilt == "none"
+    if uniform:  # every survivor weighs 2^N G
+        log_w = np.full(k.size, cfg.n_total * _LN2 + log_G)
+    else:  # the product of 1/q over the chosen branches, times G
         log_w = log_G + log_F - x
-        m = float(log_w.max())
-        stats.log_sum_w = m + math.log(float(np.exp(log_w - m).sum()))
-        stats.log_sum_w2 = 2.0 * m + math.log(float(np.exp(2.0 * (log_w - m)).sum()))
-        if cfg.hist_edges is not None:
-            y = x - b_final
-            # e^{-y} is the bounded part of the weight; the shared factor
-            # e^{log_G + log_F - b_final} rides in the histogram log_offset
-            stats.hist, _ = np.histogram(y, bins=cfg.hist_edges,
-                                         weights=np.exp(-y))
+    m = float(log_w.max())
+    stats.log_sum_w = m + math.log(float(np.exp(log_w - m).sum()))
+    stats.log_sum_w2 = 2.0 * m + math.log(float(np.exp(2.0 * (log_w - m)).sum()))
+    if cfg.hist_edges is not None:
+        y = x - cfg.b_final
+        # under the measure tilt e^{-y} is the bounded part of the weight;
+        # the shared factor e^{log_G + log_F - b_final} rides in the
+        # histogram log_offset
+        hist, _ = np.histogram(y, bins=cfg.hist_edges,
+                               weights=None if uniform else np.exp(-y))
+        stats.hist = hist.astype(float)
     return stats
 
 
@@ -489,13 +490,15 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
     p = spec.dp.p
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
+    b_step = spec.boundary_step()
     if n_total > 0xFFFFFFFF:
         raise DomainError("event index must fit in 32 bits of the draw counter")
     return _RunConfig(
         log_big=math.log(big), log_small=math.log(small),
         threshold=_branch_threshold(0.5 if spec.tilt == "none" else big),
-        b_step=spec.boundary_step(), eps=spec.eps,
-        n_total=n_total, n_split=spec.n_events, splits=splits, tilt=spec.tilt,
+        b_step=b_step, eps=spec.eps, n_total=n_total,
+        b_final=n_total * b_step - spec.eps if math.isfinite(spec.eps) else 0.0,
+        n_split=spec.n_events, splits=splits, tilt=spec.tilt,
         key=_key_from_seed(seed), hist_edges=hist_edges)
 
 
@@ -521,24 +524,23 @@ def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
-    """Walk the full 2^N tree with absorption applied at every event; exact
-    survivor count and surviving measure.  Refuses N > 24."""
-    if spec.n_events > 24:
-        raise DomainError(f"enumeration is limited to N <= 24 (2^N leaves), "
-                          f"got N = {spec.n_events}")
-    p = spec.dp.p
-    log_p = math.log(max(p, 1.0 - p))
-    log_q = math.log(min(p, 1.0 - p))
-    b_step = spec.boundary_step()
-    x = np.zeros(1)
-    for n in range(1, spec.n_events + 1):
-        x = np.concatenate([x + log_p, x + log_q])
-        if math.isfinite(spec.eps):
-            x = x[x > n * b_step - spec.eps]
-        if x.size == 0:
-            break
-    return ExactCount(count=int(x.size), measure=float(np.exp(x).sum()),
-                      n_events=spec.n_events)
+    """Exact survivor count and surviving measure of the full 2^N tree, on
+    the k-lattice: event n shifts the leaf count of each k up one k and
+    zeroes those below kmin(n).  The counts are Python integers."""
+    cfg = _config_for(spec)
+    n_events = spec.n_events
+    kmin = _kmin(cfg, np.arange(n_events + 1), 0.0)
+    counts = np.zeros(n_events + 1, dtype=object)
+    counts[0] = 1
+    for n in range(1, n_events + 1):
+        counts[1:n + 1] = counts[1:n + 1] + counts[:n]
+        counts[:kmin[n]] = 0
+    k = np.arange(n_events + 1)
+    x = k * cfg.log_big + (n_events - k) * cfg.log_small
+    measure = math.fsum(math.exp(math.log(c) + x_k)
+                        for c, x_k in zip(counts, x.tolist()) if c)
+    return ExactCount(count=int(counts.sum()), measure=measure,
+                      n_events=n_events)
 
 
 def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
@@ -563,12 +565,8 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
         edges = np.asarray(bins, dtype=float)
     cfg = _config_for(spec, seed=seed, hist_edges=edges)
     s = _simulate(cfg, n_paths, workers)[0]
-    if spec.tilt == "none":
-        log_offset = spec.n_events * _LN2 - math.log(n_paths)
-    else:
-        b_final = (spec.n_events * cfg.b_step - spec.eps
-                   if math.isfinite(spec.eps) else 0.0)
-        log_offset = -b_final - math.log(n_paths)
+    log_offset = ((spec.n_events * _LN2 if spec.tilt == "none" else -cfg.b_final)
+                  - math.log(n_paths))
     return _result(SurvivorHistogram, s, seed, edges=edges, weights=s.hist,
                    log_offset=log_offset)
 

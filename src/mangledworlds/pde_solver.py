@@ -153,40 +153,6 @@ def init_delta(grid: Grid, eps: float) -> Field:
 # spatial operator and its eigenbasis
 # ---------------------------------------------------------------------------
 
-def _operator_bands(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sub, diag, super) of the spatial operator over unknown nodes 1..n.
-
-    Node 0 is the absorbing Dirichlet value (always 0, eliminated); at node n
-    the zero-gradient ghost folds the super coefficient back onto sub, which
-    also cancels the advective term there.
-    """
-    n, h = grid.n_cells, grid.h
-    diff, adv = 0.5 * w / (h * h), 0.5 * w / h
-    sub = np.full(n, diff - adv)
-    diag = np.full(n, -2.0 * diff)
-    sup = np.full(n, diff + adv)
-    sub[-1] = 2.0 * diff
-    sup[-1] = 0.0
-    return sub, diag, sup
-
-
-def _symmetrized(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal) of S = D L D^-1, and ln d per unknown node."""
-    sub, diag, sup = _operator_bands(grid, w)
-    coupling = sub[1:] * sup[:-1]
-    if not (coupling > 0.0).all():
-        raise DomainError(
-            f"{grid} has cell Peclet number h = {grid.h:.6g}; the grid operator "
-            "is symmetrizable only for h < 1: refine the grid")
-    log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sup[:-1] / sub[1:]))))
-    span = float(log_d.max() - log_d.min())
-    if not span < _LOG_SCALE_MAX:
-        raise DomainError(
-            f"{grid}: the symmetrizing scale D ~ e^y spans e^{span:.1f}, beyond "
-            f"the float exponent range (e^{_LOG_SCALE_MAX:.1f}); reduce y_max")
-    return diag, np.sqrt(coupling), log_d
-
-
 def _bisect(f, lo, hi):
     """Roots of f, rising through 0 between lo and hi (never evaluated there)."""
     for _ in range(64):
@@ -196,16 +162,12 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def _modes(grid: Grid, w: float, k: int, diag, off) -> tuple[np.ndarray, np.ndarray]:
-    """The k largest eigenvalues (ascending) of S = tridiag(off, diag, off) and
-    their orthonormal eigenvectors (n x k), in closed form; see the docstring."""
+def _modes(grid: Grid, k: int, diff: float, adv: float, b: float,
+           c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues (ascending) of S = tridiag((b..b, c),
+    -2 diff, (b..b, c)) and their orthonormal eigenvectors (n x k), in closed
+    form; see the docstring."""
     n, h = grid.n_cells, grid.h
-    diff, adv = 0.5 * w / (h * h), 0.5 * w / h
-    b, c = math.sqrt((diff - adv) * (diff + adv)), math.sqrt(2.0 * diff * (diff + adv))
-    want = np.concatenate((np.full(n, -2.0 * diff), np.full(n - 2, b), [c]))
-    if not np.allclose(np.concatenate((diag, off)), want, rtol=1e-14, atol=0.0):
-        raise NumericalError(f"{grid}: the operator bands are not (-2 diff; b..b, c), "
-                             "so the closed-form eigenbasis does not describe them")
     i = np.arange(1.0, n + 1.0)
     alt = (-1.0) ** (i + 1.0)
     lam, blocks = np.empty(k), np.empty((n // 64 + 1, 64, k))
@@ -248,9 +210,28 @@ class _Basis:
     """The k slowest eigenpairs of S = D L D^-1 (n x k), D and the step factors."""
 
     def __init__(self, grid: Grid, w: float, k: int):
-        self.diag, self.off, log_d = _symmetrized(grid, w)
+        # L's stencil over nodes 1..n is (diff - adv, -2 diff, diff + adv),
+        # node 0 being the absorbing zero; at node n the zero-gradient ghost
+        # folds super onto sub (2 diff).  S's bands and D follow from it.
+        n, h = grid.n_cells, grid.h
+        diff, adv = 0.5 * w / (h * h), 0.5 * w / h
+        if not diff > adv:
+            raise DomainError(
+                f"{grid} has cell Peclet number h = {h:.6g}; the grid operator "
+                "is symmetrizable only for h < 1: refine the grid")
+        b, c = math.sqrt((diff - adv) * (diff + adv)), math.sqrt(2.0 * diff * (diff + adv))
+        self.diag = np.full(n, -2.0 * diff)
+        self.off = np.append(np.full(n - 2, b), c)
+        ratio = np.append(np.full(n - 2, (diff + adv) / (diff - adv)),
+                          (diff + adv) / (2.0 * diff))
+        log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(ratio))))
+        span = float(log_d.max() - log_d.min())
+        if not span < _LOG_SCALE_MAX:
+            raise DomainError(
+                f"{grid}: the symmetrizing scale D ~ e^y spans e^{span:.1f}, beyond "
+                f"the float exponent range (e^{_LOG_SCALE_MAX:.1f}); reduce y_max")
         # every lam <= 0, so each 1 - dt lam/2 >= 1 and no step is singular
-        self.lam, self.q = _modes(grid, w, k, self.diag, self.off)
+        self.lam, self.q = _modes(grid, k, diff, adv, b, c)
         self.k = k
         self.complete = k == grid.n_cells
         self.dt = grid.dt

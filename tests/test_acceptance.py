@@ -158,7 +158,7 @@ def test_c06c_two_stage_gamma():
            f"two-stage gamma vs erfc form: {detail} (tolerance 0.03)")
 
 
-# -- 7: walker vs exact enumeration ------------------------------------------
+# -- 7: walker vs the exact lattice count ------------------------------------
 
 def test_c07a_enumeration_suite():
     worst = 0.0

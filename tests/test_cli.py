@@ -131,14 +131,14 @@ GOLDEN_SHA256 = {
     "analytic/mu1.csv": "676a0113a823d5ba71943e9369251211e79288bd8299e6b96f719db4a88588e8",
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
-    "born/config.json": "a4ccfb6b4a78648fa00a9e5a871583b806bcf62ed070b8ecc1e7dde9caedeb33",
+    "born/config.json": "276f7f771032aaabfb975504e2286d2727d79c2fe0311f8592b4adb0dea0eaa4",
     "born/deviation.csv": "f1af845b85b8acd8cd75706a7a597e723bf75ad58fcc20b705d944d51ac902dc",
     "born/deviation.json": "70e464e1660187ff76d7b5d59cfeaf9f11d626948f263ffcfa33ff6ebf53cac3",
     "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
-    "mc/config.json": "ae37816f73595832bd2314a09f79df5b01daa48cc8c40f1dab406e085957c3d7",
+    "mc/config.json": "6b57f115b6b96fb4b35f83fcb037e36f135ed937717165d65379ec1236d8adcf",
     "mc/estimates.json": "fae03145d1d028fb7b633492fbc5689397d2ab1e81aaaee36e73364afde16da4",
     "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
     "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
@@ -265,6 +265,17 @@ class TestDeterminismAndRoundTrip:
         assert run(["analytic", "--out", str(tmp_path), "--name", "second",
                     "--config", str(cfg)]) == 0
         for name in ("mu0.csv", "mu1.csv", "w.csv", "born.csv"):
+            assert _read(tmp_path / "first" / name) == _read(tmp_path / "second" / name)
+
+    def test_mc_config_round_trip_keeps_an_integer_seed(self, tmp_path):
+        assert run(["mc", "--out", str(tmp_path), "--name", "first", "--seed", "7",
+                    "--n-events", "40", "--n-paths", "4096"]) == 0
+        cfg = tmp_path / "first" / "config.json"
+        seed = json.loads(cfg.read_text())["seed"]
+        assert seed == 7 and type(seed) is int
+        assert run(["mc", "--out", str(tmp_path), "--name", "second",
+                    "--config", str(cfg)]) == 0
+        for name in ("histogram.csv", "estimates.json"):
             assert _read(tmp_path / "first" / name) == _read(tmp_path / "second" / name)
 
     def test_env_output_root(self, tmp_path, monkeypatch):

@@ -1,9 +1,12 @@
-"""Walker against exact tree enumeration, estimator cross-agreement,
+"""Walker against the exact count, estimator cross-agreement,
 determinism, and the surviving-shape comparison.
 
-The designated small-instance ground truth is :func:`enumerate_survivors`
-(full 2^N tree with absorption at every event).  The N = 12 fixture below
-was computed once by that enumeration and frozen as a regression anchor.
+The designated ground truth is :func:`enumerate_survivors`, the exact
+count of the full 2^N tree with absorption at every event, taken on the
+k-lattice with the walker's own thresholds.  It is checked here against a
+brute-force walk over all 2^N leaves (N <= 20) and against a float,
+renormalized lattice count (N = 400, 3600).  The N = 12 fixture below was
+computed once by a 2^N enumeration and frozen as a regression anchor.
 """
 
 import math
@@ -20,6 +23,14 @@ from mangledworlds.monte_carlo import (TILTS, ExactCount, WalkSpec,
                                        born_two_stage_mc_counts,
                                        default_tilt, empirical_distribution,
                                        enumerate_survivors, simulate_survivors)
+
+
+def tie_eps(p: float, n_tie: int, k_tie: int) -> float:
+    """eps that puts the boundary at event n_tie on the lattice site of
+    k_tie larger-branch steps."""
+    log_big, log_small = math.log(max(p, 1.0 - p)), math.log(min(p, 1.0 - p))
+    return (n_tie * binary_event_stats(p)[0]
+            - (k_tie * log_big + (n_tie - k_tie) * log_small))
 
 
 def z_score(a, b) -> float:
@@ -93,10 +104,43 @@ class TestAgainstEnumeration:
         assert got == ExactCount(count=889, measure=pytest.approx(
             0.4287544565760002, rel=1e-12), n_events=12)
 
-    def test_enumeration_refuses_large_trees(self):
-        with pytest.raises(DomainError):
-            enumerate_survivors(WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3,
-                                         n_events=25))
+    def test_count_at_a_lattice_tie(self):
+        # the boundary at event 6 sits on the site k = 1: the float test
+        # k ln p + (n - k) ln q > n xhat1 - eps absorbs the lineages on it,
+        # as the walker's threshold does; a sum of x event by event keeps
+        # two of them (59)
+        spec = WalkSpec(dp=DecoherenceParams(p=0.51), eps=tie_eps(0.51, 6, 1),
+                        n_events=6)
+        assert spec.eps == 0.0824109893042202
+        assert enumerate_survivors(spec).count == 57
+
+    @pytest.mark.parametrize("n", [400, 3600])
+    def test_count_at_production_size(self, n):
+        # a float k-lattice count, renormalized each event, with the float
+        # test in closed form; the exact count is a Python integer
+        p, eps = 0.55, 0.2
+        log_big, log_small = math.log(p), math.log(1.0 - p)
+        b_step = binary_event_stats(p)[0]
+        k = np.arange(n + 1)
+        counts = np.zeros(n + 1)
+        counts[0] = 1.0
+        log_scale = 0.0
+        for event in range(1, n + 1):
+            counts[1:] += counts[:-1].copy()
+            counts[k * log_big + (event - k) * log_small
+                   <= event * b_step - eps] = 0.0
+            total = counts.sum()
+            counts /= total
+            log_scale += math.log(total)
+        # e^x underflows at N = 3600: sum count e^x in the log
+        alive = counts > 0.0
+        terms = np.log(counts[alive]) + k[alive] * log_big + (n - k[alive]) * log_small
+        top = float(terms.max())
+        log_measure = log_scale + top + math.log(float(np.exp(terms - top).sum()))
+        got = enumerate_survivors(
+            WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n))
+        assert abs(math.log(got.count) - log_scale) <= 1e-10
+        assert abs(math.log(got.measure) - log_measure) <= 1e-10
 
     @pytest.mark.parametrize("p,eps,n,tilt", [
         (0.55, 0.2, 8, "none"),
@@ -412,16 +456,33 @@ class TestLatticeThreshold:
     def test_threshold_at_a_lattice_tie(self, p, n_tie, k_tie):
         # eps puts the boundary on a lattice site, where the real-arithmetic
         # root is off by one from the float test
+        self.assert_threshold_is_the_programs_test(
+            p, tie_eps(p, n_tie, k_tie), n_tie, (0.0,))
+
+    @staticmethod
+    def brute_force_count(p, eps, n):
+        """Survivors among all 2^n leaves, each judged at every event by the
+        float test in closed form; leaf bit j - 1 is its branch at event j."""
         log_big, log_small = math.log(max(p, 1.0 - p)), math.log(min(p, 1.0 - p))
-        eps = (n_tie * binary_event_stats(p)[0]
-               - (k_tie * log_big + (n_tie - k_tie) * log_small))
-        self.assert_threshold_is_the_programs_test(p, eps, n_tie, (0.0,))
+        b_step = binary_event_stats(p)[0]
+        leaves = np.arange(1 << n)
+        k = np.zeros(leaves.size, dtype=np.int64)
+        alive = np.ones(leaves.size, dtype=bool)
+        for event in range(1, n + 1):
+            k += (leaves >> (event - 1)) & 1
+            alive &= k * log_big + (event - k) * log_small > event * b_step - eps
+        return int(alive.sum())
 
     @pytest.mark.parametrize("p,eps,n", [
         (0.6, 0.3, 12), (0.55, 0.2, 20), (0.7, 0.5, 18), (0.7, 1.0, 14),
         (0.9, 0.5, 20), (0.6, 1e-9, 6), (0.5, 0.3, 16), (0.6, math.inf, 10),
+        # the boundary on a lattice site at an early event, where a sum of x
+        # event by event misjudges the lineages on it
+        (0.51, tie_eps(0.51, 6, 1), 6), (0.51, tie_eps(0.51, 6, 1), 16),
+        (0.55, tie_eps(0.55, 5, 1), 14), (0.6, tie_eps(0.6, 3, 0), 14),
+        (0.7, tie_eps(0.7, 4, 0), 14), (0.9, tie_eps(0.9, 2, 0), 14),
     ])
-    def test_walkers_thresholds_count_the_enumerated_tree(self, p, eps, n):
+    def test_walkers_thresholds_count_the_brute_force_tree(self, p, eps, n):
         spec = WalkSpec(dp=DecoherenceParams(p=p), eps=eps, n_events=n)
         kmin = monte_carlo._kmin(monte_carlo._config_for(spec),
                                  np.arange(n + 1), 0.0)
@@ -430,7 +491,9 @@ class TestLatticeThreshold:
         for event in range(1, n + 1):
             counts[1:] += counts[:-1].copy()  # k grows on a larger branch
             counts[:kmin[event]] = 0
-        assert int(counts.sum()) == enumerate_survivors(spec).count
+        want = self.brute_force_count(p, eps, n)
+        assert int(counts.sum()) == want
+        assert enumerate_survivors(spec).count == want
 
 
 def _lattice_edges(p: float, eps: float, n_events: int, sites_per_bin: int,

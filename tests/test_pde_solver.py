@@ -36,6 +36,19 @@ def exact_nu_mass(eps: float, s: float) -> float:
     return _phi((eps - s) / rt) - math.exp(2.0 * eps) * _phi(-(eps + s) / rt)
 
 
+def raw_stencil(grid: Grid, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, super) of the operator w d/dy + (w/2) d^2/dy^2 in central
+    differences over the unknown nodes 1..n.  Node 0 is the absorbing zero;
+    at node n the zero-gradient ghost node folds super onto sub."""
+    n, h = grid.n_cells, grid.h
+    diff, adv = 0.5 * w / (h * h), 0.5 * w / h
+    sub = np.full(n, diff - adv)
+    diag = np.full(n, -2.0 * diff)
+    sup = np.full(n, diff + adv)
+    sub[-1], sup[-1] = 2.0 * diff, 0.0
+    return sub, diag, sup
+
+
 def exact_log_count(dp: DiffusionParams, t: float) -> float:
     return math.log(exact_nu_mass(dp.eps, dp.w * t)) + (dp.v - 0.5 * dp.w) * t
 
@@ -170,7 +183,7 @@ class TestFactoredStepper:
     def _banded_reference(grid, w, T):
         """Values and far-edge inflow of a solve to T, stepped here with
         ``solve_banded``: Rannacher start, clip, then a remainder step."""
-        sub, diag, sup = pde_solver._operator_bands(grid, w)
+        sub, diag, sup = raw_stencil(grid, w)
 
         def advance(u, dt, smooth):
             ab = np.zeros((3, grid.n_cells))
@@ -216,17 +229,6 @@ class TestFactoredStepper:
         assert f.far_inflow == pytest.approx(far_inflow, rel=1e-10, abs=1e-20)
         assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
 
-    def test_singular_step_matrix_is_loud(self, monkeypatch):
-        # L = tridiag(1, 4, 1) grows (every eigenvalue lies in (2, 6)), and
-        # at dt = 0.5 the step matrix I - (dt/2) L is singular where lam = 4;
-        # it is no drift-diffusion operator, so the closed-form basis refuses it
-        g = Grid(y_max=10.0, n_cells=64, dt=0.5)
-        n = g.n_cells
-        monkeypatch.setattr(pde_solver, "_operator_bands",
-                            lambda grid, w: (np.ones(n), np.full(n, 4.0), np.ones(n)))
-        with pytest.raises(NumericalError, match=r"not \(-2 diff; b\.\.b, c\)"):
-            solve(DiffusionParams(v=1.0, w=0.5, eps=2.0), g, 1.0)
-
     def test_cell_peclet_number_at_least_one_is_loud(self):
         # h = 2.5: sub = (w/2)(1/h^2 - 1/h) < 0, so no diagonal D symmetrizes L
         g = Grid(y_max=40.0, n_cells=16, dt=0.1)
@@ -241,11 +243,18 @@ class TestFactoredStepper:
 
     @staticmethod
     def _check_against_a_dense_solver(y_max, n_cells, w, k):
-        # the closed-form eigenpairs against scipy's tridiagonal eigensolver;
-        # eigenvalues and residuals in units of the spectral radius 4 diff
+        # the closed-form bands and eigenpairs against the stencil, symmetrized
+        # here, and scipy's tridiagonal eigensolver; eigenvalues and residuals
+        # in units of the spectral radius 4 diff
         grid = Grid(y_max=y_max, n_cells=n_cells, dt=1e-3)
-        diag, off, _ = pde_solver._symmetrized(grid, w)
+        sub, diag, sup = raw_stencil(grid, w)
+        off = np.sqrt(sub[1:] * sup[:-1])
         basis = pde_solver._Basis(grid, w, k)
+        assert np.array_equal(basis.diag, diag)
+        np.testing.assert_allclose(basis.off, off, rtol=1e-15, atol=0.0)
+        step = basis.d[1:] / basis.d[:-1]           # D L D^-1 is symmetric
+        np.testing.assert_allclose(step * sub[1:], off, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sup[:-1] / step, off, rtol=1e-12, atol=0.0)
         lam, q = basis.lam, basis.q
         radius = 2.0 * abs(diag[0])
         want = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
