@@ -36,9 +36,10 @@ Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, event index), so a path's
 randomness is a pure function of its index.  A branch is taken by
 comparing the raw 64-bit hash with an integer threshold, which decides
-exactly as the float uniform (z >> 11) * 2^-53 < p would.  Paths are
-processed in fixed chunks of 2^16 and the per-chunk partials are reduced
-in index order, which makes results bit-identical for any worker count.
+exactly as the float uniform (z >> 11) * 2^-53 < p would.  A chunk of
+2^16 paths returns its survivors per final k as integers, whose sums are
+exact, so every estimate and histogram, formed once from the summed
+counts, is bit-identical for any worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
 alive paths a block of events at a time.  One numpy pass hashes every
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model_params import DecoherenceParams, binary_event_stats, split_params
-from .special_functions import logaddexp, logsubexp
+from .special_functions import logsubexp
 
 _LN2 = math.log(2.0)
 CHUNK = 1 << 16
@@ -259,16 +260,6 @@ class _RunConfig:
     splits: tuple[tuple[float, float], ...]  # (log_F, log_G) per split
     tilt: str
     key: np.uint64
-    hist_edges: np.ndarray | None = None
-
-
-@dataclass
-class _ChunkStats:
-    n_paths: int = 0
-    n_survivors: int = 0
-    log_sum_w: float = -math.inf
-    log_sum_w2: float = -math.inf
-    hist: np.ndarray | None = None
 
 
 _BLOCK = 256  # events whose thresholds are computed together
@@ -383,10 +374,11 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     return k, path_hi, alive
 
 
-def _run_chunk(cfg: _RunConfig, start: int, size: int) -> list[_ChunkStats]:
-    """One chunk's statistics per split.  Stage one is walked once, then
-    stage two once for every split together: each path carries the number
-    of splits it survives, and each split reads its own survivors off it."""
+def _run_chunk(cfg: _RunConfig, start: int, size: int) -> np.ndarray:
+    """One chunk's survivors per split (row) and final k (column), as a
+    (splits, N + 1) integer array.  Stage one is walked once, then stage
+    two once for every split together: each path carries the number of
+    splits it survives, and each split reads its own survivors off it."""
     scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
     k, path_hi, _ = _walk(
         cfg, (0.0,), np.zeros(size, dtype=np.int64),
@@ -402,58 +394,15 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> list[_ChunkStats]:
     k, path_hi, alive = _walk(cfg, log_Fs, k[keep], path_hi[keep],
                               alive[keep] if len(log_Fs) > 1 else None,
                               cfg.n_split + 1, cfg.n_total, scratch)
-    out = [None] * len(order)
+    counts = np.empty((len(order), cfg.n_total + 1), dtype=np.int64)
     for rank, i in enumerate(order):
         survivors = k if alive is None else k[alive > rank]
-        out[i] = _survivor_stats(cfg, survivors, size, *cfg.splits[i])
-    return out
+        counts[i] = np.bincount(survivors, minlength=cfg.n_total + 1)
+    return counts
 
 
-def _survivor_stats(cfg: _RunConfig, k: np.ndarray, size: int,
-                    log_F: float, log_G: float) -> _ChunkStats:
-    stats = _ChunkStats(n_paths=size, n_survivors=int(k.size))
-    if cfg.hist_edges is not None:
-        stats.hist = np.zeros(len(cfg.hist_edges) - 1)
-    if k.size == 0:
-        return stats
-
-    x = k * cfg.log_big + (cfg.n_total - k) * cfg.log_small + log_F
-    uniform = cfg.tilt == "none"
-    if uniform:  # every survivor weighs 2^N G
-        log_w = np.full(k.size, cfg.n_total * _LN2 + log_G)
-    else:  # the product of 1/q over the chosen branches, times G
-        log_w = log_G + log_F - x
-    m = float(log_w.max())
-    stats.log_sum_w = m + math.log(float(np.exp(log_w - m).sum()))
-    stats.log_sum_w2 = 2.0 * m + math.log(float(np.exp(2.0 * (log_w - m)).sum()))
-    if cfg.hist_edges is not None:
-        y = x - cfg.b_final
-        # under the measure tilt e^{-y} is the bounded part of the weight;
-        # the shared factor e^{log_G + log_F - b_final} rides in the
-        # histogram log_offset
-        hist, _ = np.histogram(y, bins=cfg.hist_edges,
-                               weights=None if uniform else np.exp(-y))
-        stats.hist = hist.astype(float)
-    return stats
-
-
-def _combine(chunks: list[_ChunkStats]) -> _ChunkStats:
-    out = _ChunkStats()
-    if chunks and chunks[0].hist is not None:
-        out.hist = np.zeros_like(chunks[0].hist)
-    for c in chunks:  # fixed order: bit-stable for any worker count
-        out.n_paths += c.n_paths
-        out.n_survivors += c.n_survivors
-        out.log_sum_w = logaddexp(out.log_sum_w, c.log_sum_w)
-        out.log_sum_w2 = logaddexp(out.log_sum_w2, c.log_sum_w2)
-        if c.hist is not None:
-            out.hist += c.hist
-    return out
-
-
-def _simulate(cfg: _RunConfig, n_paths: int,
-              workers: int | None) -> list[_ChunkStats]:
-    """Totals per split, reduced over the chunks in index order.
+def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
+    """Survivors per split and final k, summed over the chunks.
 
     Chunks run in up to ``workers`` forked processes (default: the CPUs
     this process may run on), never more than there are chunks.  The pool
@@ -469,22 +418,43 @@ def _simulate(cfg: _RunConfig, n_paths: int,
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(sizes))
     if workers == 1:
-        chunks = list(map(_run_chunk, itertools.repeat(cfg), starts, sizes))
-    else:
-        # fork, not spawn: a spawned worker re-imports the package, which
-        # costs more than a short walk
-        with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            chunks = list(pool.map(_run_chunk, itertools.repeat(cfg),
-                                   starts, sizes))
-    return [_combine(per_split) for per_split in zip(*chunks)]
+        return sum(map(_run_chunk, itertools.repeat(cfg), starts, sizes))
+    # fork, not spawn: a spawned worker re-imports the package, which
+    # costs more than a short walk
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        return sum(pool.map(_run_chunk, itertools.repeat(cfg), starts, sizes))
+
+
+def _log_size(cfg: _RunConfig, k: np.ndarray) -> np.ndarray:
+    """Log-size after the last event of a lineage with k larger-branch
+    steps, before any split's shift."""
+    return k * cfg.log_big + (cfg.n_total - k) * cfg.log_small
+
+
+def _ensemble(cfg: _RunConfig, counts: np.ndarray, log_G: float,
+              n_paths: int, seed: int, cls=PathEnsemble, **extra):
+    """Estimator state of one split from its survivors per final k.  A
+    survivor weighs 2^N G under tilt "none", and G e^{-x_k}, the product of
+    1/q over its branches times G, under tilt "measure"."""
+    k = np.flatnonzero(counts)
+    log_sum_w = log_sum_w2 = -math.inf
+    if k.size:
+        log_w = (np.full(k.size, cfg.n_total * _LN2 + log_G) if cfg.tilt == "none"
+                 else log_G - _log_size(cfg, k))
+        m = float(log_w.max())
+        d = log_w - m
+        log_sum_w = m + math.log(math.fsum(counts[k] * np.exp(d)))
+        log_sum_w2 = 2.0 * m + math.log(math.fsum(counts[k] * np.exp(2.0 * d)))
+    return cls(n_paths=n_paths, survivor_count=int(counts.sum()),
+               log_weight_sum=log_sum_w, log_weight_sq_sum=log_sum_w2,
+               seed=seed, **extra)
 
 
 def _config_for(spec: WalkSpec, *, n2: int = 0,
                 splits: tuple[tuple[float, float], ...] = ((0.0, 0.0),),
-                seed: int = 0,
-                hist_edges: np.ndarray | None = None) -> _RunConfig:
+                seed: int = 0) -> _RunConfig:
     """Config for a walk split after spec.n_events and continued for n2
     more events; a plain run is the identity split (0, 0) with n2 = 0."""
     p = spec.dp.p
@@ -499,13 +469,7 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
         b_step=b_step, eps=spec.eps, n_total=n_total,
         b_final=n_total * b_step - spec.eps if math.isfinite(spec.eps) else 0.0,
         n_split=spec.n_events, splits=splits, tilt=spec.tilt,
-        key=_key_from_seed(seed), hist_edges=hist_edges)
-
-
-def _result(cls, s: _ChunkStats, seed: int, **extra):
-    return cls(n_paths=s.n_paths, survivor_count=s.n_survivors,
-               log_weight_sum=s.log_sum_w, log_weight_sq_sum=s.log_sum_w2,
-               seed=seed, **extra)
+        key=_key_from_seed(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +484,7 @@ def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
     of ``workers``.
     """
     cfg = _config_for(spec, seed=seed)
-    return _result(PathEnsemble, _simulate(cfg, n_paths, workers)[0], seed)
+    return _ensemble(cfg, _simulate(cfg, n_paths, workers)[0], 0.0, n_paths, seed)
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
@@ -535,8 +499,7 @@ def enumerate_survivors(spec: WalkSpec) -> ExactCount:
     for n in range(1, n_events + 1):
         counts[1:n + 1] = counts[1:n + 1] + counts[:n]
         counts[:kmin[n]] = 0
-    k = np.arange(n_events + 1)
-    x = k * cfg.log_big + (n_events - k) * cfg.log_small
+    x = _log_size(cfg, np.arange(n_events + 1))
     measure = math.fsum(math.exp(math.log(c) + x_k)
                         for c, x_k in zip(counts, x.tolist()) if c)
     return ExactCount(count=int(counts.sum()), measure=measure,
@@ -563,12 +526,18 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
         edges = np.linspace(0.0, y_max, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    cfg = _config_for(spec, seed=seed, hist_edges=edges)
-    s = _simulate(cfg, n_paths, workers)[0]
+    cfg = _config_for(spec, seed=seed)
+    counts = _simulate(cfg, n_paths, workers)[0]
+    k = np.flatnonzero(counts)
+    y = _log_size(cfg, k) - cfg.b_final
+    # under the measure tilt e^{-y} is the bounded part of the weight; the
+    # shared factor e^{-b_final} rides in the histogram log_offset
+    weights = counts[k] * (1.0 if spec.tilt == "none" else np.exp(-y))
+    hist, _ = np.histogram(y, bins=edges, weights=weights)
     log_offset = ((spec.n_events * _LN2 if spec.tilt == "none" else -cfg.b_final)
                   - math.log(n_paths))
-    return _result(SurvivorHistogram, s, seed, edges=edges, weights=s.hist,
-                   log_offset=log_offset)
+    return _ensemble(cfg, counts, 0.0, n_paths, seed, SurvivorHistogram,
+                     edges=edges, weights=hist, log_offset=log_offset)
 
 
 def born_two_stage_mc_counts(spec: WalkSpec,
@@ -592,5 +561,5 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     if n2 < 1:
         raise DomainError(f"n2 must be >= 1, got {n2!r}")
     cfg = _config_for(spec, n2=n2, splits=tuple(log_splits), seed=seed)
-    return [_result(PathEnsemble, s, seed)
-            for s in _simulate(cfg, n_paths, workers)]
+    return [_ensemble(cfg, counts, log_G, n_paths, seed)
+            for counts, (_, log_G) in zip(_simulate(cfg, n_paths, workers), cfg.splits)]

@@ -393,20 +393,31 @@ def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool,
     remainder = duration - n_full * dt
     has_remainder = remainder > 1e-9 * max(1.0, dt)
     t_end = field.t + duration
-    times = field.t + dt * np.arange(1, n_full + 1 + has_remainder)
-    if times.size:
-        times[-1] = t_end
-    # 1-based step at which each target fires
-    fire = [1 + int(np.searchsorted(times, _due(s))) for s in targets]
+    n_last = n_full + has_remainder
+
+    def time(j: int) -> float:
+        return t_end if j == n_last else field.t + dt * j
+
+    def first_step(target: float) -> int:  # n_last + 1 if no step reaches it
+        # the real-arithmetic guess, stepped to the float test's own
+        due = _due(target)
+        j = min(max(1, math.ceil((due - field.t) / dt)), n_last + 1)
+        while j > 1 and time(j - 1) >= due:
+            j -= 1
+        while j <= n_last and time(j) < due:
+            j += 1
+        return j
+
+    fire = [first_step(s) for s in targets]
     reads = []
     first = 0
     if smooth and n_full:
         first = 1
         field.coef = field.coef * basis.smooth
         field.far_inflow += wdt * float(basis.edge @ field.now(basis))
-    reads += [(float(times[0]), field.now(basis)) for j in fire if j <= first]
+    reads += [(time(1), field.now(basis)) for j in fire if j <= first]
     n_cn = n_full - first
-    reads += [(float(times[j - 1]), field.coef * basis.r ** (field.steps + j - first))
+    reads += [(time(j), field.coef * basis.r ** (field.steps + j - first))
               for j in fire if first < j <= n_full]
     field.far_inflow += wdt * float(basis.edge @ (field.now(basis) * basis.step_sum(n_cn)))
     field.steps += n_cn

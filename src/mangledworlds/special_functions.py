@@ -13,7 +13,7 @@ library.
 
 Counts throughout the package are plain floats holding their natural log,
 with -inf for zero, so a count like e^{1e10} stays finite;
-:func:`logaddexp` and :func:`logsubexp` add and subtract them.
+:func:`logsubexp` subtracts them.
 
 Regime constants (each seam is covered by an agreement test):
 
@@ -45,16 +45,6 @@ _NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # log-space sums
 # ---------------------------------------------------------------------------
-
-def logaddexp(a: float, b: float) -> float:
-    """ln(e^a + e^b) with the max factored out (floats are logs)."""
-    if a == _NEG_INF:
-        return b
-    if b == _NEG_INF:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
 
 def logsubexp(a: float, b: float) -> float:
     """ln(e^a - e^b) for a >= b (floats are logs); -inf when a == b."""

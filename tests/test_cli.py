@@ -132,14 +132,14 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
     "born/config.json": "276f7f771032aaabfb975504e2286d2727d79c2fe0311f8592b4adb0dea0eaa4",
-    "born/deviation.csv": "f1af845b85b8acd8cd75706a7a597e723bf75ad58fcc20b705d944d51ac902dc",
-    "born/deviation.json": "70e464e1660187ff76d7b5d59cfeaf9f11d626948f263ffcfa33ff6ebf53cac3",
+    "born/deviation.csv": "44fe68b3f2a1f477e9e3035534203b21e0a6535bb60b4090d262b6b0e343de22",
+    "born/deviation.json": "b233a251e6c8520369ed046dc9c467bf89870d76ffee727e3b70804adca775f4",
     "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
     "mc/config.json": "6b57f115b6b96fb4b35f83fcb037e36f135ed937717165d65379ec1236d8adcf",
-    "mc/estimates.json": "fae03145d1d028fb7b633492fbc5689397d2ab1e81aaaee36e73364afde16da4",
+    "mc/estimates.json": "05c100e65aafcff5c64c1998cc7dbb026220c3111bfde35c244d0182dd8fca6b",
     "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
     "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
     "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",

@@ -9,6 +9,7 @@ renormalized lattice count (N = 400, 3600).  The N = 12 fixture below was
 computed once by a 2^N enumeration and frozen as a regression anchor.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -216,6 +217,47 @@ class TestDeterminism:
         b = empirical_distribution(spec, n, seed=5, workers=2)
         assert np.array_equal(a.weights, b.weights)
         assert a == b
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_histogram_does_not_depend_on_the_chunk_size(self, tilt, monkeypatch):
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
+                        tilt=tilt)
+        big = empirical_distribution(spec, 1 << 18, seed=11, workers=1)
+        monkeypatch.setattr(monte_carlo, "CHUNK", 1 << 12)
+        small = empirical_distribution(spec, 1 << 18, seed=11, workers=1)
+        assert np.array_equal(small.weights, big.weights)
+        assert small == big
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_sums_are_the_logs_of_the_survivor_counts(self, tilt):
+        # reference: the survivors per final k, weighed in 50-digit decimals
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
+                        tilt=tilt)
+        counts = monte_carlo._simulate(monte_carlo._config_for(spec, seed=11),
+                                       1 << 16, 1)[0]
+        ens = simulate_survivors(spec, 1 << 16, seed=11, workers=1)
+        n = spec.n_events
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            big, small = decimal.Decimal(0.55).ln(), decimal.Decimal(0.45).ln()
+            weights = {k: decimal.Decimal(2) ** n if tilt == "none"
+                       else (-(k * big + (n - k) * small)).exp()
+                       for k in np.flatnonzero(counts).tolist()}
+            want = [float(sum(int(counts[k]) * w ** e
+                              for k, w in weights.items()).ln()) for e in (1, 2)]
+        assert ens.survivor_count == counts.sum() > 0
+        assert ens.log_weight_sum == pytest.approx(want[0], rel=1e-15)
+        assert ens.log_weight_sq_sum == pytest.approx(want[1], rel=1e-15)
+
+    def test_two_stage_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        s1 = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=100,
+                      tilt="measure")
+        splits = [(1, 1), (0.5, 1), (0.25, 2)]
+        big = born_two_stage_mc_counts(s1, splits, 300, 1 << 18, seed=11,
+                                       workers=1)
+        monkeypatch.setattr(monte_carlo, "CHUNK", 1 << 12)
+        assert born_two_stage_mc_counts(s1, splits, 300, 1 << 18, seed=11,
+                                        workers=1) == big
 
     @pytest.mark.parametrize("tilt", TILTS)
     def test_histogram_walk_carries_the_estimate(self, tilt):

@@ -11,6 +11,7 @@ which is free of the small-eps approximation behind the closed-form count.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,17 @@ class TestSolve:
         assert [t for t, _ in seen] == [pytest.approx(0.51, abs=1e-12)] * 2 + [2.005]
         assert np.array_equal(seen[0][1], seen[1][1])
         assert np.array_equal(seen[2][1], f.values)
+
+    def test_snapshot_steps_cost_no_memory_per_step(self, desk):
+        # 4e6 steps of dt: a table of every step time would be 32 MB
+        g = Grid(y_max=10.0, n_cells=512, dt=2e-6)
+        tracemalloc.start()
+        try:
+            solve(desk, g, 8.0, snapshot_times=[2.0, 4.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_empty_field_has_log_count_minus_inf(self, desk):
         g = Grid(y_max=20.0, n_cells=256, dt=1e-2)
