@@ -484,7 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help=f"output root (default $" + ENV_OUT + " or ./runs)")
         sp.add_argument("--name", help=f"run name (default {sub!r})")
         sp.add_argument("--workers", type=int,
-                        help="walker processes (default: one per usable CPU)")
+                        help="walker processes, the calling one included "
+                             "(default: one per usable CPU)")
         for key in defaults:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
                             type=_kind(sub, key))

@@ -52,10 +52,12 @@ path-events: one event while 2^16 paths are alive, more as they die, up
 to the 256 events whose thresholds are computed together.  The fixed cost
 of a numpy call is thus paid per block, not per event.
 
-Parallelism: with more than one worker and more than one chunk, the chunks
-run in worker processes forked for that call (Linux ``fork``; the events are
-many small numpy calls, which threads would serialize on the interpreter
-lock).  ``workers=None`` means one process per CPU this process may use.
+Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
+children for that call (Linux ``fork``; the events are many small numpy
+calls, which threads would serialize on the interpreter lock).  Process j
+walks chunks j, j + W, ..., the caller walking share 0 itself, and each
+child sends its integer sums back through a pipe.  ``workers=None`` means
+one process per CPU this process may use.
 
 Two-stage runs with several (F, G) splits walk stage one once per chunk,
 then stage two once for all splits together.  Each split shifts log-size by
@@ -71,11 +73,11 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,38 +99,49 @@ TILTS = ("none", "measure")
 # ---------------------------------------------------------------------------
 
 _U = np.uint64
-_GAMMA = _U(0x9E3779B97F4A7C15)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
 _M1 = _U(0xBF58476D1CE4E5B9)
 _M2 = _U(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
-    """splitmix64 finalizer of z, in place; tmp is scratch of z's shape.
-    uint64 arithmetic wraps mod 2^64."""
-    z += _GAMMA
+def _mix(z: np.ndarray, tmp: np.ndarray, last: bool = True) -> None:
+    """The splitmix64 finalizer of z after its + GAMMA, in place; tmp is
+    scratch of z's shape.  uint64 arithmetic wraps mod 2^64.  ``last=False``
+    skips the final z ^= z >> 31, which leaves the top 31 bits as they are."""
     np.right_shift(z, _U(30), out=tmp)
     z ^= tmp
     z *= _M1
     np.right_shift(z, _U(27), out=tmp)
     z ^= tmp
     z *= _M2
-    np.right_shift(z, _U(31), out=tmp)
-    z ^= tmp
+    if last:
+        np.right_shift(z, _U(31), out=tmp)
+        z ^= tmp
 
 
 def _key_from_seed(seed: int) -> np.uint64:
-    z = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    z = np.array([seed & _MASK], dtype=np.uint64)
     tmp = np.empty_like(z)
-    _mix64(z, tmp)
-    _mix64(z, tmp)
+    for _ in range(2):
+        z += _U(_GAMMA)
+        _mix(z, tmp)
     return z[0]
 
 
+def _path_hi(key: np.uint64, paths: np.ndarray) -> np.ndarray:
+    """(path ^ key_hi) << 32, the high word of (path << 32 | event) ^ key."""
+    return (paths ^ (key >> _U(32))) << _U(32)
+
+
 def _draws(key: np.uint64, path_hi: np.ndarray, event: int | np.ndarray,
+           threshold: np.uint64 | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit hash for every path at one event, or at each of a 1-D
-    array of events (one row per event); path_hi is path_index << 32.  Its
-    uniform is u = (z >> 11) * 2^-53.
+    array of events (one row per event); path_hi is :func:`_path_hi`.  Its
+    uniform is u = (z >> 11) * 2^-53.  When ``threshold``'s low 33 bits are
+    zero, z < threshold reads only z's top 31 bits, which the last shift
+    leaves as they are, so that shift is skipped.
 
     The hash is computed in place in ``scratch``, two uint64 rows with room
     for the whole result (allocated when None); the result is a view of its
@@ -137,13 +150,14 @@ def _draws(key: np.uint64, path_hi: np.ndarray, event: int | np.ndarray,
     size = event.size * path_hi.size
     if scratch is None:
         scratch = np.empty((2, size), dtype=np.uint64)
-    shape = event.shape + path_hi.shape
-    z, tmp = (row[:size].reshape(shape) for row in scratch)
-    # path_hi | event, ^ key
-    np.bitwise_xor(path_hi, np.expand_dims(event ^ key, -1), out=z)
-    _mix64(z, tmp)
-    z += key
-    _mix64(z, tmp)
+    z, tmp = (row[:size].reshape(event.shape + path_hi.shape) for row in scratch)
+    key = int(key)
+    # round one's counter ^ key + GAMMA, as one add to the disjoint halves
+    low = (np.atleast_1d(event) ^ _U(key & 0xFFFFFFFF)) + _U(_GAMMA)
+    np.add(path_hi, low.reshape(event.shape + (1,)), out=z)
+    _mix(z, tmp)
+    z += _U((key + _GAMMA) & _MASK)  # + key, then round two's + GAMMA
+    _mix(z, tmp, threshold is None or int(threshold) & ((1 << 33) - 1) != 0)
     return z
 
 
@@ -333,7 +347,7 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     kmin_r does not rise fails no such path.
     """
     b = events.size
-    z = _draws(cfg.key, path_hi, events, scratch)
+    z = _draws(cfg.key, path_hi, events, cfg.threshold, scratch)
     if b == 1:  # one event: a single compare per rank, on the new k
         k += z[0] < cfg.threshold
     else:
@@ -382,8 +396,8 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> np.ndarray:
     scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
     k, path_hi, _ = _walk(
         cfg, (0.0,), np.zeros(size, dtype=np.int64),
-        np.arange(start, start + size, dtype=np.uint64) << _U(32), None,
-        1, cfg.n_split, scratch)
+        _path_hi(cfg.key, np.arange(start, start + size, dtype=np.uint64)),
+        None, 1, cfg.n_split, scratch)
     order = sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
     log_Fs = [cfg.splits[i][0] for i in order]
     n_split = np.array([cfg.n_split])
@@ -404,27 +418,81 @@ def _run_chunk(cfg: _RunConfig, start: int, size: int) -> np.ndarray:
 def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
     """Survivors per split and final k, summed over the chunks.
 
-    Chunks run in up to ``workers`` forked processes (default: the CPUs
-    this process may run on), never more than there are chunks.  The pool
-    lives for one call, so workers fork the caller's current module state.
+    W = min(workers, chunks) processes (workers default: the CPUs this
+    process may run on) share the chunks: the caller forks W - 1 children
+    and walks share 0 itself.  A child's sum comes back through a pipe,
+    read to EOF before the child is reaped, since a full pipe blocks it; its
+    exception is raised again here.  On any exception the children are
+    killed and reaped.
     """
     if not 1 <= n_paths <= _MAX_PATHS:
         raise DomainError(f"n_paths must be in [1, 2^31], got {n_paths!r}")
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
     starts = range(0, n_paths, CHUNK)
-    sizes = [min(CHUNK, n_paths - lo) for lo in starts]
     if workers is None:
         workers = len(os.sched_getaffinity(0))
-    workers = min(workers, len(sizes))
+    workers = min(workers, len(starts))
+
+    def share(j: int) -> np.ndarray:
+        return sum(_run_chunk(cfg, lo, min(CHUNK, n_paths - lo))
+                   for lo in starts[j::workers])
+
     if workers == 1:
-        return sum(map(_run_chunk, itertools.repeat(cfg), starts, sizes))
-    # fork, not spawn: a spawned worker re-imports the package, which
-    # costs more than a short walk
-    with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        return sum(pool.map(_run_chunk, itertools.repeat(cfg), starts, sizes))
+        return share(0)
+    sys.stdout.flush()  # else the children inherit unwritten output
+    sys.stderr.flush()
+    children = {}  # pid -> read end of its pipe
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(share, j, w)
+            os.close(w)
+            children[pid] = r
+        total = share(0)
+        for pid, r in list(children.items()):
+            data = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(r)
+            del children[pid]
+            if status and data:
+                exc, cause = pickle.loads(data)
+                raise exc from cause
+            if status or len(data) != total.nbytes:
+                raise RuntimeError(f"walker process {pid} exited with status "
+                                   f"{status} after {len(data)} of "
+                                   f"{total.nbytes} bytes")
+            total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
+        return total
+    finally:
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
+def _child(share, j: int, w: int):
+    """In a forked child: write share j's sum, or else its exception and
+    traceback, pickled, to fd w, and leave by os._exit, which runs none of
+    the parent's exit handlers."""
+    status = 1
+    try:
+        try:
+            data, status = share(j).tobytes(), 0
+        except BaseException as exc:
+            import traceback
+            cause = RuntimeError(f"in walker process {os.getpid()}:\n"
+                                 + traceback.format_exc())
+            try:
+                data = pickle.dumps((exc, cause))
+                pickle.loads(data)  # as the parent will
+            except Exception:
+                data = pickle.dumps((cause, None))
+        with open(w, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(status)
 
 
 def _log_size(cfg: _RunConfig, k: np.ndarray) -> np.ndarray:

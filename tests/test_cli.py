@@ -325,3 +325,23 @@ for argv in (["validate"], ["born", "--engines", "analytic,pde"],
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_process_pool_machinery(self, tmp_path):
+        # the walker forks its own children; the pool modules cost a cold
+        # import ~10 ms that every subcommand would pay
+        script = """
+import sys
+def pool_modules():
+    return sorted(m for m in ("multiprocessing", "concurrent.futures")
+                  if m in sys.modules)
+import mangledworlds.cli as cli
+assert not pool_modules(), ("import", pool_modules())
+for argv in (["validate"], ["mc", "--seed", "3", "--n-paths", "200000",
+                            "--n-events", "100", "--workers", "2"]):
+    assert cli.run(argv + ["--out", sys.argv[1]]) == 0, argv
+    assert not pool_modules(), (argv, pool_modules())
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(mangledworlds.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

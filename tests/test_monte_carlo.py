@@ -11,6 +11,11 @@ computed once by a 2^N enumeration and frozen as a regression anchor.
 
 import decimal
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +215,7 @@ class TestDeterminism:
 
     def test_histogram_deterministic_across_processes(self):
         # three chunks and a remainder, so workers = 2 returns the
-        # histogram arrays from worker processes
+        # counts of a share from a forked child
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40)
         n = 3 * monte_carlo.CHUNK + 17
         a = empirical_distribution(spec, n, seed=5, workers=1)
@@ -272,50 +277,126 @@ class TestDeterminism:
         assert total == pytest.approx(hist.estimate(), abs=1e-9)
 
 
-class _NoPool(Exception):
+class _NoFork(Exception):
     pass
+
+
+class _ChildFailure(Exception):
+    pass
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message, detail):
+        super().__init__(message)  # pickled args miss detail
 
 
 class TestWorkerProcesses:
     SPEC = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=20)
+    N = 3 * monte_carlo.CHUNK
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Make creating a process pool raise, recording its size."""
-        sizes = []
+    def forks(self, monkeypatch):
+        """Record every fork of the walk's caller, and let it go ahead."""
+        calls = []
+        fork = os.fork
 
-        def no_pool(max_workers, mp_context):
-            sizes.append(max_workers)
-            raise _NoPool
+        def recording_fork():
+            calls.append(1)
+            return fork()
 
-        monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", no_pool)
-        return sizes
+        monkeypatch.setattr(monte_carlo.os, "fork", recording_fork)
+        return calls
 
-    def test_in_process_without_a_pool(self, pools):
-        # one worker, or one chunk, never starts a process
-        simulate_survivors(self.SPEC, 3 * monte_carlo.CHUNK, seed=1, workers=1)
+    @staticmethod
+    def fail_in_children(monkeypatch, exc):
+        """Make ``_run_chunk`` raise exc in every process but the caller."""
+        caller, run_chunk = os.getpid(), monte_carlo._run_chunk
+
+        def failing(cfg, start, size):
+            if os.getpid() != caller:
+                raise exc
+            return run_chunk(cfg, start, size)
+
+        monkeypatch.setattr(monte_carlo, "_run_chunk", failing)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_worker_or_one_chunk_forks_nothing(self, forks):
+        simulate_survivors(self.SPEC, self.N, seed=1, workers=1)
         simulate_survivors(self.SPEC, monte_carlo.CHUNK, seed=1, workers=2)
         simulate_survivors(self.SPEC, monte_carlo.CHUNK, seed=1)
-        assert pools == []
+        assert forks == []
 
-    def test_chunks_reach_the_pool(self, pools, monkeypatch):
-        n = 3 * monte_carlo.CHUNK
-        with pytest.raises(_NoPool):
-            simulate_survivors(self.SPEC, n, seed=1, workers=2)
-        with pytest.raises(_NoPool):  # never more processes than chunks
-            simulate_survivors(self.SPEC, n, seed=1, workers=8)
+    def test_the_caller_walks_a_share(self, forks, monkeypatch):
+        want = simulate_survivors(self.SPEC, self.N, seed=1, workers=1)
+        assert simulate_survivors(self.SPEC, self.N, seed=1, workers=2) == want
+        assert len(forks) == 1
+        # never more processes than chunks
+        assert simulate_survivors(self.SPEC, self.N, seed=1, workers=8) == want
+        assert len(forks) == 3
         monkeypatch.setattr(monte_carlo.os, "sched_getaffinity",
                             lambda pid: set(range(8)))
-        with pytest.raises(_NoPool):  # default: one per usable CPU
-            simulate_survivors(self.SPEC, n, seed=1)
-        assert pools == [2, 3, 3]
+        # default: one per usable CPU, capped
+        assert simulate_survivors(self.SPEC, self.N, seed=1) == want
+        assert len(forks) == 5
+        self.assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_bad_worker_count_raises_before_any_process(self, pools, workers):
+    def test_bad_worker_count_raises_before_any_fork(self, monkeypatch, workers):
+        def no_fork():
+            raise _NoFork
+
+        monkeypatch.setattr(monte_carlo.os, "fork", no_fork)
         with pytest.raises(DomainError):
-            simulate_survivors(self.SPEC, 3 * monte_carlo.CHUNK, seed=1,
-                               workers=workers)
-        assert pools == []
+            simulate_survivors(self.SPEC, self.N, seed=1, workers=workers)
+
+    def test_a_child_failure_is_raised_in_the_caller(self, monkeypatch):
+        self.fail_in_children(monkeypatch, _ChildFailure("chunk"))
+        with pytest.raises(_ChildFailure, match="chunk"):
+            simulate_survivors(self.SPEC, self.N, seed=1, workers=3)
+        self.fail_in_children(monkeypatch, _Unpicklable("odd", 1))
+        with pytest.raises(RuntimeError, match="_Unpicklable: odd"):
+            simulate_survivors(self.SPEC, self.N, seed=1, workers=2)
+        self.assert_no_child_left()
+
+    def test_a_failure_in_the_callers_share_kills_the_children(
+            self, monkeypatch):
+        # the children would walk for a minute if they were left to finish
+        caller, run_chunk = os.getpid(), monte_carlo._run_chunk
+
+        def slow_children(cfg, start, size):
+            if os.getpid() == caller:
+                raise _ChildFailure("caller")
+            time.sleep(60)
+            return run_chunk(cfg, start, size)
+
+        monkeypatch.setattr(monte_carlo, "_run_chunk", slow_children)
+        t0 = time.monotonic()
+        with pytest.raises(_ChildFailure, match="caller"):
+            simulate_survivors(self.SPEC, self.N, seed=1, workers=3)
+        assert time.monotonic() - t0 < 30
+        self.assert_no_child_left()
+
+    def test_buffered_output_is_written_once(self):
+        # stdout on a pipe is block-buffered; a child that flushed the
+        # inherited buffer would write the marker a second time
+        script = """
+import sys
+from mangledworlds.model_params import DecoherenceParams
+from mangledworlds.monte_carlo import CHUNK, WalkSpec, simulate_survivors
+print("marker")
+spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=20)
+simulate_survivors(spec, 3 * CHUNK, seed=1, workers=2)
+"""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(monte_carlo.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("marker") == 1, proc.stdout
 
 
 @pytest.mark.parametrize("p", [0.5, 0.55, 0.6, 0.9, 0.3, 1 / 3])
@@ -335,8 +416,8 @@ def test_hash_stream_is_pinned():
     """Raw draws recorded from the allocating hash; the in-place one, with
     or without a reused scratch buffer, must give the same stream."""
     key = monte_carlo._key_from_seed(7)
-    paths = np.array([0, 1, 65535, 65536, 2 ** 31 - 1],
-                     dtype=np.uint64) << np.uint64(32)
+    paths = monte_carlo._path_hi(
+        key, np.array([0, 1, 65535, 65536, 2 ** 31 - 1], dtype=np.uint64))
     want = {
         1: [0x1114a7dd47bf7c09, 0xc505ac7317ae3c9e, 0xa6186ba0605948e5,
             0xa53e38f91cb0b903, 0xd4a0fc0a0abad1bd],
@@ -348,18 +429,66 @@ def test_hash_stream_is_pinned():
     scratch = np.empty((2, 8), dtype=np.uint64)
     for event, values in want.items():
         assert monte_carlo._draws(key, paths, event).tolist() == values
-        assert monte_carlo._draws(key, paths, event, scratch).tolist() == values
+        assert monte_carlo._draws(key, paths, event,
+                                  scratch=scratch).tolist() == values
 
 
 def test_hash_of_an_event_block_stacks_the_single_events():
     key = monte_carlo._key_from_seed(7)
-    paths = np.array([0, 1, 65535, 65536, 2 ** 31 - 1],
-                     dtype=np.uint64) << np.uint64(32)
+    paths = monte_carlo._path_hi(
+        key, np.array([0, 1, 65535, 65536, 2 ** 31 - 1], dtype=np.uint64))
     events = np.array([1, 2, 400, 3600, 2 ** 32 - 1])
     want = np.stack([monte_carlo._draws(key, paths, int(e)) for e in events])
     scratch = np.empty((2, 64), dtype=np.uint64)
     assert np.array_equal(monte_carlo._draws(key, paths, events), want)
-    assert np.array_equal(monte_carlo._draws(key, paths, events, scratch), want)
+    assert np.array_equal(
+        monte_carlo._draws(key, paths, events, scratch=scratch), want)
+
+
+def _unmix(z: int) -> int:
+    """Inverse of the splitmix64 finalizer less its + GAMMA, on an int."""
+    def unshift(z, s):
+        y = z
+        for _ in range(64 // s + 1):
+            y = z ^ (y >> s)
+        return y
+
+    mod = 1 << 64
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, mod) % mod
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, mod) % mod
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.75, 0.9, 0.3])
+def test_hash_given_its_threshold_branches_as_the_full_hash(p):
+    """At thresholds whose low 33 bits are zero (p = 1/2, 3/4) the hash
+    skips its last shift; every branch must still match the full hash's.
+    Random draws almost never share the threshold's top 31 bits, so draws
+    at and around it are placed by inverting the hash."""
+    gamma, mod = 0x9E3779B97F4A7C15, 1 << 64
+    rng = np.random.default_rng(int(p * 100))
+    threshold = monte_carlo._branch_threshold(p)
+    t = int(threshold)
+    targets = [t + d for d in (-(1 << 33), -(1 << 32), -12345, -1, 0, 1,
+                               1 << 20, (1 << 32) + 7)]
+    for seed in [0, 7, 2 ** 64 - 1, *rng.integers(0, 1 << 63, size=5).tolist()]:
+        key = monte_carlo._key_from_seed(seed)
+        counters = [(_unmix((_unmix(z) - int(key) - gamma) % mod) - gamma) % mod
+                    ^ int(key) for z in targets]
+        paths = np.array([c >> 32 for c in counters], dtype=np.uint64)
+        events = np.array([c & 0xFFFFFFFF for c in counters], dtype=np.uint64)
+        placed = np.array([monte_carlo._draws(key, monte_carlo._path_hi(
+            key, paths[i:i + 1]), events[i])[0] for i in range(len(targets))])
+        assert placed.tolist() == targets
+        paths = np.concatenate([paths, rng.integers(0, 1 << 31, size=400,
+                                                    dtype=np.uint64)])
+        events = np.concatenate([events, rng.integers(1, 1 << 32, size=42,
+                                                      dtype=np.uint64)])
+        path_hi = monte_carlo._path_hi(key, paths)
+        full = monte_carlo._draws(key, path_hi, events) < threshold
+        got = monte_carlo._draws(key, path_hi, events, threshold) < threshold
+        assert np.array_equal(got, full)
+        assert 0.2 < full.mean() / p < 1.8  # both branches are taken
 
 
 class TestBlockWalk:
@@ -386,7 +515,8 @@ class TestBlockWalk:
     @classmethod
     def assert_walks_agree(cls, spec, log_Fs, k, first):
         cfg = monte_carlo._config_for(spec, seed=5)
-        path_hi = np.arange(k.size, dtype=np.uint64) << np.uint64(32)
+        path_hi = monte_carlo._path_hi(
+            cfg.key, np.arange(k.size, dtype=np.uint64))
         alive = None
         if len(log_Fs) > 1:  # the outcomes whose threshold k meets
             before = np.array([first - 1])
@@ -445,13 +575,14 @@ def test_hash_stays_within_the_budget(monkeypatch):
     """The scratch rows hold max(_BUDGET, chunk size) uint64: the hash of a
     block never runs on more than that, and small walks use whole blocks."""
     sizes = []
-    mix64 = monte_carlo._mix64
+    draws = monte_carlo._draws
 
-    def recording_mix64(z, tmp):
+    def recording_draws(key, path_hi, event, threshold=None, scratch=None):
+        z = draws(key, path_hi, event, threshold, scratch)
         sizes.append(z.size)
-        mix64(z, tmp)
+        return z
 
-    monkeypatch.setattr(monte_carlo, "_mix64", recording_mix64)
+    monkeypatch.setattr(monte_carlo, "_draws", recording_draws)
     spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
                     tilt="measure")
     born_two_stage_mc_counts(spec, [(0.2, 1.0), (0.5, 1.6)], 800,
