@@ -260,7 +260,7 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
         f"T={T}  survivor log10 count = {count / math.log(10.0):.12g}",
         f"closed-form W log10       = {closed / math.log(10.0):.12g}  (rel diff {rel:.3e})",
         f"absorbed (nu frame) = {field.absorbed:.12g}",
-        f"far-edge inflow     = {field.far_inflow:.3e}",
+        f"far-edge density    = {field.values[-1] / field.values.max():.3e} of the peak",
         f"modes kept          = {field.modes} of {grid.n_cells}",
         f"truncation estimate = {field.truncation:.3e}",
         "snapshot densities are comoving-frame; scale by exp(growth_log)",

@@ -81,6 +81,32 @@ class TestDeviationTable:
                                                      [(o.F, o.G)], 100.0)[0]
             assert row.log10_lambda == alone / math.log(10.0)
 
+    # the born CLI's outcomes at p = 0.7 (w t = 543), and share/born from
+    # bench/oracle.py::two_stage_ratios, the exact continuum composition
+    P07_OUTCOMES = [BornOutcomeSpec("left", 0.5, 1), BornOutcomeSpec("right", 0.25, 2)]
+    P07_EXACT = [1.0339963730466253, 0.9660036269533747]
+
+    def test_pde_on_its_own_grid_matches_the_oracle_at_long_horizons(self):
+        dp = DecoherenceParams(p=0.7, r=1.0)
+        grid = pde_solver.suggested_grid(to_diffusion(dp, 0.2), 3600.0,
+                                         max_abs_log_F=math.log(4.0), n_cells=4096)
+        report = deviation_table(self.P07_OUTCOMES, dp, eps=0.2, t1=400.0,
+                                 t2=3200.0, engines=("pde",), grid=grid)
+        got = [row.share_over_born for row in report.rows]
+        assert got == pytest.approx(self.P07_EXACT, abs=5e-4)
+
+    def test_undersized_grid_gives_error_rows(self):
+        # the y_max the grid was sized to before the far-edge term: the
+        # far-edge mode would carry share/born 1.164 for the left outcome
+        dp = DecoherenceParams(p=0.7, r=1.0)
+        grid = Grid(y_max=143.0, n_cells=4096, dt=0.45)
+        report = deviation_table(self.P07_OUTCOMES, dp, eps=0.2, t1=400.0,
+                                 t2=3200.0, engines=("analytic", "pde"), grid=grid)
+        assert [row.status for row in report.rows[:2]] == ["ok", "ok"]
+        for row in report.rows[2:]:
+            assert row.status.startswith("error:") and "y_max = 143" in row.status
+            assert row.share is None
+
     def test_mc_shares_stage_one(self, monkeypatch):
         dp = DecoherenceParams(p=0.6, r=1.0)
         outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),

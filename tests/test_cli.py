@@ -57,6 +57,14 @@ class TestExitCodes:
         assert code == 2
         assert "snapshot time 3.0" in capsys.readouterr().err
 
+    def test_undersized_pde_domain_is_loud(self, tmp_path, capsys):
+        # the far-edge mode would carry a count ~9e19x too large
+        code = run(["pde", "--out", str(tmp_path), "--T", "450", "--y-max", "40",
+                    "--n-cells", "4096", "--dt", "2e-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "y_max = 40" in err
+
     def test_born_mc_engine_requires_seed(self, tmp_path, capsys):
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2
@@ -132,8 +140,8 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
     "born/config.json": "276f7f771032aaabfb975504e2286d2727d79c2fe0311f8592b4adb0dea0eaa4",
-    "born/deviation.csv": "44fe68b3f2a1f477e9e3035534203b21e0a6535bb60b4090d262b6b0e343de22",
-    "born/deviation.json": "b233a251e6c8520369ed046dc9c467bf89870d76ffee727e3b70804adca775f4",
+    "born/deviation.csv": "33d34bd5085932c4b2ff2cbffe9f344206cbfcc15702412a85821ee8d54c84c5",
+    "born/deviation.json": "180ea0e534e9bf94dd261203efc7dd8263c589a36e7e90e3e1d228b09d6257a7",
     "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
@@ -143,9 +151,9 @@ GOLDEN_SHA256 = {
     "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
     "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
     "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",
-    "pde/snapshots.csv": "ac36c1a29d51b1979edfa45098af1da88468b1344e3182aa1ae55ded865af703",
-    "pde/summary.txt": "cdb6f7e0373291358da120a463d05701db4a432951d77028881dbaa60da11b3f",
-    "pde/survivors.csv": "5ae2a02bb149c7b29ba819cd8a830bb7777a7e7a5abef7ff6add72990a386152",
+    "pde/snapshots.csv": "287782b4c6e1dba9b9d7109cb860b5cced2b5bcb2557284749fc8ee85ed5f106",
+    "pde/summary.txt": "25d953623513308b558bd832c2a880662eefaeb8a8584654e107f541929ba242",
+    "pde/survivors.csv": "50ff9905bb07a838dd228cdc0fb3c53ea83841b22c2fe922b3fa0be38c118a2d",
     "scan/config.json": "046b5d3c2145aefc62ccfd364031222e761beff2f380e5cc7e998a07464fbea2",
     "scan/scan.csv": "73c211d070d6bada6daa1caafa0bb4d0069d8099894ee900b662781e2a7c8acd",
     "scan/summary.txt": "e143df59a1b6138d04709f0ec3457ae72db473f8f3b314f0da45ac477f2db57b",
@@ -197,8 +205,25 @@ class TestArtifacts:
         assert [float(t) for t, _, _ in rows] == [1.0, 2.0]
         summary = (d / "summary.txt").read_text()
         assert f"survivor log10 count = {float(rows[-1][1]):.12g}" in summary
+        assert "far-edge density    = " in summary
         assert "modes kept          = " in summary
         assert "truncation estimate = " in summary
+
+    @pytest.mark.parametrize("dt", ["1e-8", "2e-9"])
+    def test_pde_at_tiny_dt_matches_a_coarser_step(self, tmp_path, dt):
+        # 4e9 steps at 2e-9: the slow modes' r ** n would lose ~1e-7
+        # relative and fake a negative overshoot at the far edge.  The final
+        # counts are compared: at 2e-9 the snapshots' 1e-9 relative time
+        # tolerance exceeds dt, so they fire a step early
+        counts = {}
+        for step in ("1e-7", dt):
+            assert run(["pde", "--out", str(tmp_path), "--name", step, "--T", "8",
+                        "--y-max", "10", "--n-cells", "512", "--dt", step,
+                        "--snapshots", "2,4"]) == 0
+            rows = (tmp_path / step / "survivors.csv").read_text().splitlines()[1:]
+            assert len(rows) == 3
+            counts[step] = float(rows[-1].split(",")[1]) * math.log(10.0)
+        assert abs(math.expm1(counts[dt] - counts["1e-7"])) <= 1e-10
 
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0
