@@ -16,7 +16,8 @@ the run directory, so re-running from that file reproduces the outputs.
 The output root is --out, else $MANGLEDWORLDS_OUT, else ./runs; artifacts
 land in <root>/<name>/ and are written atomically (temp file + rename).
 
-Exit codes: 0 success, 1 validation failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 validation failure, 2 usage or configuration error
+or a numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 from . import analytic, born_experiment, monte_carlo, pde_solver
 from ._io import atomic_write_text, format_float, rows_to_csv
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model_params import DecoherenceParams, DiffusionParams, to_diffusion
 from .special_functions import ERFCX_CROSSOVER, BRACKET_CROSSOVER_WT, \
     _bracket_asymptotic, _bracket_direct, _erfcx_cf, _erfcx_small
@@ -233,19 +234,10 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     grid = pde_solver.Grid(y_max=float(cfg["y_max"]), n_cells=int(cfg["n_cells"]),
                            dt=float(cfg["dt"]))
     T = float(cfg["T"])
-    snap_times = _floats(cfg, "snapshots")
-
-    snap_rows: list[list[str]] = []
-    fields: dict[float, pde_solver.Field] = {}  # one survivors row per time
-
-    def on_snapshot(t, y, values, growth_log):
-        for yi, vi in zip(y, values):
-            snap_rows.append([format_float(yi), format_float(vi), format_float(t)])
-        fields[t] = pde_solver.Field(values=values, t=t)
-
-    field = pde_solver.solve(dp, grid, T, snapshot_times=snap_times,
-                             on_snapshot=on_snapshot)
-    fields[field.t] = field
+    *snaps, field = pde_solver.solve(dp, grid, T, snapshot_times=_floats(cfg, "snapshots"))
+    snap_rows = [[format_float(yi), format_float(vi), format_float(f.t)]
+                 for f in snaps for yi, vi in zip(grid.nodes(), f.values)]
+    fields = {f.t: f for f in (*snaps, field)}  # one survivors row per time
     count = pde_solver.survivor_count(field, grid, dp)
     series = [[format_float(t),
                format_float(pde_solver.survivor_count(f, grid, dp) / math.log(10.0)),
@@ -419,7 +411,7 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
     checks.append(("lambda closed vs quadrature", rel <= 0.02, f"rel {rel:.2e}"))
 
     grid = pde_solver.Grid(y_max=20.0, n_cells=2048, dt=1e-3)
-    field = pde_solver.solve(desk, grid, 4.0)
+    field = pde_solver.solve(desk, grid, 4.0)[-1]
     got = pde_solver.survivor_count(field, grid, desk)
     want = analytic.log_unmangled_count(4.0, desk)
     rel = abs(math.expm1(got - want))
@@ -505,7 +497,7 @@ def run(argv: list[str] | None = None) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         _write_config(run_dir, sub, cfg, args)
         return _COMMANDS[sub](cfg, run_dir, args)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

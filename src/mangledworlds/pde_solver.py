@@ -25,7 +25,9 @@ e^(2 n atanh(dt lam/2)) where r > 1/3: a slow mode's r rounds to within
 ~1e-16 of 1, an error that r^n would grow n-fold.  The Rannacher start
 multiplies c by (1 - dt lam/2)^-2 and a shorter remainder step by its own
 r.  This is the discrete recurrence a stepper would compute, up to roundoff
-and the truncation below.
+and the truncation below.  A snapshot is the end of a run to its time: the
+same expression, from the start, in the same eigenbasis as the horizon T,
+so it is read at exactly the time asked for, not at a nearby step time.
 
 Only the k slowest modes are kept: faster ones have decayed below roundoff
 by the time anything is read out.  The field's own coefficients decide k
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,12 +90,12 @@ class Grid:
     dt: float
 
     def __post_init__(self):
-        if not self.y_max > 0.0:
-            raise DomainError(f"y_max must be positive, got {self.y_max!r}")
+        if not 0.0 < self.y_max < math.inf:
+            raise DomainError(f"y_max must be positive and finite, got {self.y_max!r}")
         if self.n_cells < 16:
             raise DomainError(f"n_cells must be >= 16, got {self.n_cells!r}")
-        if not self.dt > 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def h(self) -> float:
@@ -107,13 +109,14 @@ class Grid:
 class Field:
     """Comoving-frame state: node densities at time t plus bookkeeping.
 
-    ``absorbed`` is the nu-frame mass lost through y = 0 (exact mass
-    balance).  ``modes`` is the number of eigenmodes kept and
-    ``truncation`` the largest tail (see the module docstring) at any
-    readout, 0 when the basis was complete.  A solve that returns has kept
-    the far-edge density within 1e-6 of the peak at every checked readout.
-    The growth exponent (v - w/2) t is re-applied at readout by
-    :func:`survivor_count`.
+    A snapshot field is the end of a run to its time t.  ``absorbed`` is
+    the nu-frame mass lost through y = 0 (exact mass balance).  ``modes``
+    is the number of eigenmodes kept and ``truncation`` the largest tail
+    (see the module docstring) at any readout of the solve, 0 when the
+    basis was complete; both are shared by a solve's fields.  A solve that
+    returns has kept the far-edge density within 1e-6 of the peak at every
+    checked readout.  The growth exponent (v - w/2) t is re-applied at
+    readout by :func:`survivor_count`.
     """
 
     values: np.ndarray
@@ -323,101 +326,69 @@ class _Modal:
     are D^-1 Q (coef r^steps)."""
 
     coef: np.ndarray
-    t: float
     steps: int = 0
 
     def now(self, basis: _Basis) -> np.ndarray:
         return self.coef * basis.power(self.steps)
 
 
-def _due(target: float) -> float:
-    """The step-clock time from which a snapshot time counts as reached
-    (up to roundoff)."""
-    return target - 1e-9 * max(1.0, target)
-
-
-def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool,
-             targets: Sequence[float] = ()) -> list[tuple[float, np.ndarray]]:
+def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool) -> None:
     """Move ``field`` on by ``duration`` in place: whole steps of dt, the
-    first a Rannacher start when ``smooth``, then a shorter remainder step.
-
-    Returns (t, coefficients) at the first step time reaching each target
-    (ascending); step j ends at t + j dt, the last one exactly at the end.
-    """
+    first a Rannacher start when ``smooth``, then a shorter remainder step,
+    which is taken whenever no whole step fits, so no run is skipped."""
     dt = basis.dt
     n_full = int(math.floor(duration / dt + 1e-9))
     remainder = duration - n_full * dt
-    has_remainder = remainder > 1e-9 * max(1.0, dt)
-    t_end = field.t + duration
-    n_last = n_full + has_remainder
-
-    def time(j: int) -> float:
-        return t_end if j == n_last else field.t + dt * j
-
-    def first_step(target: float) -> int:  # n_last + 1 if no step reaches it
-        # the real-arithmetic guess, stepped to the float test's own
-        due = _due(target)
-        j = min(max(1, math.ceil((due - field.t) / dt)), n_last + 1)
-        while j > 1 and time(j - 1) >= due:
-            j -= 1
-        while j <= n_last and time(j) < due:
-            j += 1
-        return j
-
-    fire = [first_step(s) for s in targets]
-    reads = []
-    first = 0
+    field.steps += n_full
     if smooth and n_full:
-        first = 1
         field.coef = field.coef * basis.smooth
-    reads += [(time(1), field.now(basis)) for j in fire if j <= first]
-    reads += [(time(j), field.coef * basis.power(field.steps + j - first))
-              for j in fire if first < j <= n_full]
-    field.steps += n_full - first
-    if has_remainder:
+        field.steps -= 1
+    if remainder > 1e-9 * max(1.0, dt) or not n_full:
         field.coef = field.coef * basis.factor(remainder)
-        reads += [(t_end, field.now(basis)) for j in fire if j > n_full]
-    field.t = t_end
-    return reads
+
+
+def _check_time(name: str, t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {t!r}")
 
 
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
-          snapshot_times: Sequence[float] = (),
-          on_snapshot: Callable[[float, np.ndarray, np.ndarray, float], None] | None = None,
-          ) -> Field:
-    """Solve from the mollified delta at eps to time T.
+          snapshot_times: Sequence[float] = ()) -> list[Field]:
+    """Solve from the mollified delta at eps to each snapshot time and to T.
 
-    ``on_snapshot(t, y, values, growth_log)`` fires at the first step time
-    reaching each requested snapshot time; a time outside [0, T] raises.
-    The survivor count of the result is ``survivor_count(field, grid, dp)``.
+    Returns one field per snapshot time, ascending, then the field at T.  A
+    snapshot is the end of a run to its time, read at exactly that time;
+    t = 0 gives the start values, and a time outside [0, T] (beyond
+    roundoff, which reads as T) raises.  The survivor count of a field is
+    ``survivor_count(field, grid, dp)``.
     """
     dp.require_diffusive()
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T!r}")
-    targets = sorted(float(s) for s in snapshot_times)
-    for s in targets:
-        if not (s >= 0.0 and T >= _due(s)):
+    _check_time("T", T)
+    times = sorted(float(s) for s in snapshot_times)
+    for s in times:
+        if not 0.0 <= s <= T + 1e-9 * max(1.0, T):
             raise DomainError(f"snapshot time {s!r} lies outside [0, T = {T!r}]")
+    times = [min(s, T) for s in times] + [T]
     start = init_delta(grid, dp.eps)
-    at_start = [s for s in targets if 0.0 >= _due(s)]
 
     def evaluate(basis):
-        field = _Modal(basis.project(start.values, 0.0), 0.0)
-        reads = _advance(basis, field, T, True, targets[len(at_start):])
-        snaps = [(t, *basis.readout(coef, t)) for t, coef in reads]
-        values, tail = basis.readout(field.now(basis), field.t)
-        return (snaps, values), max([tail] + [s[2] for s in snaps])
+        coef = basis.project(start.values, 0.0)
+        reads = []
+        for t in times:
+            if t == 0.0:
+                reads.append((start.values.copy(), 0.0))
+                continue
+            field = _Modal(coef)
+            _advance(basis, field, t, smooth=True)
+            reads.append(basis.readout(field.now(basis), t))
+        return [values for values, _ in reads], max(tail for _, tail in reads)
 
-    (snaps, values), modes, tail = _fitted(grid, dp.w, evaluate)
-    if on_snapshot is not None:
-        y = grid.nodes()
-        for _ in at_start:
-            on_snapshot(0.0, y, start.values.copy(), 0.0)
-        for t, snap, _ in snaps:
-            on_snapshot(t, y, snap, (dp.v - 0.5 * dp.w) * t)
-    field = Field(values=values, t=T, modes=modes, truncation=tail)
-    field.absorbed = start.mass(grid) - field.mass(grid)
-    return field
+    reads, modes, tail = _fitted(grid, dp.w, evaluate)
+    fields = [Field(values=values, t=t, modes=modes, truncation=tail)
+              for t, values in zip(times, reads)]
+    for field in fields:
+        field.absorbed = start.mass(grid) - field.mass(grid)
+    return fields
 
 
 def survivor_count(field: Field, grid: Grid, dp: DiffusionParams) -> float:
@@ -441,8 +412,8 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
-    if not (t1 > 0.0 and t2 > 0.0):
-        raise DomainError("t1 and t2 must be positive")
+    _check_time("t1", t1)
+    _check_time("t2", t2)
     for log_F, _ in log_splits:
         if -log_F >= 0.5 * grid.y_max:
             raise DomainError(
@@ -452,11 +423,11 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     shifts = any(log_F != 0.0 for log_F, _ in log_splits)
 
     def evaluate(basis):
-        one = _Modal(basis.project(start.values, 0.0), 0.0)
+        one = _Modal(basis.project(start.values, 0.0))
         _advance(basis, one, t1, smooth=True)
         tails = [0.0]
         if shifts:
-            values_t1, tail = basis.readout(one.now(basis), one.t)
+            values_t1, tail = basis.readout(one.now(basis), t1)
             tails.append(tail)
         counts = []
         for log_F, G in log_splits:
@@ -470,11 +441,11 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
                 y = grid.nodes()
                 shifted = np.interp(y - log_F, y, values_t1, right=0.0)
                 shifted[0] = 0.0
-                two = _Modal(G * basis.project(shifted, one.t), one.t)
+                two = _Modal(G * basis.project(shifted, t1))
             _advance(basis, two, t2, smooth=(log_F != 0.0))
-            values, tail = basis.readout(two.now(basis), two.t)
+            values, tail = basis.readout(two.now(basis), t1 + t2)
             tails.append(tail)
-            counts.append(survivor_count(Field(values=values, t=two.t), grid, dp))
+            counts.append(survivor_count(Field(values=values, t=t1 + t2), grid, dp))
         return counts, max(tails)
 
     return _fitted(grid, dp.w, evaluate)[0]
@@ -488,6 +459,7 @@ def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
     far-edge mode, which keeps the far-edge density below ~1e-10 of the
     peak up to w T = 1000."""
     dp.require_diffusive()
+    _check_time("T", T)
     wT = dp.w * T
     y_max = float(math.ceil(dp.eps + max_abs_log_F
                             + max(6.0 * math.sqrt(wT), 0.25 * wT + 16.0) + 1.0))

@@ -109,7 +109,7 @@ def test_c05_closed_form_vs_quadrature():
 @pytest.fixture(scope="module")
 def pinned_solve():
     grid = pde_solver.Grid(y_max=40.0, n_cells=4096, dt=1e-3)
-    field = pde_solver.solve(DESK, grid, 8.0)
+    field = pde_solver.solve(DESK, grid, 8.0)[-1]
     return grid, field
 
 

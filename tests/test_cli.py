@@ -65,6 +65,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y_max = 40" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["pde", "--T", "inf"], "T must be positive and finite"),
+        (["pde", "--dt", "inf"], "dt must be positive and finite"),
+        (["born", "--engines", "analytic,pde", "--t1", "inf"],
+         "T must be positive and finite"),
+        (["pde", "--dt", "1e300", "--y-max", "10", "--n-cells", "512"],
+         "negative density overshoot"),
+        (["pde", "--dt", "10", "--y-max", "10", "--n-cells", "512"],
+         "negative density overshoot"),
+    ], ids=["pde-T-inf", "pde-dt-inf", "born-t1-inf", "pde-dt-1e300", "pde-dt-10"])
+    def test_non_finite_or_overlong_step_is_an_error_line(self, tmp_path, capsys,
+                                                          argv, message):
+        # a run with no whole step of dt in it is one remainder step, never
+        # skipped: at --dt 1e300 it is the --dt 10 run, and both overshoot
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_born_mc_engine_requires_seed(self, tmp_path, capsys):
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2
@@ -212,18 +230,18 @@ class TestArtifacts:
     @pytest.mark.parametrize("dt", ["1e-8", "2e-9"])
     def test_pde_at_tiny_dt_matches_a_coarser_step(self, tmp_path, dt):
         # 4e9 steps at 2e-9: the slow modes' r ** n would lose ~1e-7
-        # relative and fake a negative overshoot at the far edge.  The final
-        # counts are compared: at 2e-9 the snapshots' 1e-9 relative time
-        # tolerance exceeds dt, so they fire a step early
-        counts = {}
+        # relative and fake a negative overshoot at the far edge
+        rows = {}
         for step in ("1e-7", dt):
             assert run(["pde", "--out", str(tmp_path), "--name", step, "--T", "8",
                         "--y-max", "10", "--n-cells", "512", "--dt", step,
                         "--snapshots", "2,4"]) == 0
-            rows = (tmp_path / step / "survivors.csv").read_text().splitlines()[1:]
-            assert len(rows) == 3
-            counts[step] = float(rows[-1].split(",")[1]) * math.log(10.0)
-        assert abs(math.expm1(counts[dt] - counts["1e-7"])) <= 1e-10
+            lines = (tmp_path / step / "survivors.csv").read_text().splitlines()[1:]
+            rows[step] = [line.split(",") for line in lines]
+            assert [t for t, _, _ in rows[step]] == ["2", "4", "8"]
+        for (_, coarse, _), (_, fine, _) in zip(rows["1e-7"], rows[dt]):
+            gap = (float(fine) - float(coarse)) * math.log(10.0)
+            assert abs(math.expm1(gap)) <= 1e-10
 
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0

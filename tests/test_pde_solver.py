@@ -64,6 +64,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(y_max=10.0, n_cells=64, dt=0.0)
 
+    @pytest.mark.parametrize("y_max,dt", [(math.inf, 1e-3), (math.nan, 1e-3),
+                                          (10.0, math.inf), (10.0, math.nan)])
+    def test_non_finite_extent_or_step_raises(self, y_max, dt):
+        with pytest.raises(DomainError, match="positive and finite"):
+            Grid(y_max=y_max, n_cells=64, dt=dt)
+
     def test_spacing(self):
         g = Grid(y_max=10.0, n_cells=100, dt=1e-3)
         assert g.h == pytest.approx(0.1)
@@ -104,24 +110,16 @@ def _moments(y: np.ndarray, values: np.ndarray) -> tuple[float, float]:
 
 def _snapshot_moments(dp: DiffusionParams, g: Grid, T: float, every: float):
     """(times, centers of mass, variances) of a solve, every ``every``."""
-    times, coms, variances = [], [], []
-
-    def record(t, y, values, growth_log):
-        com, var = _moments(y, values)
-        times.append(t)
-        coms.append(com)
-        variances.append(var)
-
-    solve(dp, g, T, snapshot_times=np.arange(0.0, T + 0.5 * every, every),
-          on_snapshot=record)
-    return times, coms, variances
+    snaps = solve(dp, g, T, snapshot_times=np.arange(0.0, T + 0.5 * every, every))[:-1]
+    coms, variances = zip(*(_moments(g.nodes(), f.values) for f in snaps))
+    return [f.t for f in snaps], coms, variances
 
 
 class TestStepDynamics:
     def test_mass_conserved_away_from_boundary(self):
         # far pulse: nothing reaches either edge in 1000 steps
         g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
-        f = solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, 1.0)
+        f = solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, 1.0)[-1]
         assert abs(f.mass(g) - 1.0) <= 1e-8
         assert abs(f.absorbed) <= 1e-8
 
@@ -221,7 +219,7 @@ class TestFactoredStepper:
              "40.0-4096-0.01-0.45-remainder"])
     def test_matches_banded_solve(self, y_max, n_cells, w, dt, T):
         g = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
-        f = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T)
+        f = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T)[-1]
         values = self._banded_reference(g, w, T)
         assert np.abs(f.values - values).max() <= 1e-10 * values.max()
         assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
@@ -316,24 +314,24 @@ class TestLoudDomain:
 class TestSolve:
     def test_survivor_count_matches_closed_form(self, desk):
         g = Grid(y_max=20.0, n_cells=2048, dt=1e-3)
-        f = solve(desk, g, 4.0)
+        f = solve(desk, g, 4.0)[-1]
         got = survivor_count(f, g, desk)
         want = analytic.log_unmangled_count(4.0, desk)
         assert abs(math.expm1(got - want)) <= 0.01
 
     def test_probability_bookkeeping(self, desk):
         g = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
-        f = solve(desk, g, 4.0)
+        f = solve(desk, g, 4.0)[-1]
         assert f.absorbed + f.mass(g) == pytest.approx(1.0, abs=1e-6)
 
     def test_tail_leak_bounded(self, desk):
         g = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
-        f = solve(desk, g, 4.0)
+        f = solve(desk, g, 4.0)[-1]
         assert f.values[-1] * g.h <= 1e-8
 
     def test_density_shape_matches_approx_form(self, desk):
         g = Grid(y_max=20.0, n_cells=2048, dt=1e-3)
-        f = solve(desk, g, 4.0)
+        f = solve(desk, g, 4.0)[-1]
         y = g.nodes()
         dens = f.values / f.mass(g)
         logs = analytic.log_mu1_approx(y[1:], 4.0, desk)
@@ -345,11 +343,8 @@ class TestSolve:
     def test_absorption_monotone(self, desk):
         # the mass lost by every step time of one solve, from its snapshots
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
-        mass0 = init_delta(g, desk.eps).mass(g)
-        absorbed = [0.0]
-        solve(desk, g, 1.0, snapshot_times=g.dt * np.arange(1, 501),
-              on_snapshot=lambda t, y, values, gl:
-              absorbed.append(mass0 - Field(values=values).mass(g)))
+        snaps = solve(desk, g, 1.0, snapshot_times=g.dt * np.arange(1, 501))[:-1]
+        absorbed = [0.0] + [f.absorbed for f in snaps]
         assert len(absorbed) == 501
         assert all(b >= a - 1e-15 for a, b in zip(absorbed, absorbed[1:]))
         assert absorbed[-1] > 0.1
@@ -362,7 +357,7 @@ class TestSolve:
         errs = []
         for n, dt in ((512, 4e-3), (1024, 2e-3), (2048, 1e-3)):
             g = Grid(y_max=20.0, n_cells=n, dt=dt)
-            got = survivor_count(solve(dp, g, 4.0), g, dp)
+            got = survivor_count(solve(dp, g, 4.0)[-1], g, dp)
             errs.append(abs(math.expm1(got - want)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
@@ -373,17 +368,24 @@ class TestSolve:
         fast = DiffusionParams(v=2.0 * desk.v, w=2.0 * desk.w, eps=desk.eps)
         g1 = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
         g2 = Grid(y_max=20.0, n_cells=1024, dt=1e-3)
-        a = survivor_count(solve(desk, g1, 4.0), g1, desk)
-        b = survivor_count(solve(fast, g2, 2.0), g2, fast)
+        a = survivor_count(solve(desk, g1, 4.0)[-1], g1, desk)
+        b = survivor_count(solve(fast, g2, 2.0)[-1], g2, fast)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_snapshots_fire(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
-        seen = []
-        solve(desk, g, 2.0, snapshot_times=[0.5, 1.0, 2.0],
-              on_snapshot=lambda t, y, vals, gl: seen.append((t, vals.sum(), gl)))
-        assert [round(t, 6) for t, _, _ in seen] == [0.5, 1.0, 2.0]
-        assert seen[0][2] == pytest.approx((desk.v - 0.5 * desk.w) * 0.5, rel=1e-6)
+        fields = solve(desk, g, 2.0, snapshot_times=[1.0, 0.5, 2.0])
+        assert [f.t for f in fields] == [0.5, 1.0, 2.0, 2.0]
+        assert fields[0].growth_log(desk) == pytest.approx((desk.v - 0.5 * desk.w) * 0.5,
+                                                           rel=1e-6)
+        assert np.array_equal(fields[2].values, fields[3].values)
+        assert len({(f.modes, f.truncation) for f in fields}) == 1
+
+    def test_snapshot_at_zero_is_the_start(self, desk):
+        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        snap, _ = solve(desk, g, 1.0, snapshot_times=[0.0])
+        assert np.array_equal(snap.values, init_delta(g, desk.eps).values)
+        assert (snap.t, snap.absorbed) == (0.0, 0.0)
 
     @pytest.mark.parametrize("t", [-0.5, 2.5])
     def test_snapshot_outside_horizon_raises(self, desk, t):
@@ -393,21 +395,35 @@ class TestSolve:
 
     def test_snapshot_at_horizon_within_roundoff_fires(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
-        seen = []
-        solve(desk, g, 2.0, snapshot_times=[2.0 * (1.0 + 1e-12)],
-              on_snapshot=lambda t, *_: seen.append(t))
-        assert len(seen) == 1
+        fields = solve(desk, g, 2.0, snapshot_times=[2.0 * (1.0 + 1e-12)])
+        assert [f.t for f in fields] == [2.0, 2.0]
 
-    def test_snapshot_between_steps_fires_at_the_next_step(self, desk):
-        # dt = 0.01: 0.505 fires with 0.51 at step 51, and 2.001 at the
-        # remainder step that ends the run at T = 2.005
+    def test_snapshot_is_the_end_of_a_run_to_its_time(self, desk):
+        # dt = 0.01: 0.505, 2.001 and T = 2.005 each end in a remainder step
         g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
-        seen = []
-        f = solve(desk, g, 2.005, snapshot_times=[0.505, 0.51, 2.001],
-                  on_snapshot=lambda t, y, values, gl: seen.append((t, values)))
-        assert [t for t, _ in seen] == [pytest.approx(0.51, abs=1e-12)] * 2 + [2.005]
-        assert np.array_equal(seen[0][1], seen[1][1])
-        assert np.array_equal(seen[2][1], f.values)
+        fields = solve(desk, g, 2.005, snapshot_times=[0.505, 0.51, 2.001])
+        assert [f.t for f in fields] == [0.505, 0.51, 2.001, 2.005]
+        for f in fields:
+            alone = solve(desk, g, f.t)[-1]
+            assert f.modes == alone.modes
+            assert np.array_equal(f.values, alone.values)
+
+    @pytest.mark.parametrize("T", [0.001, 0.01])
+    def test_step_longer_than_the_run_is_taken(self, desk, T):
+        # no whole step fits: the run is one remainder step of T, whatever dt
+        g = Grid(y_max=10.0, n_cells=512, dt=1e300)
+        f = solve(desk, g, T)[-1]
+        ref = solve(desk, Grid(y_max=10.0, n_cells=512, dt=1.0), T)[-1]
+        assert np.array_equal(f.values, ref.values)
+        assert f.absorbed > 0.01
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, desk, T):
+        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        with pytest.raises(DomainError, match="T must be positive and finite"):
+            solve(desk, g, T)
+        with pytest.raises(DomainError, match="T must be positive and finite"):
+            pde_solver.suggested_grid(desk, T)
 
     def test_snapshot_steps_cost_no_memory_per_step(self, desk):
         # 4e6 steps of dt: a table of every step time would be 32 MB
@@ -451,7 +467,7 @@ class TestBornTwoStage:
     def test_unit_split_reduces_to_plain_solve(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
         lam = born_two_stage_counts(desk, g, 2.0, [(1.0, 1)], 2.0)[0]
-        ref = survivor_count(solve(desk, g, 4.0), g, desk)
+        ref = survivor_count(solve(desk, g, 4.0)[-1], g, desk)
         assert lam == ref  # bit-identical path
 
     def test_children_scale_exactly(self, desk):
@@ -459,6 +475,13 @@ class TestBornTwoStage:
         one = born_two_stage_counts(desk, g, 2.0, [(0.5, 1)], 2.0)[0]
         four = born_two_stage_counts(desk, g, 2.0, [(0.5, 4)], 2.0)[0]
         assert four - one == pytest.approx(math.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("t1,t2", [(math.inf, 2.0), (2.0, math.inf), (0.0, 2.0),
+                                       (2.0, math.nan)])
+    def test_stage_times_must_be_positive_and_finite(self, desk, t1, t2):
+        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
+        with pytest.raises(DomainError, match="t[12] must be positive and finite"):
+            born_two_stage_counts(desk, g, t1, [(0.5, 1)], t2)
 
     def test_shift_needs_room(self, desk):
         g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
