@@ -44,8 +44,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 def _check_time(t: float, name: str = "t") -> float:
     t = float(t)
-    if not t > 0.0:
-        raise DomainError(f"{name} must be positive, got {t!r}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {t!r}")
     return t
 
 

@@ -33,24 +33,32 @@ counts, so :func:`enumerate_survivors`, the walker's ground truth, counts
 exactly in O(N^2) with the walker's own kmin(n) and judges ties alike.
 
 Determinism: draws come from a counter-based generator, two rounds of the
-splitmix64 finalizer keyed by (seed, path index, event index), so a path's
-randomness is a pure function of its index.  A branch is taken by
-comparing the raw 64-bit hash with an integer threshold, which decides
-exactly as the float uniform (z >> 11) * 2^-53 < p would.  A chunk of
-2^16 paths returns its survivors per final k as integers, whose sums are
-exact, so every estimate and histogram, formed once from the summed
-counts, is bit-identical for any worker count and any chunk size.
+splitmix64 finalizer keyed by (seed, path index, counter), so a path's
+randomness is a pure function of its index.  Under tilt "measure" the
+counter is the event: event n takes the larger branch when the raw 64-bit
+hash of n is below an integer threshold, which decides exactly as the
+float uniform (z >> 11) * 2^-53 < p would.  Under tilt "none" one hash
+carries 64 events' fair branches: event n takes the larger branch when bit
+(n - 1) % 64 of the hash of counter (n - 1) // 64, the path's word, is
+set.  A chunk of 2^16 paths returns its survivors per final k as
+integers, whose sums are exact, so every estimate and histogram, formed
+once from the summed counts, is bit-identical for any worker count and
+any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
-alive paths a block of events at a time.  One numpy pass hashes every
-alive path at every event of the block, in place in one scratch buffer
-per chunk; a log-step scan turns the branches into prefix counts of
-larger-branch steps, and the whole block's absorption is tested at once.
-Absorbed paths are compacted away once per block, so a path that dies
-mid-block is hashed to the block's end.  A block holds about 2^16
-path-events: one event while 2^16 paths are alive, more as they die, up
-to the 256 events whose thresholds are computed together.  The fixed cost
-of a numpy call is thus paid per block, not per event.
+alive paths a block of events at a time.  Under tilt "measure" one numpy
+pass hashes every alive path at every event of the block, in place in one
+scratch buffer per chunk; under tilt "none" each alive path is hashed once
+per 64-event window, aligned to multiples of 64, and a block's branches
+are shifted out of its word.  A log-step scan turns the branches into
+prefix counts of larger-branch steps, and the whole block's absorption is
+tested at once.  Absorbed paths are compacted away once per block, so a
+path that dies mid-block is walked to the block's end.  A block holds
+about 2^16 path-events under tilt "measure" (one event while 2^16 paths
+are alive, more as they die, up to the 256 events whose thresholds are
+computed together) and about 2^18 under tilt "none", whose blocks hash
+nothing and stay within one word.  The fixed cost of a numpy call is thus
+paid per block, not per event.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -130,31 +138,34 @@ def _key_from_seed(seed: int) -> np.uint64:
 
 
 def _path_hi(key: np.uint64, paths: np.ndarray) -> np.ndarray:
-    """(path ^ key_hi) << 32, the high word of (path << 32 | event) ^ key."""
+    """(path ^ key_hi) << 32, the high word of (path << 32 | counter) ^ key."""
     return (paths ^ (key >> _U(32))) << _U(32)
 
 
-def _draws(key: np.uint64, path_hi: np.ndarray, event: int | np.ndarray,
+def _draws(key: np.uint64, path_hi: np.ndarray, counter: int | np.ndarray,
            threshold: np.uint64 | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
-    """Raw 64-bit hash for every path at one event, or at each of a 1-D
-    array of events (one row per event); path_hi is :func:`_path_hi`.  Its
-    uniform is u = (z >> 11) * 2^-53.  When ``threshold``'s low 33 bits are
-    zero, z < threshold reads only z's top 31 bits, which the last shift
-    leaves as they are, so that shift is skipped.
+    """Raw 64-bit hash for every path at one counter, or at each of a 1-D
+    array of counters (one row per counter); path_hi is :func:`_path_hi`.
+    Tilt "measure" hashes at each event, reading the uniform
+    u = (z >> 11) * 2^-53; tilt "none" hashes once per 64 events, at
+    counter (n - 1) // 64 for event n, and reads every bit of the word.
+    When ``threshold``'s low 33 bits are zero, z < threshold reads only z's
+    top 31 bits, which the last shift leaves as they are, so that shift is
+    skipped; without a threshold the full hash is returned.
 
     The hash is computed in place in ``scratch``, two uint64 rows with room
     for the whole result (allocated when None); the result is a view of its
     first row, overwritten by the next call."""
-    event = np.asarray(event, dtype=np.uint64)
-    size = event.size * path_hi.size
+    counter = np.asarray(counter, dtype=np.uint64)
+    size = counter.size * path_hi.size
     if scratch is None:
         scratch = np.empty((2, size), dtype=np.uint64)
-    z, tmp = (row[:size].reshape(event.shape + path_hi.shape) for row in scratch)
+    z, tmp = (row[:size].reshape(counter.shape + path_hi.shape) for row in scratch)
     key = int(key)
     # round one's counter ^ key + GAMMA, as one add to the disjoint halves
-    low = (np.atleast_1d(event) ^ _U(key & 0xFFFFFFFF)) + _U(_GAMMA)
-    np.add(path_hi, low.reshape(event.shape + (1,)), out=z)
+    low = (np.atleast_1d(counter) ^ _U(key & 0xFFFFFFFF)) + _U(_GAMMA)
+    np.add(path_hi, low.reshape(counter.shape + (1,)), out=z)
     _mix(z, tmp)
     z += _U((key + _GAMMA) & _MASK)  # + key, then round two's + GAMMA
     _mix(z, tmp, threshold is None or int(threshold) & ((1 << 33) - 1) != 0)
@@ -265,7 +276,8 @@ class SurvivorHistogram(PathEnsemble):
 class _RunConfig:
     log_big: float
     log_small: float
-    threshold: np.uint64  # draws below it take the larger branch
+    # tilt "measure": draws below it take the larger branch; None for "none"
+    threshold: np.uint64 | None
     b_step: float
     eps: float
     n_total: int
@@ -276,7 +288,7 @@ class _RunConfig:
     key: np.uint64
 
 
-_BLOCK = 256  # events whose thresholds are computed together
+_BLOCK = 256  # tilt "measure": events whose thresholds are computed together
 _BUDGET = 1 << 16  # path-events hashed in one numpy pass
 
 
@@ -316,28 +328,48 @@ def _walk(cfg: _RunConfig, log_Fs: Sequence[float], k: np.ndarray,
     ``alive`` carries (None for a single outcome, which then need not
     compact it); it is dropped once it fails rank 0.
 
-    The events go in blocks of b = _BUDGET // (alive paths) events, at
-    least one and never past a 256-event threshold window: each numpy pass
+    The events go in windows whose thresholds are computed together: 256
+    events under tilt "measure", and under tilt "none" the 64 events of
+    one hash word, aligned to multiples of 64, each alive path's word
+    hashed once at the window's start.  A window goes in blocks of
+    b = budget // (alive paths) events, at least one: each numpy pass
     covers the whole block, and the paths are compacted once per block.
+    The budget is _BUDGET hashed path-events under tilt "measure".  Tilt
+    "none" hashes nothing per block, so its two rows of int16 prefix
+    counts may fill both scratch rows: 4 * _BUDGET path-events.
     """
-    for lo in range(first, last + 1, _BLOCK):
-        n = np.arange(lo - 1, min(lo + _BLOCK, last + 1))
+    lo = first
+    while lo <= last and k.size:
+        if cfg.tilt == "none":
+            hi = min(last, (lo - 1) // 64 * 64 + 64)
+            word = _draws(cfg.key, path_hi, (lo - 1) // 64,
+                          scratch=scratch).copy()
+            budget = 4 * _BUDGET
+        else:
+            hi, word, budget = min(last, lo + _BLOCK - 1), None, _BUDGET
+        n = np.arange(lo - 1, hi + 1)
         kmins = np.stack([_kmin(cfg, n, log_F) for log_F in log_Fs])
         rises = kmins[:, 1:] > kmins[:, :-1]
         i = 0  # events n[1..i] are walked
         while i < n.size - 1 and k.size:
-            b = min(n.size - 1 - i, max(1, _BUDGET // k.size))
-            k, path_hi, alive = _advance(
+            b = min(n.size - 1 - i, max(1, budget // k.size))
+            k, path_hi, alive, word = _advance(
                 cfg, n[i + 1:i + b + 1], kmins[:, i + 1:i + b + 1],
-                rises[:, i:i + b], k, path_hi, alive, scratch)
+                rises[:, i:i + b], k, path_hi, alive, word, scratch)
             i += b
+        lo = hi + 1
     return k, path_hi, alive
 
 
 def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
              rises: np.ndarray, k: np.ndarray, path_hi: np.ndarray,
-             alive: np.ndarray | None, scratch: np.ndarray):
+             alive: np.ndarray | None, word: np.ndarray | None,
+             scratch: np.ndarray):
     """Advance the paths through one block of b events.
+
+    A path takes the larger branch at event n, under tilt "measure", when
+    its hash at n is below ``cfg.threshold``; under tilt "none", when bit
+    (n - 1) % 64 of its ``word`` is set (``word`` is None under "measure").
 
     ``kmins[r]`` holds rank r's threshold at each event of the block, and
     ``rises[r]`` whether it rises there from the event before.  A path
@@ -347,13 +379,21 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     kmin_r does not rise fails no such path.
     """
     b = events.size
-    z = _draws(cfg.key, path_hi, events, cfg.threshold, scratch)
-    if b == 1:  # one event: a single compare per rank, on the new k
-        k += z[0] < cfg.threshold
-    else:
+    if word is None:
+        z = _draws(cfg.key, path_hi, events, cfg.threshold, scratch)
         # the hash's second row is free: two int16 blocks of prefix counts
-        c, spare = scratch[1].view(np.int16)[:2 * z.size].reshape(2, *z.shape)
+        c, spare = scratch[1].view(np.int16)[:2 * b * k.size].reshape(2, b, -1)
         np.less(z, cfg.threshold, out=c)
+    else:
+        # no hash: the prefix counts may take both rows
+        c, spare = scratch.view(np.int16)[:, :b * k.size].reshape(2, b, -1)
+        shifts = ((events - 1) % 64).astype(np.uint64)[:, None]
+        # the low 16 bits of word >> s, cast as they are written, then bit 0
+        np.right_shift(word, shifts, out=c.view(np.uint16), casting="unsafe")
+        c &= 1
+    if b == 1:  # one event: a single compare per rank, on the new k
+        k += c[0]
+    else:
         step = 1
         while step < b:  # log-step scan: c[j] becomes the sum of rows 0..j
             np.add(c[step:], c[:-step], out=spare[step:])
@@ -381,11 +421,14 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     if b > 1:
         k += c[-1]
     if drop is not None:
-        keep = ~drop
+        # gather by index: a boolean mask mispredicts a branch per drop
+        keep = np.flatnonzero(~drop)
         k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
         if alive is not None:
             alive = alive[keep]
-    return k, path_hi, alive
+        if word is not None:
+            word = word[keep]
+    return k, path_hi, alive, word
 
 
 def _run_chunk(cfg: _RunConfig, start: int, size: int) -> np.ndarray:
@@ -533,7 +576,7 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
         raise DomainError("event index must fit in 32 bits of the draw counter")
     return _RunConfig(
         log_big=math.log(big), log_small=math.log(small),
-        threshold=_branch_threshold(0.5 if spec.tilt == "none" else big),
+        threshold=_branch_threshold(big) if spec.tilt == "measure" else None,
         b_step=b_step, eps=spec.eps, n_total=n_total,
         b_final=n_total * b_step - spec.eps if math.isfinite(spec.eps) else 0.0,
         n_split=spec.n_events, splits=splits, tilt=spec.tilt,

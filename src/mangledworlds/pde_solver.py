@@ -347,9 +347,14 @@ def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool) -> Non
         field.coef = field.coef * basis.factor(remainder)
 
 
-def _check_time(name: str, t: float) -> None:
+def _check_time(name: str, t: float, dt: float | None = None) -> None:
+    """t is a positive finite time; given dt, its step count t / dt is finite
+    too (a subnormal dt overflows it)."""
     if not 0.0 < t < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {t!r}")
+    if dt is not None and not t / dt < math.inf:
+        raise DomainError(f"{name} = {t!r} is more steps of dt = {dt!r} than a "
+                          "float can count")
 
 
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
@@ -363,7 +368,7 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     ``survivor_count(field, grid, dp)``.
     """
     dp.require_diffusive()
-    _check_time("T", T)
+    _check_time("T", T, grid.dt)
     times = sorted(float(s) for s in snapshot_times)
     for s in times:
         if not 0.0 <= s <= T + 1e-9 * max(1.0, T):
@@ -412,8 +417,8 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
-    _check_time("t1", t1)
-    _check_time("t2", t2)
+    _check_time("t1", t1, grid.dt)
+    _check_time("t2", t2, grid.dt)
     for log_F, _ in log_splits:
         if -log_F >= 0.5 * grid.y_max:
             raise DomainError(

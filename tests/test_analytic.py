@@ -46,6 +46,13 @@ class TestMu0:
         with pytest.raises(DomainError):
             analytic.log_mu0(0.0, -1.0, desk)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, desk, t):
+        with pytest.raises(DomainError, match="t must be positive and finite"):
+            analytic.log_mu0(0.0, t, desk)
+        with pytest.raises(DomainError, match="t1 must be positive and finite"):
+            analytic.gamma_correction(0.5, t, desk.w)
+
     def test_rejects_nan(self, desk):
         with pytest.raises(DomainError, match="nan"):
             analytic.log_mu0(math.nan, 1.0, desk)

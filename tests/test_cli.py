@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,7 +75,11 @@ class TestExitCodes:
          "negative density overshoot"),
         (["pde", "--dt", "10", "--y-max", "10", "--n-cells", "512"],
          "negative density overshoot"),
-    ], ids=["pde-T-inf", "pde-dt-inf", "born-t1-inf", "pde-dt-1e300", "pde-dt-10"])
+        # a subnormal step: T / dt overflows the step count
+        (["pde", "--dt", "1e-320", "--y-max", "10", "--n-cells", "512"],
+         "T = 8.0 is more steps of dt = 1e-320 than a float can count"),
+    ], ids=["pde-T-inf", "pde-dt-inf", "born-t1-inf", "pde-dt-1e300", "pde-dt-10",
+            "pde-dt-1e-320"])
     def test_non_finite_or_overlong_step_is_an_error_line(self, tmp_path, capsys,
                                                           argv, message):
         # a run with no whole step of dt in it is one remainder step, never
@@ -92,6 +97,15 @@ class TestExitCodes:
         assert run(["born", "--out", str(tmp_path), "--tilt", "bogus"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "tilt" in err
+
+    @pytest.mark.parametrize("times", ["inf", "1,inf", "nan"])
+    def test_analytic_rejects_non_finite_times(self, tmp_path, capsys, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic
+            assert run(["analytic", "--out", str(tmp_path), "--times", times]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t must be positive and finite, got ")
+        assert times.split(",")[-1] in err
 
     def test_analytic_rejects_nan_points(self, tmp_path, capsys):
         assert run(["analytic", "--out", str(tmp_path), "--y-points", "0,nan"]) == 2
@@ -165,9 +179,9 @@ GOLDEN_SHA256 = {
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
     "mc/config.json": "6b57f115b6b96fb4b35f83fcb037e36f135ed937717165d65379ec1236d8adcf",
-    "mc/estimates.json": "05c100e65aafcff5c64c1998cc7dbb026220c3111bfde35c244d0182dd8fca6b",
-    "mc/histogram.csv": "82328746232df77d7bb1051f18c5a5711d5613225361435c6aa406dcb899e4dd",
-    "mc/summary.txt": "c803b0c77334a2edab5d3f516e109b287e56a912697627ad4626f4c288b588e0",
+    "mc/estimates.json": "338d7f7d4940bd6b12cded0bc406c530396e0265b7e8d787b58b42c9cb7600c6",
+    "mc/histogram.csv": "84917134fedd37b2d6f74cdcd6acf6c56a114b24475345e2d15e37f20f4eeec2",
+    "mc/summary.txt": "6476f68b88453b168b9f75441a61cbe32ae5ef054e2904283a6b990fbcf6f7d3",
     "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",
     "pde/snapshots.csv": "287782b4c6e1dba9b9d7109cb860b5cced2b5bcb2557284749fc8ee85ed5f106",
     "pde/summary.txt": "25d953623513308b558bd832c2a880662eefaeb8a8584654e107f541929ba242",

@@ -254,9 +254,11 @@ class TestDeterminism:
         assert ens.log_weight_sum == pytest.approx(want[0], rel=1e-15)
         assert ens.log_weight_sq_sum == pytest.approx(want[1], rel=1e-15)
 
-    def test_two_stage_does_not_depend_on_the_chunk_size(self, monkeypatch):
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_two_stage_does_not_depend_on_the_chunk_size(self, tilt,
+                                                         monkeypatch):
         s1 = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=100,
-                      tilt="measure")
+                      tilt=tilt)
         splits = [(1, 1), (0.5, 1), (0.25, 2)]
         big = born_two_stage_mc_counts(s1, splits, 300, 1 << 18, seed=11,
                                        workers=1)
@@ -433,6 +435,47 @@ def test_hash_stream_is_pinned():
                                   scratch=scratch).tolist() == values
 
 
+def test_uniform_branch_stream_is_pinned():
+    """The first 128 tilt-none branch bits at seed 7, recorded from the
+    walker: event n takes the larger branch when bit (n - 1) % 64 of the
+    path's hash word (n - 1) // 64 is set.  Without absorption, a walk
+    through events 1..n counts exactly the set bits among the first n."""
+    words = {
+        0: [0x6fef6b28ddcfe3f1, 0x1114a7dd47bf7c09],
+        1: [0x4b4881dc07a2b4c2, 0xc505ac7317ae3c9e],
+        65535: [0xb3beb0717b25076f, 0xa6186ba0605948e5],
+        2 ** 31 - 1: [0x52b0b266c30c1a56, 0xd4a0fc0a0abad1bd],
+    }
+    bits = np.array([[w >> s & 1 for w in pair for s in range(64)]
+                     for pair in words.values()])
+    spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=math.inf, n_events=128,
+                    tilt="none")
+    cfg = monte_carlo._config_for(spec, seed=7)
+    path_hi = monte_carlo._path_hi(cfg.key, np.array(list(words),
+                                                     dtype=np.uint64))
+    for w in (0, 1):
+        assert monte_carlo._draws(cfg.key, path_hi, w).tolist() == [
+            pair[w] for pair in words.values()]
+    scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
+    for n in range(1, 129):
+        k, _, _ = monte_carlo._walk(cfg, (0.0,), np.zeros(4, dtype=np.int64),
+                                    path_hi, None, 1, n, scratch)
+        assert k.tolist() == bits[:, :n].sum(axis=1).tolist(), n
+
+
+def test_every_bit_of_the_uniform_word_is_fair():
+    """Over 2^16 paths, each of the 64 bit positions of a hash word is set
+    within 5 sigma of half the paths."""
+    n = 1 << 16
+    key = monte_carlo._key_from_seed(7)
+    path_hi = monte_carlo._path_hi(key, np.arange(n, dtype=np.uint64))
+    for w in (0, 1, 2 ** 26 - 1):
+        word = monte_carlo._draws(key, path_hi, w)
+        ones = [int(((word >> np.uint64(s)) & np.uint64(1)).sum())
+                for s in range(64)]
+        assert max(abs(c - n / 2) for c in ones) < 5.0 * math.sqrt(n / 4), w
+
+
 def test_hash_of_an_event_block_stacks_the_single_events():
     key = monte_carlo._key_from_seed(7)
     paths = monte_carlo._path_hi(
@@ -497,10 +540,20 @@ class TestBlockWalk:
     tests and compacts one event at a time."""
 
     @staticmethod
-    def reference_walk(cfg, log_Fs, k, path_hi, alive, first, last):
+    def larger_branch(cfg, path_hi, event):
+        """1 where a path takes the larger branch at the event: its hash at
+        the event below the threshold under tilt "measure", bit
+        (event - 1) % 64 of its hash word (event - 1) // 64 under "none"."""
+        if cfg.tilt == "none":
+            word = monte_carlo._draws(cfg.key, path_hi, (event - 1) // 64)
+            return ((word >> np.uint64((event - 1) % 64))
+                    & np.uint64(1)).astype(np.int64)
+        return monte_carlo._draws(cfg.key, path_hi, event) < cfg.threshold
+
+    @classmethod
+    def reference_walk(cls, cfg, log_Fs, k, path_hi, alive, first, last):
         for event in range(first, last + 1):
-            draws = monte_carlo._draws(cfg.key, path_hi, event)
-            k = k + (draws < cfg.threshold)
+            k = k + cls.larger_branch(cfg, path_hi, event)
             for r, log_F in enumerate(log_Fs):
                 below = k < monte_carlo._kmin(cfg, np.array([event]), log_F)
                 if r == 0:
@@ -547,6 +600,10 @@ class TestBlockWalk:
         # p = 1/2, all lineages one log-size: with ln F just above -eps the
         # second outcome's float test fails from event 369 on
         (0.5, 0.3, 600, (0.0, -0.3 + 1.6e-14), 300, "none"),
+        # 4 events per block while 2^16 paths are alive, growing as they die
+        (0.55, 0.2, 300, (0.0,), 1 << 16, "none"),
+        # 64-event blocks, one per hash word
+        (0.55, 1.0, 700, (0.0, -0.4), 1000, "none"),
     ])
     def test_walk_equals_the_per_event_walk(self, p, eps, n_events, log_Fs,
                                             n_paths, tilt):
@@ -557,9 +614,35 @@ class TestBlockWalk:
         if len(log_Fs) > 1 and math.isfinite(eps):
             assert (alive < len(log_Fs)).any()  # some outcome absorbed a path
 
-    def test_thresholds_far_apart_within_a_block(self, monkeypatch):
+    @pytest.mark.parametrize("tilt", TILTS)
+    @pytest.mark.parametrize("n_split,n_events,n_paths", [
+        (100, 300, 1000),     # 36 events into a word; crosses five words
+        (63, 2, 1 << 16),     # a word's last event, then the next's first
+        (64, 1, 500),         # a word's first event
+        (130, 10, 1 << 16),   # many paths, so short blocks; mid-word
+    ])
+    def test_stage_two_from_mid_word(self, tilt, n_split, n_events, n_paths):
+        """A walk that starts at n_split + 1, partway into a 64-event word,
+        hashes that word again and must read the same bits as the walk
+        from event 1 did."""
+        dp = DecoherenceParams(p=0.55)
+        cfg = monte_carlo._config_for(
+            WalkSpec(dp=dp, eps=1.0, n_events=n_split, tilt=tilt), seed=5)
+        path_hi = monte_carlo._path_hi(
+            cfg.key, np.arange(n_paths, dtype=np.uint64))
+        k, path_hi, _ = self.reference_walk(
+            cfg, (0.0,), np.zeros(n_paths, dtype=np.int64), path_hi, None,
+            1, n_split)
+        assert 0 < k.size
+        spec = WalkSpec(dp=dp, eps=1.0, n_events=n_events, tilt=tilt)
+        # paths indexed 0.. again: only the start event differs
+        self.assert_walks_agree(spec, (0.0, -0.3), k, n_split + 1)
+
+    @pytest.mark.parametrize("first", [40_001, 40_030])
+    def test_thresholds_far_apart_within_a_block(self, monkeypatch, first):
         """Within a block, thresholds more than 2^15 apart: the slack of the
-        lower ones is clipped, not wrapped, in int16."""
+        lower ones is clipped, not wrapped, in int16.  The walk starts on a
+        hash word's first event, and 29 events into one."""
         def spiky_kmin(cfg, n, log_F):
             return (np.where(n % 37 == 0, n - 5_000, (n - 40_000) // 10)
                     + round(-1000 * log_F))
@@ -567,7 +650,7 @@ class TestBlockWalk:
         monkeypatch.setattr(monte_carlo, "_kmin", spiky_kmin)
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=600)
         k = np.random.default_rng(0).integers(34_000, 36_000, size=200)
-        k, _, alive = self.assert_walks_agree(spec, (0.0, -0.5), k, 40_001)
+        k, _, alive = self.assert_walks_agree(spec, (0.0, -0.5), k, first)
         assert 0 < k.size < 200 and (alive == 1).any()
 
 
@@ -733,11 +816,13 @@ class TestSurvivorHistogram:
 
 
 class TestBornTwoStage:
-    def test_unit_split_is_bit_identical_to_plain_run(self):
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_unit_split_is_bit_identical_to_plain_run(self, tilt):
+        # stage two starts 36 events into a tilt-none hash word
         dp = DecoherenceParams(p=0.55)
-        s1 = WalkSpec(dp=dp, eps=0.2, n_events=100, tilt="measure")
+        s1 = WalkSpec(dp=dp, eps=0.2, n_events=100, tilt=tilt)
         plain = simulate_survivors(
-            WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="measure"),
+            WalkSpec(dp=dp, eps=0.2, n_events=400, tilt=tilt),
             200_000, seed=11)
         staged = born_two_stage_mc_counts(s1, [(1.0, 1)], 300, 200_000,
                                           seed=11)[0]

@@ -425,6 +425,16 @@ class TestSolve:
         with pytest.raises(DomainError, match="T must be positive and finite"):
             pde_solver.suggested_grid(desk, T)
 
+    def test_step_count_must_fit_a_float(self, desk):
+        # dt = 1e-300 still counts its steps; a subnormal dt overflows them
+        fine = Grid(y_max=10.0, n_cells=512, dt=1e-300)
+        assert solve(desk, fine, 2.0)[-1].t == 2.0
+        tiny = Grid(y_max=10.0, n_cells=512, dt=1e-320)
+        with pytest.raises(DomainError, match="than a float can count"):
+            solve(desk, tiny, 2.0)
+        with pytest.raises(DomainError, match="t2 = 2.0 is more steps"):
+            born_two_stage_counts(desk, tiny, 1e-310, [(0.5, 1)], 2.0)
+
     def test_snapshot_steps_cost_no_memory_per_step(self, desk):
         # 4e6 steps of dt: a table of every step time would be 32 MB
         g = Grid(y_max=10.0, n_cells=512, dt=2e-6)
