@@ -34,31 +34,33 @@ exactly in O(N^2) with the walker's own kmin(n) and judges ties alike.
 
 Determinism: draws come from a counter-based generator, two rounds of the
 splitmix64 finalizer keyed by (seed, path index, counter), so a path's
-randomness is a pure function of its index.  Under tilt "measure" the
-counter is the event: event n takes the larger branch when the raw 64-bit
-hash of n is below an integer threshold, which decides exactly as the
-float uniform (z >> 11) * 2^-53 < p would.  Under tilt "none" one hash
-carries 64 events' fair branches: event n takes the larger branch when bit
-(n - 1) % 64 of the hash of counter (n - 1) // 64, the path's word, is
-set.  A chunk of 2^16 paths returns its survivors per final k as
-integers, whose sums are exact, so every estimate and histogram, formed
-once from the summed counts, is bit-identical for any worker count and
-any chunk size.
+randomness is a pure function of its index.  One hash, the path's word,
+carries several events.  Under tilt "measure" event n reads 16-bit lane
+(n - 1) % 4 of word (n - 1) // 4 and takes the larger branch when the lane
+is below A, the top 16 bits of M = ceil(p 2^53); on a tie, lane == A, the
+path hashes its tie counter 2^31 + n - 1 and compares the top 37 bits with
+M's low 37.  That decides exactly as m < M, or the float uniform
+m * 2^-53 < p, on the 53-bit uniform m those bits form.  Under tilt "none"
+event n takes the larger branch when bit (n - 1) % 64 of word
+(n - 1) // 64 is set.  A chunk of 2^16 paths returns its survivors per
+final k as integers, whose sums are exact, so every estimate and
+histogram, formed once from the summed counts, is bit-identical for any
+worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
-alive paths a block of events at a time.  Under tilt "measure" one numpy
-pass hashes every alive path at every event of the block, in place in one
-scratch buffer per chunk; under tilt "none" each alive path is hashed once
-per 64-event window, aligned to multiples of 64, and a block's branches
-are shifted out of its word.  A log-step scan turns the branches into
-prefix counts of larger-branch steps, and the whole block's absorption is
-tested at once.  Absorbed paths are compacted away once per block, so a
-path that dies mid-block is walked to the block's end.  A block holds
-about 2^16 path-events under tilt "measure" (one event while 2^16 paths
-are alive, more as they die, up to the 256 events whose thresholds are
-computed together) and about 2^18 under tilt "none", whose blocks hash
-nothing and stay within one word.  The fixed cost of a numpy call is thus
-paid per block, not per event.
+alive paths a block of events at a time, about 2^18 path-events per block
+(one hash word while 2^16 paths are alive, more as they die).  Under tilt
+"measure" a block is whole 4-event words: one numpy pass hashes them in
+place in a scratch buffer per chunk, a strided compare turns their lanes
+into branch rows, and only the ties (one lane in 2^16) are hashed again.
+Under tilt "none" each alive path is hashed once per 64-event window,
+aligned to multiples of 64, and a block's branches are shifted out of its
+word.  A log-step scan turns the branches into prefix counts of
+larger-branch steps, and the whole block's absorption is tested at once
+against kmin(n), tabulated once per walk.  Absorbed paths are compacted
+away once per block, so a path that dies mid-block is walked to the
+block's end.  The fixed cost of a numpy call is thus paid per block, not
+per event.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -111,21 +113,22 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = _U(0xBF58476D1CE4E5B9)
 _M2 = _U(0x94D049BB133111EB)
+#: tilt "measure": event n's tie counter is _TIE + n - 1, above every word
+#: counter (n - 1) // 4 while n <= _MAX_EVENTS
+_TIE = _U(1 << 31)
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray, last: bool = True) -> None:
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
     """The splitmix64 finalizer of z after its + GAMMA, in place; tmp is
-    scratch of z's shape.  uint64 arithmetic wraps mod 2^64.  ``last=False``
-    skips the final z ^= z >> 31, which leaves the top 31 bits as they are."""
+    scratch of z's shape.  uint64 arithmetic wraps mod 2^64."""
     np.right_shift(z, _U(30), out=tmp)
     z ^= tmp
     z *= _M1
     np.right_shift(z, _U(27), out=tmp)
     z ^= tmp
     z *= _M2
-    if last:
-        np.right_shift(z, _U(31), out=tmp)
-        z ^= tmp
+    np.right_shift(z, _U(31), out=tmp)
+    z ^= tmp
 
 
 def _key_from_seed(seed: int) -> np.uint64:
@@ -142,17 +145,25 @@ def _path_hi(key: np.uint64, paths: np.ndarray) -> np.ndarray:
     return (paths ^ (key >> _U(32))) << _U(32)
 
 
+def _hash(key: np.uint64, path_hi: np.ndarray, counter: np.ndarray,
+          z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The hash of (path << 32 | counter) ^ key, broadcast over path_hi
+    (:func:`_path_hi`) and uint64 counters, in place in z; tmp is scratch
+    of z's shape.  Round one's counter ^ key_lo + GAMMA adds to the
+    disjoint high word in one add."""
+    np.add(path_hi, (counter ^ _U(int(key) & 0xFFFFFFFF)) + _U(_GAMMA), out=z)
+    _mix(z, tmp)
+    z += _U((int(key) + _GAMMA) & _MASK)  # + key, then round two's + GAMMA
+    _mix(z, tmp)
+    return z
+
+
 def _draws(key: np.uint64, path_hi: np.ndarray, counter: int | np.ndarray,
-           threshold: np.uint64 | None = None,
            scratch: np.ndarray | None = None) -> np.ndarray:
-    """Raw 64-bit hash for every path at one counter, or at each of a 1-D
-    array of counters (one row per counter); path_hi is :func:`_path_hi`.
-    Tilt "measure" hashes at each event, reading the uniform
-    u = (z >> 11) * 2^-53; tilt "none" hashes once per 64 events, at
-    counter (n - 1) // 64 for event n, and reads every bit of the word.
-    When ``threshold``'s low 33 bits are zero, z < threshold reads only z's
-    top 31 bits, which the last shift leaves as they are, so that shift is
-    skipped; without a threshold the full hash is returned.
+    """64-bit hash for every path at one counter, or at each of a 1-D
+    array of counters (one row per counter).  A hash word carries the
+    branches of 4 events under tilt "measure" (counter (n - 1) // 4 for
+    event n) and of 64 under tilt "none" (counter (n - 1) // 64).
 
     The hash is computed in place in ``scratch``, two uint64 rows with room
     for the whole result (allocated when None); the result is a view of its
@@ -162,21 +173,16 @@ def _draws(key: np.uint64, path_hi: np.ndarray, counter: int | np.ndarray,
     if scratch is None:
         scratch = np.empty((2, size), dtype=np.uint64)
     z, tmp = (row[:size].reshape(counter.shape + path_hi.shape) for row in scratch)
-    key = int(key)
-    # round one's counter ^ key + GAMMA, as one add to the disjoint halves
-    low = (np.atleast_1d(counter) ^ _U(key & 0xFFFFFFFF)) + _U(_GAMMA)
-    np.add(path_hi, low.reshape(counter.shape + (1,)), out=z)
-    _mix(z, tmp)
-    z += _U((key + _GAMMA) & _MASK)  # + key, then round two's + GAMMA
-    _mix(z, tmp, threshold is None or int(threshold) & ((1 << 33) - 1) != 0)
-    return z
+    return _hash(key, path_hi, counter.reshape(counter.shape + (1,)), z, tmp)
 
 
-def _branch_threshold(prob: float) -> np.uint64:
-    """T such that z < T exactly when (z >> 11) * 2^-53 < prob: with
-    m = z >> 11, m * 2^-53 < prob iff m < ceil(prob * 2^53).  prob < 1,
-    so T <= (2^53 - 1) << 11 fits in 64 bits."""
-    return _U(math.ceil(prob * 2.0 ** 53)) << _U(11)
+def _tie_draws(key: np.uint64, path_hi: np.ndarray,
+               events: np.ndarray) -> np.ndarray:
+    """The hash of each path at its own event's tie counter _TIE + n - 1;
+    path_hi and events are 1-D and of one size."""
+    counter = _TIE + (events.astype(np.uint64) - _U(1))
+    return _hash(key, path_hi, counter, np.empty_like(path_hi),
+                 np.empty_like(path_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +251,13 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class ExactCount:
-    """Exact survivor count and surviving measure of the full tree."""
+    """Exact survivor count and surviving measure of the full tree;
+    ``by_k[k]`` counts the surviving leaves with k larger-branch steps."""
 
     count: int
     measure: float
     n_events: int
+    by_k: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -276,8 +284,10 @@ class SurvivorHistogram(PathEnsemble):
 class _RunConfig:
     log_big: float
     log_small: float
-    # tilt "measure": draws below it take the larger branch; None for "none"
-    threshold: np.uint64 | None
+    # tilt "measure": (A, R) with M = ceil(p_big 2^53) = A 2^37 + R.  A
+    # 53-bit uniform m = lane 2^37 + r is below M, as m 2^-53 is below
+    # p_big, exactly when lane < A, or lane == A and r < R.  None for "none"
+    lane_cut: tuple[int, int] | None
     b_step: float
     eps: float
     n_total: int
@@ -288,8 +298,7 @@ class _RunConfig:
     key: np.uint64
 
 
-_BLOCK = 256  # tilt "measure": events whose thresholds are computed together
-_BUDGET = 1 << 16  # path-events hashed in one numpy pass
+_BUDGET = 1 << 16  # uint64 per scratch row: hash words in one numpy pass
 
 
 def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
@@ -317,48 +326,92 @@ def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
     return k
 
 
-def _walk(cfg: _RunConfig, log_Fs: Sequence[float], k: np.ndarray,
+def _thresholds(cfg: _RunConfig) -> np.ndarray:
+    """kmin at every event 0..n_total, one row per outcome: row 0 unshifted
+    (stage one), then row 1 + i for split i.  Built once per walk, before
+    any fork, and sliced by every chunk."""
+    n = np.arange(cfg.n_total + 1)
+    return np.stack([_kmin(cfg, n, log_F)
+                     for log_F in (0.0, *(log_F for log_F, _ in cfg.splits))])
+
+
+def _walk(cfg: _RunConfig, kmins: np.ndarray, k: np.ndarray,
           path_hi: np.ndarray, alive: np.ndarray | None, first: int,
           last: int, scratch: np.ndarray):
     """Advance the paths through events first..last.
 
-    ``log_Fs`` is sorted largest first.  A path survives event n under the
-    outcome of rank r while k >= kmin_r(n).  The thresholds grow with rank,
-    so a path survives under a prefix of the outcomes, whose length
+    ``kmins`` holds one row per outcome, sorted largest F first, of kmin
+    at every event 0..last (at least).  A path survives event n under the
+    outcome of rank r while k >= kmins[r, n].  The thresholds grow with
+    rank, so a path survives under a prefix of the outcomes, whose length
     ``alive`` carries (None for a single outcome, which then need not
     compact it); it is dropped once it fails rank 0.
 
-    The events go in windows whose thresholds are computed together: 256
-    events under tilt "measure", and under tilt "none" the 64 events of
-    one hash word, aligned to multiples of 64, each alive path's word
-    hashed once at the window's start.  A window goes in blocks of
-    b = budget // (alive paths) events, at least one: each numpy pass
-    covers the whole block, and the paths are compacted once per block.
-    The budget is _BUDGET hashed path-events under tilt "measure".  Tilt
-    "none" hashes nothing per block, so its two rows of int16 prefix
-    counts may fill both scratch rows: 4 * _BUDGET path-events.
+    The events go in blocks of about 4 * _BUDGET path-events: each numpy
+    pass covers the whole block, and the paths are compacted once per
+    block.  Under tilt "measure" a block is max(1, _BUDGET // alive paths)
+    hash words of 4 events each, aligned to multiples of 4, so it holds
+    fewer events only where the walk starts or ends mid-word.  Under tilt
+    "none" a block is max(1, 4 * _BUDGET // alive paths) events within one
+    64-event window, aligned to multiples of 64, whose word each alive path
+    hashes once at the window's start; the block hashes nothing, so its
+    two rows of int16 prefix counts fill both scratch rows.
     """
+    kmins = kmins[:, first - 1:last + 1]  # column j: event first - 1 + j
+    rises = kmins[:, 1:] > kmins[:, :-1]
     lo = first
     while lo <= last and k.size:
         if cfg.tilt == "none":
             hi = min(last, (lo - 1) // 64 * 64 + 64)
             word = _draws(cfg.key, path_hi, (lo - 1) // 64,
                           scratch=scratch).copy()
-            budget = 4 * _BUDGET
         else:
-            hi, word, budget = min(last, lo + _BLOCK - 1), None, _BUDGET
-        n = np.arange(lo - 1, hi + 1)
-        kmins = np.stack([_kmin(cfg, n, log_F) for log_F in log_Fs])
-        rises = kmins[:, 1:] > kmins[:, :-1]
-        i = 0  # events n[1..i] are walked
-        while i < n.size - 1 and k.size:
-            b = min(n.size - 1 - i, max(1, budget // k.size))
+            hi, word = last, None
+        while lo <= hi and k.size:
+            if word is None:
+                end = ((lo - 1) // 4 + max(1, _BUDGET // k.size)) * 4
+            else:
+                end = lo - 1 + max(1, 4 * _BUDGET // k.size)
+            end = min(hi, end)
+            i, j = lo - first, end - first + 1
             k, path_hi, alive, word = _advance(
-                cfg, n[i + 1:i + b + 1], kmins[:, i + 1:i + b + 1],
-                rises[:, i:i + b], k, path_hi, alive, word, scratch)
-            i += b
-        lo = hi + 1
+                cfg, np.arange(lo, end + 1), kmins[:, i + 1:j + 1],
+                rises[:, i:j], k, path_hi, alive, word, scratch)
+            lo = end + 1
     return k, path_hi, alive
+
+
+def _lane_branches(cfg: _RunConfig, words: np.ndarray, first: int, b: int,
+                   path_hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The tilt-"measure" branches of events first..first + b - 1 as int16
+    rows (event, path), 1 for the larger branch, written into ``out``, a
+    uint64 row of at least words.size; ``words`` is overwritten.
+
+    ``words`` are the paths' hash rows at counters (first - 1) // 4 on.
+    Event n reads 16-bit lane (n - 1) % 4, bits 16j..16j + 15, of its
+    word and takes the larger branch when lane < A, (A, R) = cfg.lane_cut.
+    On a tie, lane == A, it takes it when its tie hash (:func:`_tie_draws`)
+    >> 27 is below R: m < M on the 53-bit uniform m = lane 2^37 + r.  Only
+    the ties are hashed again.
+    """
+    lanes = words.view(np.uint16).reshape(words.shape + (4,))
+    if sys.byteorder == "big":
+        lanes = lanes[..., ::-1]
+    # one strided copy turns the lanes into event rows, no shifts needed
+    rows = out.view(np.uint16)[:lanes.size].reshape(words.shape[0], 4, -1)
+    rows[...] = lanes.transpose(0, 2, 1)
+    skip = (first - 1) % 4  # lanes of the first word before the block
+    rows = rows.reshape(-1, words.shape[1])[skip:skip + b]
+    cut, rest = cfg.lane_cut
+    tie = words.reshape(-1).view(np.bool_)[:rows.size].reshape(rows.shape)
+    np.equal(rows, cut, out=tie)
+    event, path = np.divmod(np.flatnonzero(tie), rows.shape[1])
+    c = rows.view(np.int16)
+    np.less(rows, cut, out=c)
+    if event.size:
+        z = _tie_draws(cfg.key, path_hi[path], first + event)
+        c[event, path] = (z >> _U(27)) < rest
+    return c
 
 
 def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
@@ -367,8 +420,8 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
              scratch: np.ndarray):
     """Advance the paths through one block of b events.
 
-    A path takes the larger branch at event n, under tilt "measure", when
-    its hash at n is below ``cfg.threshold``; under tilt "none", when bit
+    A path takes the larger branch at event n, under tilt "measure", as
+    :func:`_lane_branches` reads it; under tilt "none", when bit
     (n - 1) % 64 of its ``word`` is set (``word`` is None under "measure").
 
     ``kmins[r]`` holds rank r's threshold at each event of the block, and
@@ -380,10 +433,13 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     """
     b = events.size
     if word is None:
-        z = _draws(cfg.key, path_hi, events, cfg.threshold, scratch)
-        # the hash's second row is free: two int16 blocks of prefix counts
-        c, spare = scratch[1].view(np.int16)[:2 * b * k.size].reshape(2, b, -1)
-        np.less(z, cfg.threshold, out=c)
+        # the words fill row 0 (row 1 is the hash's scratch), the branches
+        # then row 1, and row 0 is free once the ties are resolved
+        first, last = int(events[0]), int(events[-1])
+        words = _draws(cfg.key, path_hi,
+                       np.arange((first - 1) // 4, (last - 1) // 4 + 1), scratch)
+        c = _lane_branches(cfg, words, first, b, path_hi, scratch[1])
+        spare = scratch[0].view(np.int16)[:b * k.size].reshape(b, -1)
     else:
         # no hash: the prefix counts may take both rows
         c, spare = scratch.view(np.int16)[:, :b * k.size].reshape(2, b, -1)
@@ -431,25 +487,25 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     return k, path_hi, alive, word
 
 
-def _run_chunk(cfg: _RunConfig, start: int, size: int) -> np.ndarray:
+def _run_chunk(cfg: _RunConfig, kmins: np.ndarray, start: int,
+               size: int) -> np.ndarray:
     """One chunk's survivors per split (row) and final k (column), as a
-    (splits, N + 1) integer array.  Stage one is walked once, then stage
-    two once for every split together: each path carries the number of
-    splits it survives, and each split reads its own survivors off it."""
+    (splits, N + 1) integer array; ``kmins`` is :func:`_thresholds`.
+    Stage one is walked once, then stage two once for every split
+    together: each path carries the number of splits it survives, and each
+    split reads its own survivors off it."""
     scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
     k, path_hi, _ = _walk(
-        cfg, (0.0,), np.zeros(size, dtype=np.int64),
+        cfg, kmins[:1], np.zeros(size, dtype=np.int64),
         _path_hi(cfg.key, np.arange(start, start + size, dtype=np.uint64)),
         None, 1, cfg.n_split, scratch)
     order = sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
-    log_Fs = [cfg.splits[i][0] for i in order]
-    n_split = np.array([cfg.n_split])
-    alive = np.zeros(k.size, dtype=np.int64)
-    for log_F in log_Fs:  # the split's own absorption test
-        alive += k >= _kmin(cfg, n_split, log_F)[0]
+    kmins = kmins[[1 + i for i in order]]
+    # the split's own absorption test
+    alive = (k >= kmins[:, cfg.n_split, None]).sum(axis=0)
     keep = alive > 0
-    k, path_hi, alive = _walk(cfg, log_Fs, k[keep], path_hi[keep],
-                              alive[keep] if len(log_Fs) > 1 else None,
+    k, path_hi, alive = _walk(cfg, kmins, k[keep], path_hi[keep],
+                              alive[keep] if len(order) > 1 else None,
                               cfg.n_split + 1, cfg.n_total, scratch)
     counts = np.empty((len(order), cfg.n_total + 1), dtype=np.int64)
     for rank, i in enumerate(order):
@@ -462,8 +518,9 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
     """Survivors per split and final k, summed over the chunks.
 
     W = min(workers, chunks) processes (workers default: the CPUs this
-    process may run on) share the chunks: the caller forks W - 1 children
-    and walks share 0 itself.  A child's sum comes back through a pipe,
+    process may run on) share the chunks: the caller tabulates kmin once,
+    forks W - 1 children, which inherit the table, and walks share 0
+    itself.  A child's sum comes back through a pipe,
     read to EOF before the child is reaped, since a full pipe blocks it; its
     exception is raised again here.  On any exception the children are
     killed and reaped.
@@ -476,9 +533,10 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(starts))
+    kmins = _thresholds(cfg)
 
     def share(j: int) -> np.ndarray:
-        return sum(_run_chunk(cfg, lo, min(CHUNK, n_paths - lo))
+        return sum(_run_chunk(cfg, kmins, lo, min(CHUNK, n_paths - lo))
                    for lo in starts[j::workers])
 
     if workers == 1:
@@ -572,11 +630,13 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
     b_step = spec.boundary_step()
-    if n_total > 0xFFFFFFFF:
-        raise DomainError("event index must fit in 32 bits of the draw counter")
+    if n_total > _MAX_EVENTS:
+        raise DomainError(f"a walk takes at most 2^31 events, got {n_total}: "
+                          "tie counters 2^31 + n - 1 must fit 32 bits")
     return _RunConfig(
         log_big=math.log(big), log_small=math.log(small),
-        threshold=_branch_threshold(big) if spec.tilt == "measure" else None,
+        lane_cut=(divmod(math.ceil(big * 2.0 ** 53), 1 << 37)
+                  if spec.tilt == "measure" else None),
         b_step=b_step, eps=spec.eps, n_total=n_total,
         b_final=n_total * b_step - spec.eps if math.isfinite(spec.eps) else 0.0,
         n_split=spec.n_events, splits=splits, tilt=spec.tilt,
@@ -614,7 +674,7 @@ def enumerate_survivors(spec: WalkSpec) -> ExactCount:
     measure = math.fsum(math.exp(math.log(c) + x_k)
                         for c, x_k in zip(counts, x.tolist()) if c)
     return ExactCount(count=int(counts.sum()), measure=measure,
-                      n_events=n_events)
+                      n_events=n_events, by_k=tuple(map(int, counts)))
 
 
 def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,

@@ -172,9 +172,9 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
     "born/config.json": "276f7f771032aaabfb975504e2286d2727d79c2fe0311f8592b4adb0dea0eaa4",
-    "born/deviation.csv": "33d34bd5085932c4b2ff2cbffe9f344206cbfcc15702412a85821ee8d54c84c5",
-    "born/deviation.json": "180ea0e534e9bf94dd261203efc7dd8263c589a36e7e90e3e1d228b09d6257a7",
-    "born/summary.txt": "42e12f70f45bbdcfac01e21522bb86230996ef4595637fb5e348b7b2cfb58f7a",
+    "born/deviation.csv": "dfb47db4f30299a30b68acfc60157ffbbb13a48cc007ec38a6e89ba2815ba0bc",
+    "born/deviation.json": "a0131439a04c3aec28a593a871a940dca231a7b18a705987d37957345ecc8d12",
+    "born/summary.txt": "2adf40f357af512182914a13aa4c2361356da1e6d03ef57cf8576e5234fa08fa",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
