@@ -48,19 +48,20 @@ histogram, formed once from the summed counts, is bit-identical for any
 worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
-alive paths a block of events at a time, about 2^18 path-events per block
-(one hash word while 2^16 paths are alive, more as they die).  Under tilt
-"measure" a block is whole 4-event words: one numpy pass hashes them in
-place in a scratch buffer per chunk, a strided compare turns their lanes
-into branch rows, and only the ties (one lane in 2^16) are hashed again.
-Under tilt "none" each alive path is hashed once per 64-event window,
-aligned to multiples of 64, and a block's branches are shifted out of its
-word.  A log-step scan turns the branches into prefix counts of
-larger-branch steps, and the whole block's absorption is tested at once
-against kmin(n), tabulated once per walk.  Absorbed paths are compacted
-away once per block, so a path that dies mid-block is walked to the
-block's end.  The fixed cost of a numpy call is thus paid per block, not
-per event.
+alive paths a block of events at a time, about 2^18 path-events and at
+most 2^13 events per block (one hash word while 2^16 paths are alive,
+more as they die).  Under tilt "measure" a block is whole 4-event words:
+one numpy pass hashes them in place in a scratch buffer per chunk, a
+strided compare turns their lanes into branch rows, and only the ties
+(one lane in 2^16) are hashed again.  Under tilt "none" each alive path is
+hashed once per 64-event window, aligned to multiples of 64, and a block's
+branches are shifted out of its word.  A log-step scan turns the branches
+into prefix counts of larger-branch steps, and the whole block's
+absorption is tested at once against kmin(n), tabulated once per walk for
+its first 2^16 events and per block past them.  Absorbed paths are
+compacted away once per block, so a path that dies mid-block is walked to
+the block's end.  The fixed cost of a numpy call is thus paid per block,
+not per event.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -299,6 +300,12 @@ class _RunConfig:
 
 
 _BUDGET = 1 << 16  # uint64 per scratch row: hash words in one numpy pass
+#: events per block at most: the int16 differences c_j - slack_j of a
+#: block's failure test reach 2b + 1, which must stay below 2^15
+_MAX_BLOCK = 1 << 13
+#: events of kmin tabulated per outcome before a walk; blocks past them
+#: compute their own window
+_TABLE = 1 << 16
 
 
 def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
@@ -326,39 +333,60 @@ def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
     return k
 
 
-def _thresholds(cfg: _RunConfig) -> np.ndarray:
-    """kmin at every event 0..n_total, one row per outcome: row 0 unshifted
-    (stage one), then row 1 + i for split i.  Built once per walk, before
-    any fork, and sliced by every chunk."""
-    n = np.arange(cfg.n_total + 1)
-    return np.stack([_kmin(cfg, n, log_F)
-                     for log_F in (0.0, *(log_F for log_F, _ in cfg.splits))])
+class _Thresholds:
+    """kmin at events start..last, one row per ln F in ``log_Fs``.
+
+    Events start..start + _TABLE are tabulated when it is built, before any
+    fork, and every chunk slices that one table; a block that reaches past
+    it, in a walk longer than _TABLE events, computes its own window.  So
+    memory stays bounded however long the walk, and a walk whose paths die
+    early tabulates no more than the first window.  _kmin is elementwise,
+    so every window reads the same values."""
+
+    def __init__(self, cfg: _RunConfig, log_Fs: Sequence[float], start: int,
+                 last: int):
+        self.cfg, self.log_Fs, self.start = cfg, tuple(log_Fs), start
+        self.table = self._compute(start, min(last, start + _TABLE))
+
+    def _compute(self, lo: int, hi: int) -> np.ndarray:
+        n = np.arange(lo, hi + 1)
+        return np.stack([_kmin(self.cfg, n, log_F) for log_F in self.log_Fs])
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        """kmin at events lo..hi, one column per event."""
+        if hi - self.start < self.table.shape[1]:
+            return self.table[:, lo - self.start:hi - self.start + 1]
+        return self._compute(lo, hi)
 
 
-def _walk(cfg: _RunConfig, kmins: np.ndarray, k: np.ndarray,
+def _ranks(cfg: _RunConfig) -> list[int]:
+    """The splits' indices, largest F first: the rank order of stage two."""
+    return sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
+
+
+def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
           path_hi: np.ndarray, alive: np.ndarray | None, first: int,
           last: int, scratch: np.ndarray):
     """Advance the paths through events first..last.
 
-    ``kmins`` holds one row per outcome, sorted largest F first, of kmin
-    at every event 0..last (at least).  A path survives event n under the
-    outcome of rank r while k >= kmins[r, n].  The thresholds grow with
-    rank, so a path survives under a prefix of the outcomes, whose length
-    ``alive`` carries (None for a single outcome, which then need not
-    compact it); it is dropped once it fails rank 0.
+    ``kmins`` holds one row per outcome, sorted largest F first, from event
+    first - 1 on.  A path survives event n under the outcome of rank r
+    while k >= kmin_r(n).  The thresholds grow with rank, so a path
+    survives under a prefix of the outcomes, whose length ``alive``
+    carries (None for a single outcome, which then need not compact it);
+    it is dropped once it fails rank 0.
 
-    The events go in blocks of about 4 * _BUDGET path-events: each numpy
-    pass covers the whole block, and the paths are compacted once per
-    block.  Under tilt "measure" a block is max(1, _BUDGET // alive paths)
-    hash words of 4 events each, aligned to multiples of 4, so it holds
-    fewer events only where the walk starts or ends mid-word.  Under tilt
-    "none" a block is max(1, 4 * _BUDGET // alive paths) events within one
-    64-event window, aligned to multiples of 64, whose word each alive path
-    hashes once at the window's start; the block hashes nothing, so its
-    two rows of int16 prefix counts fill both scratch rows.
+    The events go in blocks of about 4 * _BUDGET path-events, and at most
+    _MAX_BLOCK events: each numpy pass covers the whole block, and the
+    paths are compacted once per block.  Under tilt "measure" a block is
+    max(1, _BUDGET // alive paths) hash words of 4 events each, aligned to
+    multiples of 4, so it holds fewer events only where the walk starts or
+    ends mid-word.  Under tilt "none" a block is max(1, 4 * _BUDGET //
+    alive paths) events within one 64-event window, aligned to multiples
+    of 64, whose word each alive path hashes once at the window's start;
+    the block hashes nothing, so its two rows of int16 prefix counts fill
+    both scratch rows.
     """
-    kmins = kmins[:, first - 1:last + 1]  # column j: event first - 1 + j
-    rises = kmins[:, 1:] > kmins[:, :-1]
     lo = first
     while lo <= last and k.size:
         if cfg.tilt == "none":
@@ -369,14 +397,14 @@ def _walk(cfg: _RunConfig, kmins: np.ndarray, k: np.ndarray,
             hi, word = last, None
         while lo <= hi and k.size:
             if word is None:
-                end = ((lo - 1) // 4 + max(1, _BUDGET // k.size)) * 4
+                words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
+                end = ((lo - 1) // 4 + words) * 4
             else:
                 end = lo - 1 + max(1, 4 * _BUDGET // k.size)
             end = min(hi, end)
-            i, j = lo - first, end - first + 1
             k, path_hi, alive, word = _advance(
-                cfg, np.arange(lo, end + 1), kmins[:, i + 1:j + 1],
-                rises[:, i:j], k, path_hi, alive, word, scratch)
+                cfg, np.arange(lo, end + 1), kmins(lo - 1, end), k, path_hi,
+                alive, word, scratch)
             lo = end + 1
     return k, path_hi, alive
 
@@ -415,23 +443,24 @@ def _lane_branches(cfg: _RunConfig, words: np.ndarray, first: int, b: int,
 
 
 def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
-             rises: np.ndarray, k: np.ndarray, path_hi: np.ndarray,
-             alive: np.ndarray | None, word: np.ndarray | None,
-             scratch: np.ndarray):
+             k: np.ndarray, path_hi: np.ndarray, alive: np.ndarray | None,
+             word: np.ndarray | None, scratch: np.ndarray):
     """Advance the paths through one block of b events.
 
     A path takes the larger branch at event n, under tilt "measure", as
     :func:`_lane_branches` reads it; under tilt "none", when bit
     (n - 1) % 64 of its ``word`` is set (``word`` is None under "measure").
 
-    ``kmins[r]`` holds rank r's threshold at each event of the block, and
-    ``rises[r]`` whether it rises there from the event before.  A path
-    fails rank r if k + c_j < kmin_r(j) at some block event j, c_j being
-    its larger branches in the block up to j.  A path alive under rank r
-    met kmin_r before the block and k never falls, so an event at which
-    kmin_r does not rise fails no such path.
+    ``kmins[r]`` holds rank r's threshold at the event before the block
+    and at each of its b <= _MAX_BLOCK events.  A path fails rank r if
+    k + c_j < kmin_r(j) at some block event j, c_j being its larger
+    branches in the block up to j.  A path alive under rank r met kmin_r
+    before the block and k never falls, so an event at which kmin_r does
+    not rise fails no such path.
     """
     b = events.size
+    rises = kmins[:, 1:] > kmins[:, :-1]
+    kmins = kmins[:, 1:]
     if word is None:
         # the words fill row 0 (row 1 is the hash's scratch), the branches
         # then row 1, and row 0 is free once the ties are resolved
@@ -465,7 +494,7 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
         top = kmins[r].max()
         # k fails iff k + min_j (c_j - (kmin_j - top)) < top.  c_j <= b, so
         # a row with kmin_j < top - b never sets the minimum, and clipping
-        # its slack at -(b + 1) keeps every slack in int16 exactly.
+        # its slack at -(b + 1) keeps c_j - slack_j <= 2b + 1 < 2^15.
         slack = np.maximum(kmins[r] - top, -(b + 1)).astype(np.int16)
         low = np.subtract(c, slack[:, None], out=spare).min(axis=0)
         return k + low < top
@@ -487,24 +516,25 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     return k, path_hi, alive, word
 
 
-def _run_chunk(cfg: _RunConfig, kmins: np.ndarray, start: int,
-               size: int) -> np.ndarray:
+def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
+               start: int, size: int) -> np.ndarray:
     """One chunk's survivors per split (row) and final k (column), as a
-    (splits, N + 1) integer array; ``kmins`` is :func:`_thresholds`.
+    (splits, N + 1) integer array; ``kmins`` holds the thresholds of stage
+    one and of stage two (one row per split, by rank).
     Stage one is walked once, then stage two once for every split
     together: each path carries the number of splits it survives, and each
     split reads its own survivors off it."""
+    one, two = kmins
     scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
     k, path_hi, _ = _walk(
-        cfg, kmins[:1], np.zeros(size, dtype=np.int64),
+        cfg, one, np.zeros(size, dtype=np.int64),
         _path_hi(cfg.key, np.arange(start, start + size, dtype=np.uint64)),
         None, 1, cfg.n_split, scratch)
-    order = sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
-    kmins = kmins[[1 + i for i in order]]
+    order = _ranks(cfg)
     # the split's own absorption test
-    alive = (k >= kmins[:, cfg.n_split, None]).sum(axis=0)
+    alive = (k >= two(cfg.n_split, cfg.n_split)).sum(axis=0)
     keep = alive > 0
-    k, path_hi, alive = _walk(cfg, kmins, k[keep], path_hi[keep],
+    k, path_hi, alive = _walk(cfg, two, k[keep], path_hi[keep],
                               alive[keep] if len(order) > 1 else None,
                               cfg.n_split + 1, cfg.n_total, scratch)
     counts = np.empty((len(order), cfg.n_total + 1), dtype=np.int64)
@@ -518,12 +548,12 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
     """Survivors per split and final k, summed over the chunks.
 
     W = min(workers, chunks) processes (workers default: the CPUs this
-    process may run on) share the chunks: the caller tabulates kmin once,
-    forks W - 1 children, which inherit the table, and walks share 0
-    itself.  A child's sum comes back through a pipe,
-    read to EOF before the child is reaped, since a full pipe blocks it; its
-    exception is raised again here.  On any exception the children are
-    killed and reaped.
+    process may run on) share the chunks: the caller tabulates kmin for
+    both stages, forks W - 1 children, which inherit the tables, and walks
+    share 0 itself.  A child's sum comes back through a pipe, read to EOF
+    before the child is reaped, since a full pipe blocks it; its exception
+    is raised again here.  On any exception the children are killed and
+    reaped.
     """
     if not 1 <= n_paths <= _MAX_PATHS:
         raise DomainError(f"n_paths must be in [1, 2^31], got {n_paths!r}")
@@ -533,7 +563,9 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(starts))
-    kmins = _thresholds(cfg)
+    kmins = (_Thresholds(cfg, (0.0,), 0, cfg.n_split),
+             _Thresholds(cfg, [cfg.splits[i][0] for i in _ranks(cfg)],
+                         cfg.n_split, cfg.n_total))
 
     def share(j: int) -> np.ndarray:
         return sum(_run_chunk(cfg, kmins, lo, min(CHUNK, n_paths - lo))

@@ -444,7 +444,7 @@ def test_uniform_branch_stream_is_pinned():
         assert monte_carlo._draws(cfg.key, path_hi, w).tolist() == [
             pair[w] for pair in words.values()]
     scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
-    kmins = monte_carlo._thresholds(cfg)[:1]
+    kmins = monte_carlo._Thresholds(cfg, (0.0,), 0, 128)
     for n in range(1, 129):
         k, _, _ = monte_carlo._walk(cfg, kmins, np.zeros(4, dtype=np.int64),
                                     path_hi, None, 1, n, scratch)
@@ -552,18 +552,22 @@ class TestBlockWalk:
     @staticmethod
     def larger_branch(cfg, path_hi, event):
         """1 where a path takes the larger branch at the event, and the
-        number of ties.  Under tilt "none": bit (event - 1) % 64 of its
+        number of ties; ``event`` is an int, or a 1-D array of events that
+        gives one row each.  Under tilt "none": bit (event - 1) % 64 of its
         hash word (event - 1) // 64.  Under "measure": 16-bit lane
         a = bits 16j..16j + 15, j = (event - 1) % 4, of its hash word
         (event - 1) // 4 is below A; or a == A, a tie, and its hash at the
         tie counter 2^31 + event - 1, >> 27, is below R."""
+        n = np.asarray(event, dtype=np.int64) - 1
+        shift = n[..., None].astype(np.uint64)  # broadcasts over the paths
         if cfg.tilt == "none":
-            word = monte_carlo._draws(cfg.key, path_hi, (event - 1) // 64)
-            return ((word >> np.uint64((event - 1) % 64))
+            word = monte_carlo._draws(cfg.key, path_hi, n // 64)
+            return ((word >> shift % np.uint64(64))
                     & np.uint64(1)).astype(np.int64), 0
-        word = monte_carlo._draws(cfg.key, path_hi, (event - 1) // 4)
-        lane = (word >> np.uint64(16 * ((event - 1) % 4))) & np.uint64(0xFFFF)
-        tie = monte_carlo._draws(cfg.key, path_hi, (1 << 31) + event - 1)
+        word = monte_carlo._draws(cfg.key, path_hi, n // 4)
+        lane = ((word >> np.uint64(16) * (shift % np.uint64(4)))
+                & np.uint64(0xFFFF))
+        tie = monte_carlo._draws(cfg.key, path_hi, (1 << 31) + n)
         A, R = cfg.lane_cut
         larger = (lane < A) | ((lane == A) & ((tie >> np.uint64(27)) < R))
         return larger.astype(np.int64), int((lane == A).sum())
@@ -600,8 +604,7 @@ class TestBlockWalk:
         scratch = np.empty((2, max(monte_carlo._BUDGET, k.size)),
                            dtype=np.uint64)
         last = first + spec.n_events - 1
-        kmins = np.stack([monte_carlo._kmin(cfg, np.arange(last + 1), log_F)
-                          for log_F in log_Fs])
+        kmins = monte_carlo._Thresholds(cfg, log_Fs, first - 1, last)
         got = monte_carlo._walk(cfg, kmins, k.copy(), path_hi,
                                 None if alive is None else alive.copy(),
                                 first, last, scratch)
@@ -668,6 +671,60 @@ class TestBlockWalk:
         # paths indexed 0.. again: only the start event differs
         self.assert_walks_agree(spec, (0.0, -0.3), k, n_split + 1)
 
+    LONG = 70_000  # events: one block of 4 paths would hold 65 536
+
+    @pytest.mark.parametrize("n_paths", [1, 4])
+    def test_long_walk_of_few_paths(self, n_paths):
+        """With 4 paths or fewer alive, _BUDGET // alive words would make
+        blocks of 2^16 events and more, whose int16 prefix counts (~0.55 b
+        at p 0.55) wrap; blocks stop at _MAX_BLOCK events.  Without
+        absorption the walk's final k is each path's count of larger
+        branches, event by event, over all 70 000 events."""
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=math.inf,
+                        n_events=self.LONG, tilt="measure")
+        cfg = monte_carlo._config_for(spec, seed=5)
+        path_hi = monte_carlo._path_hi(
+            cfg.key, np.arange(n_paths, dtype=np.uint64))
+        scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
+        k, _, _ = monte_carlo._walk(
+            cfg, monte_carlo._Thresholds(cfg, (0.0,), 0, self.LONG),
+            np.zeros(n_paths, dtype=np.int64), path_hi, None, 1, self.LONG,
+            scratch)
+        larger, ties = self.larger_branch(cfg, path_hi,
+                                          np.arange(1, self.LONG + 1))
+        assert k.tolist() == larger.sum(axis=0).tolist()
+        assert (k > 1 << 15).all() and ties > 0
+
+    def test_long_walk_of_few_paths_absorbs_as_the_per_event_law(self):
+        """Finite eps and two outcomes over 70 000 events with 4 paths.  The
+        per-event law, read off cumulative sums: a path survives outcome r
+        while its count of larger branches through each event n stays at
+        or above kmin_r(n).  The walk must keep those paths, with their k
+        and the number of outcomes each survives."""
+        log_Fs = (0.0, -20.0)
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=30.0,
+                        n_events=self.LONG, tilt="measure")
+        cfg = monte_carlo._config_for(spec, seed=5)
+        path_hi = monte_carlo._path_hi(cfg.key, np.arange(4, dtype=np.uint64))
+        events = np.arange(self.LONG + 1)
+        larger, _ = self.larger_branch(cfg, path_hi, events[1:])
+        counts = np.concatenate([np.zeros((1, 4), dtype=np.int64),
+                                 larger.cumsum(axis=0)])
+        kmins = np.stack([monte_carlo._kmin(cfg, events, log_F)
+                          for log_F in log_Fs])
+        outcomes = (counts >= kmins[:, :, None]).all(axis=1).sum(axis=0)
+        keep = outcomes > 0
+        scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
+        k, got_hi, alive = monte_carlo._walk(
+            cfg, monte_carlo._Thresholds(cfg, log_Fs, 0, self.LONG),
+            np.zeros(4, dtype=np.int64), path_hi, np.full(4, 2), 1,
+            self.LONG, scratch)
+        assert k.tolist() == counts[-1, keep].tolist()
+        assert got_hi.tolist() == path_hi[keep].tolist()
+        assert alive.tolist() == outcomes[keep].tolist()
+        assert keep.any() and (k > 1 << 15).all()
+        assert (outcomes[keep] < len(log_Fs)).any()  # one outcome absorbed
+
     @pytest.mark.parametrize("first", [40_001, 40_030])
     def test_thresholds_far_apart_within_a_block(self, monkeypatch, first):
         """Within a block, thresholds more than 2^15 apart: the slack of the
@@ -707,6 +764,32 @@ def test_hash_stays_within_the_budget(monkeypatch):
                     tilt="measure")
     simulate_survivors(long, 100, seed=3, workers=1)
     assert monte_carlo._BUDGET - 100 < max(sizes) <= monte_carlo._BUDGET
+
+
+def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
+    """Walks of 2^22 events whose paths all die early tabulate kmin for at
+    most _TABLE + 1 events per stage, as a short walk would, and not for
+    every event (32 MiB per outcome, and several times that in _kmin's
+    float temporaries)."""
+    sizes = []
+    kmin = monte_carlo._kmin
+
+    def recording_kmin(cfg, n, log_F):
+        sizes.append(n.size)
+        return kmin(cfg, n, log_F)
+
+    monkeypatch.setattr(monte_carlo, "_kmin", recording_kmin)
+    dp = DecoherenceParams(p=0.9)
+    # the uniform walk falls 0.88 a step below the boundary at p 0.9
+    spec = WalkSpec(dp=dp, eps=1.0, n_events=1 << 22, tilt="none")
+    assert simulate_survivors(spec, 256, seed=3, workers=1).survivor_count == 0
+    # ln F = -40 absorbs every path at the split, after event 100
+    spec = WalkSpec(dp=dp, eps=1.0, n_events=100, tilt="measure")
+    [lam] = born_two_stage_mc_counts(spec, [(math.exp(-40.0), 1)],
+                                     (1 << 22) - 100, 256, seed=3, workers=1)
+    assert lam.survivor_count == 0
+    assert max(sizes) <= monte_carlo._TABLE + 1
+    assert sum(sizes) <= 4 * (monte_carlo._TABLE + 1)  # two stages, twice
 
 
 @pytest.mark.parametrize("n", [400, 1000])
@@ -962,10 +1045,7 @@ class TestBornTwoStage:
             num = born_two_stage_mc_counts(s1, [(math.exp(lf), 1)], 800, n,
                                            seed=200 + k, workers=2)[0]
             gammas.append(math.exp(num.estimate() - den.estimate() - lf))
-            # F = e^-6 expects ~2 survivors: with none, gamma reads 0 and
-            # its relative error, 0/0, is taken as 0
-            rels.append(math.exp(num.std_error() - num.estimate())
-                        if num.survivor_count else 0.0)
+            rels.append(math.exp(num.std_error() - num.estimate()))
         for i in (0, 1):
             slack = 3.0 * math.hypot(rels[i], rels[i + 1]) * gammas[i]
             assert gammas[i] >= gammas[i + 1] - slack
