@@ -48,20 +48,26 @@ histogram, formed once from the summed counts, is bit-identical for any
 worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
-alive paths a block of events at a time, about 2^18 path-events and at
-most 2^13 events per block (one hash word while 2^16 paths are alive,
-more as they die).  Under tilt "measure" a block is whole 4-event words:
-one numpy pass hashes them in place in a scratch buffer per chunk, a
-strided compare turns their lanes into branch rows, and only the ties
-(one lane in 2^16) are hashed again.  Under tilt "none" each alive path is
-hashed once per 64-event window, aligned to multiples of 64, and a block's
-branches are shifted out of its word.  A log-step scan turns the branches
+alive paths several events per numpy pass.  Under tilt "measure" it goes
+a block of about 2^18 path-events and at most 2^13 events at a time (one
+hash word while 2^16 paths are alive, more as they die), of whole 4-event
+words: one numpy pass hashes them in place in a scratch buffer per chunk,
+a strided compare turns their lanes into branch rows, and only the ties
+(one lane in 2^16) are hashed again.  A log-step scan turns the branches
 into prefix counts of larger-branch steps, and the whole block's
 absorption is tested at once against kmin(n), tabulated once per walk for
 its first 2^16 events and per block past them.  Absorbed paths are
-compacted away once per block, so a path that dies mid-block is walked to
-the block's end.  The fixed cost of a numpy call is thus paid per block,
-not per event.
+compacted away once per block.  Under tilt "none" each alive path is
+hashed once per 64-event window, aligned to multiples of 64, and walks
+its word a byte, 8 events, at a time.  A path's fate over a byte depends
+only on k and the byte's value, so 256-entry tables per byte of the
+window, one per outcome and one of larger-branch counts, formed once from
+kmin and kept for later chunks, replace the events (the bit-block lookup
+of the Method of Four Russians): a gather per outcome tests the byte, one
+more adds its larger branches to k, and absorbed paths are compacted away
+once per byte.  A path that dies
+mid-block or mid-byte is walked to its end; the fixed cost of a numpy
+call is thus paid per block or byte, not per event.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -104,6 +110,7 @@ _MAX_PATHS = 1 << 31
 _MAX_EVENTS = 1 << 31
 
 TILTS = ("none", "measure")
+_LITTLE = sys.byteorder == "little"
 
 # ---------------------------------------------------------------------------
 # counter-based draws: value = f(seed, path, event), vectorized over paths
@@ -333,6 +340,43 @@ def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
     return k
 
 
+#: _PREFIX[j, v]: the set bits among bits 0..j of the byte v
+_PREFIX = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
+                        bitorder="little").cumsum(axis=0, dtype=np.int64)
+
+
+def _byte_tables(kmins: np.ndarray, first: int):
+    """Tilt "none" tables for events first..first + m - 1 of one 64-event
+    window, m = kmins.shape[1] - 1; ``kmins[r]`` holds rank r's threshold
+    at event first - 1 and at each of those events.
+
+    Byte b of a path's word carries the branches of the window's events
+    8b + 1..8b + 8, bit j of it event 8b + j + 1; only the events in range
+    count.  For a byte of value v, c_j(v) is its set bits through bit j,
+    ``gain[b, v]`` its set bits in all, and ``need[r, b, v]`` the largest
+    kmin_r(j) - c_j(v) over the byte's events: a path with k larger
+    branches before the byte fails rank r within it iff k < need[r, b, v].
+    ``rises[r, b]`` is whether kmin_r rises at any of the byte's events;
+    where it does not, the byte fails no path alive under rank r."""
+    ranks, m = kmins.shape[0], kmins.shape[1] - 1
+    s = (first - 1) % 64
+    top = np.full((ranks, 64), -(1 << 62))  # outside the range: never binding
+    top[:, s:s + m] = kmins[:, 1:]
+    rises = np.zeros((ranks, 64), dtype=bool)
+    rises[:, s:s + m] = kmins[:, 1:] > kmins[:, :-1]
+    in_range = np.zeros(64, dtype=bool)
+    in_range[s:s + m] = True
+    mask = np.packbits(in_range.reshape(8, 8), axis=1, bitorder="little")
+    # top[j, r, b]: the reduction over j then runs over whole rows, several
+    # times faster than over a short last axis
+    top = np.ascontiguousarray(top.reshape(ranks, 8, 8).transpose(2, 0, 1))
+    need = (top[..., None] - _PREFIX[:, None, None]).max(axis=0)
+    if s % 8:  # bits below s in the first byte are not its events
+        need[:, s // 8] += _PREFIX[s % 8 - 1]
+    gain = _PREFIX[-1][np.arange(256) & mask]
+    return need, gain, rises.reshape(ranks, 8, 8).any(axis=-1)
+
+
 class _Thresholds:
     """kmin at events start..last, one row per ln F in ``log_Fs``.
 
@@ -341,12 +385,14 @@ class _Thresholds:
     it, in a walk longer than _TABLE events, computes its own window.  So
     memory stays bounded however long the walk, and a walk whose paths die
     early tabulates no more than the first window.  _kmin is elementwise,
-    so every window reads the same values."""
+    so every window reads the same values.  Tilt "none"'s byte tables are
+    kept for reuse, by later chunks, inside that first window only."""
 
     def __init__(self, cfg: _RunConfig, log_Fs: Sequence[float], start: int,
                  last: int):
         self.cfg, self.log_Fs, self.start = cfg, tuple(log_Fs), start
         self.table = self._compute(start, min(last, start + _TABLE))
+        self._bytes = {}
 
     def _compute(self, lo: int, hi: int) -> np.ndarray:
         n = np.arange(lo, hi + 1)
@@ -357,6 +403,14 @@ class _Thresholds:
         if hi - self.start < self.table.shape[1]:
             return self.table[:, lo - self.start:hi - self.start + 1]
         return self._compute(lo, hi)
+
+    def byte_tables(self, lo: int, hi: int):
+        """:func:`_byte_tables` for events lo..hi of one 64-event window."""
+        if (tables := self._bytes.get((lo, hi))) is None:
+            tables = _byte_tables(self(lo - 1, hi), lo)
+            if hi - self.start < self.table.shape[1]:
+                self._bytes[lo, hi] = tables
+        return tables
 
 
 def _ranks(cfg: _RunConfig) -> list[int]:
@@ -376,36 +430,45 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
     carries (None for a single outcome, which then need not compact it);
     it is dropped once it fails rank 0.
 
-    The events go in blocks of about 4 * _BUDGET path-events, and at most
-    _MAX_BLOCK events: each numpy pass covers the whole block, and the
-    paths are compacted once per block.  Under tilt "measure" a block is
+    Under tilt "measure" the events go in blocks (:func:`_advance`) of
     max(1, _BUDGET // alive paths) hash words of 4 events each, aligned to
-    multiples of 4, so it holds fewer events only where the walk starts or
-    ends mid-word.  Under tilt "none" a block is max(1, 4 * _BUDGET //
-    alive paths) events within one 64-event window, aligned to multiples
-    of 64, whose word each alive path hashes once at the window's start;
-    the block hashes nothing, so its two rows of int16 prefix counts fill
-    both scratch rows.
+    multiples of 4, and at most _MAX_BLOCK events, so a block holds fewer
+    events only where the walk starts or ends mid-word.  Under tilt "none"
+    each alive path hashes its word once per 64-event window, aligned to
+    multiples of 64, and absorbs it a byte, 8 events, at a time: one
+    gather per rank from the window's byte tables (:func:`_byte_tables`)
+    tests the byte, one more adds its larger branches to k, and the paths
+    are compacted once per byte.
     """
     lo = first
     while lo <= last and k.size:
-        if cfg.tilt == "none":
-            hi = min(last, (lo - 1) // 64 * 64 + 64)
-            word = _draws(cfg.key, path_hi, (lo - 1) // 64,
-                          scratch=scratch).copy()
-        else:
-            hi, word = last, None
-        while lo <= hi and k.size:
-            if word is None:
-                words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
-                end = ((lo - 1) // 4 + words) * 4
-            else:
-                end = lo - 1 + max(1, 4 * _BUDGET // k.size)
-            end = min(hi, end)
-            k, path_hi, alive, word = _advance(
+        if cfg.tilt == "measure":
+            words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
+            end = min(last, ((lo - 1) // 4 + words) * 4)
+            k, path_hi, alive = _advance(
                 cfg, np.arange(lo, end + 1), kmins(lo - 1, end), k, path_hi,
-                alive, word, scratch)
+                alive, scratch)
             lo = end + 1
+            continue
+        hi = min(last, (lo - 1) // 64 * 64 + 64)
+        need, gain, rises = kmins.byte_tables(lo, hi)
+        word = _draws(cfg.key, path_hi, (lo - 1) // 64, scratch=scratch)
+        for b in range((lo - 1) % 64 // 8, (hi - 1) % 64 // 8 + 1):
+            # byte b of the word; an intp index gathers several times faster
+            v = word.view(np.uint8)[b if _LITTLE else 7 - b::8].astype(np.intp)
+            for r in range(1, len(need)):  # below rank r: alive under < r
+                if rises[r, b]:
+                    np.minimum(alive, r, out=alive, where=k < need[r, b][v])
+            if rises[0, b]:
+                # gather by index: a boolean mask mispredicts a branch per drop
+                keep = np.flatnonzero(k >= need[0, b][v])
+                if keep.size < k.size:
+                    k, path_hi, word, v = (k[keep], path_hi[keep], word[keep],
+                                           v[keep])
+                    if alive is not None:
+                        alive = alive[keep]
+            k += gain[b][v]
+        lo = hi + 1
     return k, path_hi, alive
 
 
@@ -444,38 +507,28 @@ def _lane_branches(cfg: _RunConfig, words: np.ndarray, first: int, b: int,
 
 def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
              k: np.ndarray, path_hi: np.ndarray, alive: np.ndarray | None,
-             word: np.ndarray | None, scratch: np.ndarray):
-    """Advance the paths through one block of b events.
-
-    A path takes the larger branch at event n, under tilt "measure", as
-    :func:`_lane_branches` reads it; under tilt "none", when bit
-    (n - 1) % 64 of its ``word`` is set (``word`` is None under "measure").
+             scratch: np.ndarray):
+    """Advance the paths through one tilt-"measure" block of b events,
+    whose branches :func:`_lane_branches` reads.
 
     ``kmins[r]`` holds rank r's threshold at the event before the block
     and at each of its b <= _MAX_BLOCK events.  A path fails rank r if
     k + c_j < kmin_r(j) at some block event j, c_j being its larger
-    branches in the block up to j.  A path alive under rank r met kmin_r
-    before the block and k never falls, so an event at which kmin_r does
-    not rise fails no such path.
+    branches in the block up to j; a log-step scan forms the c_j as int16
+    rows.  A path alive under rank r met kmin_r before the block and k
+    never falls, so an event at which kmin_r does not rise fails no such
+    path.
     """
     b = events.size
     rises = kmins[:, 1:] > kmins[:, :-1]
     kmins = kmins[:, 1:]
-    if word is None:
-        # the words fill row 0 (row 1 is the hash's scratch), the branches
-        # then row 1, and row 0 is free once the ties are resolved
-        first, last = int(events[0]), int(events[-1])
-        words = _draws(cfg.key, path_hi,
-                       np.arange((first - 1) // 4, (last - 1) // 4 + 1), scratch)
-        c = _lane_branches(cfg, words, first, b, path_hi, scratch[1])
-        spare = scratch[0].view(np.int16)[:b * k.size].reshape(b, -1)
-    else:
-        # no hash: the prefix counts may take both rows
-        c, spare = scratch.view(np.int16)[:, :b * k.size].reshape(2, b, -1)
-        shifts = ((events - 1) % 64).astype(np.uint64)[:, None]
-        # the low 16 bits of word >> s, cast as they are written, then bit 0
-        np.right_shift(word, shifts, out=c.view(np.uint16), casting="unsafe")
-        c &= 1
+    # the words fill row 0 (row 1 is the hash's scratch), the branches
+    # then row 1, and row 0 is free once the ties are resolved
+    first, last = int(events[0]), int(events[-1])
+    words = _draws(cfg.key, path_hi,
+                   np.arange((first - 1) // 4, (last - 1) // 4 + 1), scratch)
+    c = _lane_branches(cfg, words, first, b, path_hi, scratch[1])
+    spare = scratch[0].view(np.int16)[:b * k.size].reshape(b, -1)
     if b == 1:  # one event: a single compare per rank, on the new k
         k += c[0]
     else:
@@ -511,16 +564,15 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
         k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
         if alive is not None:
             alive = alive[keep]
-        if word is not None:
-            word = word[keep]
-    return k, path_hi, alive, word
+    return k, path_hi, alive
 
 
 def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
-               start: int, size: int) -> np.ndarray:
-    """One chunk's survivors per split (row) and final k (column), as a
-    (splits, N + 1) integer array; ``kmins`` holds the thresholds of stage
-    one and of stage two (one row per split, by rank).
+               base: int, start: int, size: int) -> np.ndarray:
+    """One chunk's survivors per split (row) and final k - base (column),
+    as a (splits, N + 1 - base) integer array, base = kmin_0(N) (see
+    :func:`_simulate`); ``kmins`` holds the thresholds of stage one and of
+    stage two (one row per split, by rank).
     Stage one is walked once, then stage two once for every split
     together: each path carries the number of splits it survives, and each
     split reads its own survivors off it."""
@@ -537,15 +589,19 @@ def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
     k, path_hi, alive = _walk(cfg, two, k[keep], path_hi[keep],
                               alive[keep] if len(order) > 1 else None,
                               cfg.n_split + 1, cfg.n_total, scratch)
-    counts = np.empty((len(order), cfg.n_total + 1), dtype=np.int64)
+    counts = np.zeros((len(order), cfg.n_total + 1 - base), dtype=np.int64)
     for rank, i in enumerate(order):
         survivors = k if alive is None else k[alive > rank]
-        counts[i] = np.bincount(survivors, minlength=cfg.n_total + 1)
+        np.add.at(counts[i], survivors - base, 1)
     return counts
 
 
-def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
-    """Survivors per split and final k, summed over the chunks.
+def _simulate(cfg: _RunConfig, n_paths: int,
+              workers: int | None) -> tuple[int, np.ndarray]:
+    """Survivors per split and final k, summed over the chunks, as (base,
+    counts): ``counts[i, j]`` paths survive split i with final k = base + j.
+    No survivor lies below base = kmin_0(N), rank 0's threshold at the
+    last event, so the rows do not grow with N where the walk absorbs.
 
     W = min(workers, chunks) processes (workers default: the CPUs this
     process may run on) share the chunks: the caller tabulates kmin for
@@ -567,12 +623,18 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
              _Thresholds(cfg, [cfg.splits[i][0] for i in _ranks(cfg)],
                          cfg.n_split, cfg.n_total))
 
+    base = int(kmins[1](cfg.n_total, cfg.n_total)[0, 0])
+
     def share(j: int) -> np.ndarray:
-        return sum(_run_chunk(cfg, kmins, lo, min(CHUNK, n_paths - lo))
-                   for lo in starts[j::workers])
+        total = None  # summed in place: a row may be long
+        for lo in starts[j::workers]:
+            counts = _run_chunk(cfg, kmins, base, lo, min(CHUNK, n_paths - lo))
+            total = counts if total is None else np.add(total, counts,
+                                                        out=total)
+        return total
 
     if workers == 1:
-        return share(0)
+        return base, share(0)
     sys.stdout.flush()  # else the children inherit unwritten output
     sys.stderr.flush()
     children = {}  # pid -> read end of its pipe
@@ -597,7 +659,7 @@ def _simulate(cfg: _RunConfig, n_paths: int, workers: int | None) -> np.ndarray:
                                    f"{status} after {len(data)} of "
                                    f"{total.nbytes} bytes")
             total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
-        return total
+        return base, total
     finally:
         for pid, r in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -634,16 +696,17 @@ def _log_size(cfg: _RunConfig, k: np.ndarray) -> np.ndarray:
     return k * cfg.log_big + (cfg.n_total - k) * cfg.log_small
 
 
-def _ensemble(cfg: _RunConfig, counts: np.ndarray, log_G: float,
+def _ensemble(cfg: _RunConfig, base: int, counts: np.ndarray, log_G: float,
               n_paths: int, seed: int, cls=PathEnsemble, **extra):
-    """Estimator state of one split from its survivors per final k.  A
-    survivor weighs 2^N G under tilt "none", and G e^{-x_k}, the product of
-    1/q over its branches times G, under tilt "measure"."""
+    """Estimator state of one split from its survivors per final k, base
+    + j for ``counts[j]``.  A survivor weighs 2^N G under tilt "none", and
+    G e^{-x_k}, the product of 1/q over its branches times G, under tilt
+    "measure"."""
     k = np.flatnonzero(counts)
     log_sum_w = log_sum_w2 = -math.inf
     if k.size:
         log_w = (np.full(k.size, cfg.n_total * _LN2 + log_G) if cfg.tilt == "none"
-                 else log_G - _log_size(cfg, k))
+                 else log_G - _log_size(cfg, base + k))
         m = float(log_w.max())
         d = log_w - m
         log_sum_w = m + math.log(math.fsum(counts[k] * np.exp(d)))
@@ -687,7 +750,8 @@ def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
     of ``workers``.
     """
     cfg = _config_for(spec, seed=seed)
-    return _ensemble(cfg, _simulate(cfg, n_paths, workers)[0], 0.0, n_paths, seed)
+    base, [counts] = _simulate(cfg, n_paths, workers)
+    return _ensemble(cfg, base, counts, 0.0, n_paths, seed)
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
@@ -730,16 +794,16 @@ def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
     else:
         edges = np.asarray(bins, dtype=float)
     cfg = _config_for(spec, seed=seed)
-    counts = _simulate(cfg, n_paths, workers)[0]
+    base, [counts] = _simulate(cfg, n_paths, workers)
     k = np.flatnonzero(counts)
-    y = _log_size(cfg, k) - cfg.b_final
+    y = _log_size(cfg, base + k) - cfg.b_final
     # under the measure tilt e^{-y} is the bounded part of the weight; the
     # shared factor e^{-b_final} rides in the histogram log_offset
     weights = counts[k] * (1.0 if spec.tilt == "none" else np.exp(-y))
     hist, _ = np.histogram(y, bins=edges, weights=weights)
     log_offset = ((spec.n_events * _LN2 if spec.tilt == "none" else -cfg.b_final)
                   - math.log(n_paths))
-    return _ensemble(cfg, counts, 0.0, n_paths, seed, SurvivorHistogram,
+    return _ensemble(cfg, base, counts, 0.0, n_paths, seed, SurvivorHistogram,
                      edges=edges, weights=hist, log_offset=log_offset)
 
 
@@ -764,5 +828,6 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     if n2 < 1:
         raise DomainError(f"n2 must be >= 1, got {n2!r}")
     cfg = _config_for(spec, n2=n2, splits=tuple(log_splits), seed=seed)
-    return [_ensemble(cfg, counts, log_G, n_paths, seed)
-            for counts, (_, log_G) in zip(_simulate(cfg, n_paths, workers), cfg.splits)]
+    base, counts = _simulate(cfg, n_paths, workers)
+    return [_ensemble(cfg, base, row, log_G, n_paths, seed)
+            for row, (_, log_G) in zip(counts, cfg.splits)]

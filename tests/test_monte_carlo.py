@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,8 +239,8 @@ class TestDeterminism:
         # reference: the survivors per final k, weighed in 50-digit decimals
         spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
                         tilt=tilt)
-        counts = monte_carlo._simulate(monte_carlo._config_for(spec, seed=11),
-                                       1 << 16, 1)[0]
+        base, [counts] = monte_carlo._simulate(
+            monte_carlo._config_for(spec, seed=11), 1 << 16, 1)
         ens = simulate_survivors(spec, 1 << 16, seed=11, workers=1)
         n = spec.n_events
         with decimal.localcontext() as ctx:
@@ -247,8 +248,8 @@ class TestDeterminism:
             big, small = decimal.Decimal(0.55).ln(), decimal.Decimal(0.45).ln()
             weights = {k: decimal.Decimal(2) ** n if tilt == "none"
                        else (-(k * big + (n - k) * small)).exp()
-                       for k in np.flatnonzero(counts).tolist()}
-            want = [float(sum(int(counts[k]) * w ** e
+                       for k in (base + np.flatnonzero(counts)).tolist()}
+            want = [float(sum(int(counts[k - base]) * w ** e
                               for k, w in weights.items()).ln()) for e in (1, 2)]
         assert ens.survivor_count == counts.sum() > 0
         assert ens.log_weight_sum == pytest.approx(want[0], rel=1e-15)
@@ -314,10 +315,10 @@ class TestWorkerProcesses:
         """Make ``_run_chunk`` raise exc in every process but the caller."""
         caller, run_chunk = os.getpid(), monte_carlo._run_chunk
 
-        def failing(cfg, kmins, start, size):
+        def failing(*args):
             if os.getpid() != caller:
                 raise exc
-            return run_chunk(cfg, kmins, start, size)
+            return run_chunk(*args)
 
         monkeypatch.setattr(monte_carlo, "_run_chunk", failing)
 
@@ -369,11 +370,11 @@ class TestWorkerProcesses:
         # the children would walk for a minute if they were left to finish
         caller, run_chunk = os.getpid(), monte_carlo._run_chunk
 
-        def slow_children(cfg, kmins, start, size):
+        def slow_children(*args):
             if os.getpid() == caller:
                 raise _ChildFailure("caller")
             time.sleep(60)
-            return run_chunk(cfg, kmins, start, size)
+            return run_chunk(*args)
 
         monkeypatch.setattr(monte_carlo, "_run_chunk", slow_children)
         t0 = time.monotonic()
@@ -673,15 +674,18 @@ class TestBlockWalk:
 
     LONG = 70_000  # events: one block of 4 paths would hold 65 536
 
+    @pytest.mark.parametrize("tilt", TILTS)
     @pytest.mark.parametrize("n_paths", [1, 4])
-    def test_long_walk_of_few_paths(self, n_paths):
-        """With 4 paths or fewer alive, _BUDGET // alive words would make
-        blocks of 2^16 events and more, whose int16 prefix counts (~0.55 b
-        at p 0.55) wrap; blocks stop at _MAX_BLOCK events.  Without
-        absorption the walk's final k is each path's count of larger
-        branches, event by event, over all 70 000 events."""
+    def test_long_walk_of_few_paths(self, n_paths, tilt):
+        """Under tilt "measure", with 4 paths or fewer alive, _BUDGET //
+        alive words would make blocks of 2^16 events and more, whose int16
+        prefix counts (~0.55 b at p 0.55) wrap; blocks stop at _MAX_BLOCK
+        events.  Under tilt "none" the walk goes a byte at a time through
+        1094 windows, past the _TABLE events whose byte tables are kept.
+        Without absorption the walk's final k is each path's count of
+        larger branches, event by event, over all 70 000 events."""
         spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=math.inf,
-                        n_events=self.LONG, tilt="measure")
+                        n_events=self.LONG, tilt=tilt)
         cfg = monte_carlo._config_for(spec, seed=5)
         path_hi = monte_carlo._path_hi(
             cfg.key, np.arange(n_paths, dtype=np.uint64))
@@ -693,17 +697,26 @@ class TestBlockWalk:
         larger, ties = self.larger_branch(cfg, path_hi,
                                           np.arange(1, self.LONG + 1))
         assert k.tolist() == larger.sum(axis=0).tolist()
-        assert (k > 1 << 15).all() and ties > 0
+        assert (k > 1 << 15).all()
+        if tilt == "measure":
+            assert ties > 0
 
-    def test_long_walk_of_few_paths_absorbs_as_the_per_event_law(self):
+    @pytest.mark.parametrize("tilt,eps", [
+        ("measure", 30.0),
+        # the uniform walk falls 0.01 a step below the boundary at p 0.55,
+        # so eps 700 keeps its paths near the boundary to the end
+        ("none", 700.0),
+    ])
+    def test_long_walk_of_few_paths_absorbs_as_the_per_event_law(self, tilt,
+                                                                 eps):
         """Finite eps and two outcomes over 70 000 events with 4 paths.  The
         per-event law, read off cumulative sums: a path survives outcome r
         while its count of larger branches through each event n stays at
         or above kmin_r(n).  The walk must keep those paths, with their k
         and the number of outcomes each survives."""
         log_Fs = (0.0, -20.0)
-        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=30.0,
-                        n_events=self.LONG, tilt="measure")
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=eps,
+                        n_events=self.LONG, tilt=tilt)
         cfg = monte_carlo._config_for(spec, seed=5)
         path_hi = monte_carlo._path_hi(cfg.key, np.arange(4, dtype=np.uint64))
         events = np.arange(self.LONG + 1)
@@ -727,9 +740,9 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("first", [40_001, 40_030])
     def test_thresholds_far_apart_within_a_block(self, monkeypatch, first):
-        """Within a block, thresholds more than 2^15 apart: the slack of the
-        lower ones is clipped, not wrapped, in int16.  The walk starts on a
-        hash word's first event, and 29 events into one."""
+        """Within one byte, thresholds more than 2^15 apart, which the
+        byte tables hold in int64.  The walk starts on a hash word's first
+        event, and 29 events into one."""
         def spiky_kmin(cfg, n, log_F):
             return (np.where(n % 37 == 0, n - 5_000, (n - 40_000) // 10)
                     + round(-1000 * log_F))
@@ -770,19 +783,26 @@ def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
     """Walks of 2^22 events whose paths all die early tabulate kmin for at
     most _TABLE + 1 events per stage, as a short walk would, and not for
     every event (32 MiB per outcome, and several times that in _kmin's
-    float temporaries)."""
-    sizes = []
-    kmin = monte_carlo._kmin
+    float temporaries).  The uniform walk's byte tables, too, cover at
+    most those _TABLE events."""
+    sizes, spans = [], []
+    kmin, byte_tables = monte_carlo._kmin, monte_carlo._byte_tables
 
     def recording_kmin(cfg, n, log_F):
         sizes.append(n.size)
         return kmin(cfg, n, log_F)
 
+    def recording_byte_tables(kmins, first):
+        spans.append(kmins.shape[1] - 1)
+        return byte_tables(kmins, first)
+
     monkeypatch.setattr(monte_carlo, "_kmin", recording_kmin)
+    monkeypatch.setattr(monte_carlo, "_byte_tables", recording_byte_tables)
     dp = DecoherenceParams(p=0.9)
     # the uniform walk falls 0.88 a step below the boundary at p 0.9
     spec = WalkSpec(dp=dp, eps=1.0, n_events=1 << 22, tilt="none")
     assert simulate_survivors(spec, 256, seed=3, workers=1).survivor_count == 0
+    assert 0 < sum(spans) <= monte_carlo._TABLE
     # ln F = -40 absorbs every path at the split, after event 100
     spec = WalkSpec(dp=dp, eps=1.0, n_events=100, tilt="measure")
     [lam] = born_two_stage_mc_counts(spec, [(math.exp(-40.0), 1)],
@@ -792,28 +812,51 @@ def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
     assert sum(sizes) <= 4 * (monte_carlo._TABLE + 1)  # two stages, twice
 
 
-@pytest.mark.parametrize("n", [400, 1000])
-def test_survivors_per_k_follow_the_exact_law(n):
-    """G-test of the measure walk's whole law at production N.  A path ends
-    alive with k larger-branch steps with probability L_k a^k (1-a)^(N-k),
-    L_k the surviving leaves per k (``enumerate_survivors``) and
-    a = M / 2^53 the walk's larger-branch probability; the absorbed paths
-    are one more cell.  Cells expecting fewer than 5 paths are pooled, and
-    z = (G - dof) / sqrt(2 dof) must stay within 4 (bound set before the
-    first run)."""
+def test_absorbed_long_walk_keeps_its_counts_small():
+    """The 2^22-event uniform walk above keeps survivor counts only for
+    final k >= kmin(N), about N / 10 at p 0.9, not for every k <= N: its
+    tracemalloc peak stays within 8 MiB (bound set before the first run;
+    65.5 MiB with a row of N + 1 counts and its bincount)."""
+    spec = WalkSpec(dp=DecoherenceParams(p=0.9), eps=1.0, n_events=1 << 22,
+                    tilt="none")
+    tracemalloc.start()
+    try:
+        ens = simulate_survivors(spec, 256, seed=3, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.survivor_count == 0
+    assert peak <= 8 << 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("n,tilt", [(400, "measure"), (1000, "measure"),
+                                    (400, "none")])
+def test_survivors_per_k_follow_the_exact_law(n, tilt):
+    """G-test of the walk's whole law at production N.  A path ends alive
+    with k larger-branch steps with probability L_k a^k (1-a)^(N-k), L_k
+    the surviving leaves per k (``enumerate_survivors``) and a the walk's
+    larger-branch probability: M / 2^53 under tilt "measure", 1/2 exactly
+    under "none"; the absorbed paths are one more cell.  Cells expecting
+    fewer than 5 paths are pooled, and z = (G - dof) / sqrt(2 dof) must
+    stay within 4 (bound set before the first run)."""
     spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=n,
-                    tilt="measure")
+                    tilt=tilt)
     n_paths = 1 << 20
     cfg = monte_carlo._config_for(spec, seed=8128)
-    A, R = cfg.lane_cut
-    a = ((A << 37) + R) / 2.0 ** 53
+    if tilt == "measure":
+        A, R = cfg.lane_cut
+        a = ((A << 37) + R) / 2.0 ** 53
+    else:
+        a = 0.5
     k = np.arange(n + 1)
     log_leaves = np.array([math.log(c) if c else -math.inf
                            for c in enumerate_survivors(spec).by_k])
     expected = n_paths * np.exp(log_leaves + k * math.log(a)
                                 + (n - k) * math.log1p(-a))
-    observed = monte_carlo._simulate(cfg, n_paths, 2)[0]
-    observed = np.append(observed, n_paths - observed.sum())
+    base, [observed] = monte_carlo._simulate(cfg, n_paths, 2)
+    assert base + observed.size == n + 1 and not expected[:base].any()
+    observed = np.concatenate([np.zeros(base, dtype=np.int64), observed,
+                               [n_paths - observed.sum()]])
     expected = np.append(expected, n_paths - expected.sum())
     kept = expected >= 5.0
     observed = np.append(observed[kept], observed[~kept].sum())
@@ -1032,20 +1075,55 @@ class TestBornTwoStage:
         with pytest.raises(DomainError):
             born_two_stage_mc_counts(s, [(0.5, 1)], n2, 1000, seed=1)
 
+    @staticmethod
+    def two_stage_survival(cfg, log_F: float, q: float) -> float:
+        """Probability that a walk taking the larger branch with probability
+        q survives both stages of cfg under the split ln F: the two-stage
+        lattice program in floats on the walker's own _kmin.  Through the
+        split event it applies kmin_0, then the split's own test and kmin_F
+        to the end.  At q = 1/2 it is the surviving leaves over 2^N."""
+        n1, n = cfg.n_split, cfg.n_total
+        events = np.arange(n + 1)
+        k0, kF = (monte_carlo._kmin(cfg, events, lf) for lf in (0.0, log_F))
+        prob = np.zeros(n + 1)  # per k larger-branch steps
+        prob[0] = 1.0
+        for event in range(1, n + 1):
+            prob[1:] = q * prob[:-1] + (1.0 - q) * prob[1:]
+            prob[0] *= 1.0 - q
+            prob[:k0[event] if event <= n1 else kF[event]] = 0.0
+            if event == n1:
+                prob[:kF[n1]] = 0.0
+        return float(prob.sum())
+
     def test_gamma_monotone_in_fraction(self):
-        # gamma estimates for F = e^-1, e^-3, e^-6 are nonincreasing
-        # within pooled noise
+        # gamma estimates for F = e^-1, e^-3, e^-6 against the exact lattice
+        # gammas, which decrease (0.557632, 0.042839, 2.3e-5)
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=200, tilt="measure")
         n = 1 << 19
+        cfg = monte_carlo._config_for(s1, n2=800)
+        A, R = cfg.lane_cut
+        a = ((A << 37) + R) / 2.0 ** 53  # the walk's larger-branch probability
+        whole = self.two_stage_survival(cfg, 0.0, 0.5)
         den = born_two_stage_mc_counts(s1, [(1.0, 1)], 800, n, seed=100,
                                        workers=2)[0]
-        gammas, rels = [], []
+        den_rel = math.exp(den.std_error() - den.estimate())
+        exact = []
         for k, lf in enumerate((-1.0, -3.0, -6.0)):
+            exact.append(self.two_stage_survival(cfg, lf, 0.5) / whole
+                         / math.exp(lf))
             num = born_two_stage_mc_counts(s1, [(math.exp(lf), 1)], 800, n,
                                            seed=200 + k, workers=2)[0]
-            gammas.append(math.exp(num.estimate() - den.estimate() - lf))
-            rels.append(math.exp(num.std_error() - num.estimate()))
-        for i in (0, 1):
-            slack = 3.0 * math.hypot(rels[i], rels[i + 1]) * gammas[i]
-            assert gammas[i] >= gammas[i + 1] - slack
+            if num.survivor_count == 0:
+                # no survivors is within 3 sigma of a Poisson mean mu <= 9
+                mu = n * self.two_stage_survival(cfg, lf, a)
+                assert mu - 3.0 * math.sqrt(mu) <= 0.0, (lf, mu)
+                continue
+            gamma = math.exp(num.estimate() - den.estimate() - lf)
+            rel = math.hypot(math.exp(num.std_error() - num.estimate()),
+                             den_rel)
+            assert abs(gamma - exact[k]) <= 3.0 * rel * gamma, (lf, gamma,
+                                                                exact[k])
+        assert exact == pytest.approx([0.5576321, 0.0428386, 2.32414e-5],
+                                      rel=1e-5)
+        assert exact[0] > exact[1] > exact[2] > 0.0
