@@ -33,8 +33,8 @@ from . import analytic, born_experiment, monte_carlo, pde_solver
 from ._io import atomic_write_text, format_float, rows_to_csv
 from .errors import DomainError, NumericalError
 from .model_params import DecoherenceParams, DiffusionParams, to_diffusion
-from .special_functions import ERFCX_CROSSOVER, BRACKET_CROSSOVER_WT, \
-    _bracket_asymptotic, _bracket_direct, _erfcx_cf, _erfcx_small
+from .special_functions import BRACKET_CROSSOVER_WT, _SEAM, \
+    _bracket_asymptotic, _bracket_direct, _erfcx_asymptotic, _erfcx_direct
 
 ENV_OUT = "MANGLEDWORLDS_OUT"
 
@@ -119,7 +119,7 @@ DEFAULTS = {
         "p": 0.55, "r": 1.0, "eps": 0.2, "t1": 400.0, "t2": 3200.0,
         "outcomes": "left:0.5:1,right:0.25:2",
         "engines": "analytic", "n_paths": 1 << 20, "seed": None,
-        "n_cells": 2048, "tilt": "auto",
+        "n_cells": None, "tilt": "auto",
     },
     "headline": {},
     "scan": {"p_list": "0.51,0.55,0.6,0.7,0.8,0.9", "r_list": "1"},
@@ -129,8 +129,10 @@ DEFAULTS = {
 
 def _kind(sub: str, key: str) -> type:
     """The type of a config key, for its flag and its config-file value: its
-    default's, and int for the seed, whose default is None."""
-    return int if key == "seed" else type(DEFAULTS[sub][key])
+    default's, and int for the keys whose default is None (the seed, and
+    born's n_cells, which the grid sizes when unset)."""
+    default = DEFAULTS[sub][key]
+    return int if default is None else type(default)
 
 
 def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
@@ -155,9 +157,9 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
             resolved[key] = flag
     for key, value in resolved.items():
         # the commands convert each number to its key's type, so an integer
-        # key must hold an integral value; an unset seed stays None
+        # key must hold an integral value; an unset seed or n_cells stays None
         kind = _kind(sub, key)
-        if kind not in (int, float) or (key == "seed" and value is None):
+        if kind not in (int, float) or (value is None and DEFAULTS[sub][key] is None):
             continue
         try:
             (_integer if kind is int else _number)(value)
@@ -312,8 +314,10 @@ def _cmd_born(cfg: dict, run_dir: Path, args) -> int:
     if "pde" in engines:
         diff = to_diffusion(dp, eps)
         max_l = max(-math.log(o.F) for o in outcomes)
-        grid = pde_solver.suggested_grid(diff, t1 + t2, max_abs_log_F=max_l,
-                                         n_cells=int(cfg["n_cells"]))
+        n_cells = cfg["n_cells"]
+        grid = pde_solver.suggested_grid(
+            diff, t1 + t2, max_abs_log_F=max_l,
+            n_cells=None if n_cells is None else int(n_cells))
     tilt = None if cfg["tilt"] in (None, "auto") else str(cfg["tilt"])
     report = born_experiment.deviation_table(
         outcomes, dp, eps, t1, t2, engines, grid=grid,
@@ -374,8 +378,8 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
         [0.51, 0.55, 0.6, 0.75, 0.9, 0.99], [0.5, 1.0, 2.0]))
     checks.append(("identity v-w = -r*xhat1", worst <= 1e-12, f"worst rel {worst:.2e}"))
 
-    a = ERFCX_CROSSOVER
-    seam = abs(_erfcx_small(a) - _erfcx_cf(a)) / _erfcx_cf(a)
+    a = _SEAM
+    seam = abs(_erfcx_direct(a) - _erfcx_asymptotic(a)) / _erfcx_asymptotic(a)
     checks.append(("erfcx seam", seam <= 1e-12, f"rel gap {seam:.2e} at a={a}"))
     wt = BRACKET_CROSSOVER_WT
     bseam = abs(_bracket_direct(wt) - _bracket_asymptotic(wt)) / _bracket_asymptotic(wt)

@@ -457,15 +457,21 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
 
 
 def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
-                   n_cells: int = 2048) -> Grid:
+                   n_cells: int | None = None) -> Grid:
     """Crank-Nicolson grid for a run to time T in 8000 steps, with
     y_max = eps + |ln F| + max(6 sqrt(w T), w T/4 + 16) + 1 (rounded up):
     room for the density's spread and for the count's decay against the
     far-edge mode, which keeps the far-edge density below ~1e-10 of the
-    peak up to w T = 1000."""
+    peak up to w T = 1000.  Unless given, n_cells is the smallest power of
+    two from 2048 to 2^14 whose h = y_max / n_cells keeps :func:`init_delta`'s
+    eps >= 4h (past 2^14 that check fails loudly instead)."""
     dp.require_diffusive()
     _check_time("T", T)
     wT = dp.w * T
     y_max = float(math.ceil(dp.eps + max_abs_log_F
                             + max(6.0 * math.sqrt(wT), 0.25 * wT + 16.0) + 1.0))
+    if n_cells is None:
+        n_cells = 2048
+        while 4.0 * (y_max / n_cells) > dp.eps and n_cells < 1 << 14:
+            n_cells *= 2
     return Grid(y_max=y_max, n_cells=n_cells, dt=T / 8000.0)

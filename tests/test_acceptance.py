@@ -21,7 +21,7 @@ from mangledworlds.cli import run as cli_run
 from mangledworlds.model_params import (DecoherenceParams, DiffusionParams,
                                         to_diffusion)
 from mangledworlds.special_functions import (
-    ERFCX_CROSSOVER, _erfcx_cf, _erfcx_small, bracket)
+    _SEAM, _erfcx_asymptotic, _erfcx_direct, bracket)
 
 DESK = DiffusionParams(v=1.0, w=0.5, eps=0.1)
 
@@ -245,8 +245,8 @@ def test_c09_numerical_stability():
                 (1e10, 7.9788456056349999e-16)]
     worst = max(abs(bracket(wt) / want - 1.0)
                 for wt, want in fixtures)
-    seam = abs(_erfcx_small(ERFCX_CROSSOVER) - _erfcx_cf(ERFCX_CROSSOVER)) \
-        / _erfcx_cf(ERFCX_CROSSOVER)
+    seam = abs(_erfcx_direct(_SEAM) - _erfcx_asymptotic(_SEAM)) \
+        / _erfcx_asymptotic(_SEAM)
     extreme = DiffusionParams(v=2.0, w=1.0, eps=0.1)
     w_log = analytic.log_unmangled_count(1e10, extreme)
     lam_log = analytic.log_lambda_count(-1e5, 1, 1e10, 1e10, extreme)

@@ -156,7 +156,8 @@ class TestExitCodes:
 
 #: SHA-256 of every file the GOLDEN_RUNS write.  A refactor must leave every
 #: artifact byte-identical; re-record only for a deliberate change of output
-#: (or another numpy/LAPACK build, whose last-bit rounding may differ).
+#: (or another numpy/LAPACK build or another C library's erfc, whose
+#: last-bit rounding may differ).
 GOLDEN_RUNS = [
     ["analytic"], ["headline"], ["scan"],
     ["pde", "--n-cells", "512", "--y-max", "10", "--T", "2", "--snapshots", "1,2"],
@@ -165,18 +166,18 @@ GOLDEN_RUNS = [
      "--workers", "2"],
 ]
 GOLDEN_SHA256 = {
-    "analytic/born.csv": "023219dff5abf22c9a1460b9132f707f982a1941941ed4c62df4f6b1729ab9ab",
+    "analytic/born.csv": "dcaf4ce1d0273d0debac4864645cdcbc99379de24476ec5e15a293b27e4c6dfc",
     "analytic/config.json": "507ba9ec524357041729c9388acc48d5ed9ba96f0dadfbdecb295949892742bc",
     "analytic/mu0.csv": "572891137cab936d5583efea0f210e25f7949c547c0a3ad191aba961da87bed7",
     "analytic/mu1.csv": "676a0113a823d5ba71943e9369251211e79288bd8299e6b96f719db4a88588e8",
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
-    "analytic/w.csv": "2c258b0af3244a9a1a36ea63f5a2369fa09249ca035094b3ac05bf88c971ae4b",
-    "born/config.json": "276f7f771032aaabfb975504e2286d2727d79c2fe0311f8592b4adb0dea0eaa4",
-    "born/deviation.csv": "dfb47db4f30299a30b68acfc60157ffbbb13a48cc007ec38a6e89ba2815ba0bc",
-    "born/deviation.json": "a0131439a04c3aec28a593a871a940dca231a7b18a705987d37957345ecc8d12",
+    "analytic/w.csv": "f777cf1cd348682c71d8fd95c47795ad56a88e4272b4de21add5662694024cbc",
+    "born/config.json": "38a102f5a020df6b856ec6aae01a0feda045ccff85d024d4bb0d49163c508b93",
+    "born/deviation.csv": "3d4e931dac43e92435a8b3a6391530afc508282f0cb4093c7d716306c59022fb",
+    "born/deviation.json": "c9a1a64cd50688f7cfe14df3768f607400451fa7fac8a454d0dc4795127f95e3",
     "born/summary.txt": "2adf40f357af512182914a13aa4c2361356da1e6d03ef57cf8576e5234fa08fa",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
-    "headline/headline.json": "453e2b13e1b5f7c8dba575f13057b53264db9c148979473644b2c30230f3984a",
+    "headline/headline.json": "bf3c8eaa2dd92f51f2900f8fb2b7f159b9ff159195cd347855dfce16e37a322e",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
     "mc/config.json": "6b57f115b6b96fb4b35f83fcb037e36f135ed937717165d65379ec1236d8adcf",
     "mc/estimates.json": "338d7f7d4940bd6b12cded0bc406c530396e0265b7e8d787b58b42c9cb7600c6",
@@ -273,6 +274,22 @@ class TestArtifacts:
         assert len(rows) == 3  # header + 2 outcomes
         meta = json.loads((d / "deviation.json").read_text())["metadata"]
         assert meta["engines"] == ["analytic"]
+
+    @pytest.mark.parametrize("p,n_cells", [("0.55", 2048), ("0.65", 4096), ("0.7", 4096)])
+    def test_born_pde_default_grid_resolves_eps(self, tmp_path, p, n_cells):
+        # unset, n_cells grows with y_max until eps = 0.2 >= 4h
+        assert run(["born", "--out", str(tmp_path), "--engines", "analytic,pde",
+                    "--p", p]) == 0
+        report = json.loads((tmp_path / "born" / "deviation.json").read_text())
+        assert report["metadata"]["grid"]["n_cells"] == n_cells
+        assert [row["status"] for row in report["rows"]] == ["ok"] * 4
+
+    def test_born_explicit_n_cells_wins(self, tmp_path):
+        assert run(["born", "--out", str(tmp_path), "--engines", "pde",
+                    "--p", "0.65", "--n-cells", "2048"]) == 0
+        report = json.loads((tmp_path / "born" / "deviation.json").read_text())
+        assert report["metadata"]["grid"]["n_cells"] == 2048
+        assert all("within 4h" in row["status"] for row in report["rows"])
 
 
 class TestDeterminismAndRoundTrip:

@@ -22,7 +22,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
-from mangledworlds.model_params import DiffusionParams
+from mangledworlds.model_params import DecoherenceParams, DiffusionParams, \
+    to_diffusion
 from mangledworlds.pde_solver import Field, Grid, born_two_stage_counts, \
     init_delta, solve, survivor_count
 from mangledworlds.special_functions import erfc
@@ -74,6 +75,25 @@ class TestGrid:
         g = Grid(y_max=10.0, n_cells=100, dt=1e-3)
         assert g.h == pytest.approx(0.1)
         assert len(g.nodes()) == 101
+
+    @pytest.mark.parametrize("p,n_cells", [(0.55, 2048), (0.6, 2048), (0.65, 4096),
+                                           (0.7, 4096), (0.8, 8192)])
+    def test_suggested_grid_resolves_eps(self, p, n_cells):
+        # born's defaults: eps 0.2, t1 + t2 = 3600, |ln F| up to ln 4
+        diff = to_diffusion(DecoherenceParams(p=p, r=1.0), 0.2)
+        g = pde_solver.suggested_grid(diff, 3600.0, max_abs_log_F=math.log(4.0))
+        assert g.n_cells == n_cells
+        assert 4.0 * g.h <= 0.2
+        given = pde_solver.suggested_grid(diff, 3600.0, n_cells=512)
+        assert given.n_cells == 512
+
+    def test_suggested_grid_caps_derived_cells(self):
+        # eps 1e-4 would need 2^20 cells; init_delta then refuses the grid
+        diff = DiffusionParams(v=1.0, w=0.5, eps=1e-4)
+        g = pde_solver.suggested_grid(diff, 8.0)
+        assert g.n_cells == 1 << 14
+        with pytest.raises(DomainError, match="within 4h"):
+            init_delta(g, diff.eps)
 
 
 class TestInitDelta:

@@ -2,19 +2,22 @@
 
 Reference values were computed once with mpmath at 50 significant digits
 (mp.erfc, exp(a^2)*mp.erfc(a), and the bracket expression evaluated in
-extended precision) and frozen here as literals.
+extended precision) and frozen here as literals; anchors sit on both sides
+of the one seam, a = 6 (wt = 72).  A dense sweep also compares against
+mpmath at run time.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from mangledworlds.errors import DomainError
 from mangledworlds.special_functions import (
-    BRACKET_CROSSOVER_WT, ERFCX_CROSSOVER, _bracket_asymptotic,
-    _bracket_direct, _erfcx_cf, _erfcx_small, bracket, erfc, erfcx,
-    log_erfc, logsubexp)
+    _SEAM, BRACKET_CROSSOVER_WT, _bracket_asymptotic, _bracket_direct,
+    _erfcx_asymptotic, _erfcx_direct, bracket, erfc, erfcx, log_erfc,
+    logsubexp)
 
 # (a, erfc(a)) at 50-digit precision
 ERFC_TABLE = [
@@ -41,7 +44,17 @@ ERFCX_TABLE = [
     (2.0, 0.25539567631050574),
     (3.0, 0.17900115118138995),
     (5.0, 0.11070463773306863),
+    (5.99, 0.092927413163163408),
+    (6.0, 0.092776567800538354),
+    (6.01, 0.092626205328484125),
     (10.0, 0.056140992743822586),
+    (30.0, 0.018795888861416751),
+]
+
+# (a, ln erfc(a)) at 50-digit precision, above the seam
+LOG_ERFC_TABLE = [
+    (6.01, -38.499283182457471),
+    (30.0, -903.97411711064388),
 ]
 
 # (wt, bracket(wt)) at 50-digit precision
@@ -49,6 +62,8 @@ BRACKET_TABLE = [
     (1e-3, 24.256064832525035),
     (1.0, 0.27472797707261861),
     (2.0, 0.13660600739194928),
+    (71.9, 0.0012575820260557969),
+    (72.1, 0.0012524855175187166),
     (1e3, 2.5156007088714833e-05),
     (1e6, 7.9788216716115113e-10),
     (1e10, 7.9788456056349999e-16),
@@ -61,8 +76,10 @@ class TestErfc:
         assert erfc(a) == pytest.approx(want, rel=1e-13)
 
     def test_accuracy_sweep(self):
-        # spot grid against the frozen anchors via the multiplicative
-        # identity erfc = erfcx * e^{-a^2}, which has independent regimes
+        # the multiplicative identity erfc = erfcx * e^{-a^2}: above the
+        # seam (a > 6) erfcx is the independent tail series; below it erfcx
+        # is erfc / e^{-a^2}, so there the identity is circular and only
+        # pins the scaling
         for a in np.linspace(0.0, 26.0, 209):
             a = float(a)
             assert erfc(a) == pytest.approx(erfcx(a) * math.exp(-a * a), rel=2e-12)
@@ -102,8 +119,8 @@ class TestErfcx:
         assert erfcx(1e8) * 1e8 * math.sqrt(math.pi) == pytest.approx(1.0, abs=1e-10)
 
     def test_seam_agreement(self):
-        a = ERFCX_CROSSOVER
-        small, large = _erfcx_small(a), _erfcx_cf(a)
+        a = _SEAM
+        small, large = _erfcx_direct(a), _erfcx_asymptotic(a)
         assert abs(small - large) / large <= 1e-12
 
     def test_strictly_decreasing(self):
@@ -122,10 +139,15 @@ class TestLogErfc:
         for a, want in ERFC_TABLE:
             assert log_erfc(a) == pytest.approx(math.log(want), abs=1e-12)
 
+    @pytest.mark.parametrize("a,want", LOG_ERFC_TABLE)
+    def test_oracle_values(self, a, want):
+        assert log_erfc(a) == pytest.approx(want, abs=1e-12)
+
     def test_huge_argument(self):
         # ln erfc(100) = -10000 + ln erfcx(100); finite and sane
         got = log_erfc(100.0)
         assert got == pytest.approx(-10000.0 + math.log(erfcx(100.0)), rel=1e-15)
+        assert log_erfc(math.inf) == -math.inf
 
 
 class TestBracket:
@@ -160,6 +182,35 @@ class TestBracket:
             bracket(0.0)
         with pytest.raises(DomainError):
             bracket(-1.0)
+
+
+class TestMpmathSweep:
+    """Worst relative error against 50-digit mpmath on dense grids that
+    cross the seam."""
+
+    @staticmethod
+    def worst(f, ref, grid):
+        with mpmath.workdps(50):
+            return max(float(abs(mpmath.mpf(f(x)) / ref(mpmath.mpf(x)) - 1))
+                       for x in map(float, grid))
+
+    def test_erfc(self):
+        assert self.worst(erfc, mpmath.erfc, np.linspace(-5.0, 26.5, 1261)) <= 1e-15
+
+    def test_erfcx(self):
+        ref = lambda a: mpmath.exp(a * a) * mpmath.erfc(a)  # noqa: E731
+        assert self.worst(erfcx, ref, np.linspace(0.0, 30.0, 1201)) <= 1e-15
+
+    def test_bracket(self):
+        def ref(wt):
+            a = mpmath.sqrt(wt / 2)
+            return mpmath.sqrt(2 / (mpmath.pi * wt)) - mpmath.exp(a * a) * mpmath.erfc(a)
+        grid = np.concatenate([np.logspace(-6.0, 12.0, 721), np.linspace(60.0, 90.0, 121)])
+        assert self.worst(bracket, ref, grid) <= 5e-14
+
+    def test_nan_propagates(self):
+        assert math.isnan(erfcx(float("nan")))
+        assert math.isnan(log_erfc(float("nan")))
 
 
 class TestLogSpaceSums:
