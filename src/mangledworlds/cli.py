@@ -469,12 +469,19 @@ _COMMANDS = {
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand, or with ``only``'s,
+    all that a command line naming it parses with (a fifth of the cost)."""
     parser = argparse.ArgumentParser(
         prog="mangledworlds",
         description="Drift-diffusion-absorption world-counting laboratory")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    # the usage names every subcommand, however many are built
+    subs = parser.add_subparsers(
+        dest="subcommand", required=True,
+        metavar=None if only is None else "{" + ",".join(DEFAULTS) + "}")
     for sub, defaults in DEFAULTS.items():
+        if only not in (None, sub):
+            continue
         sp = subs.add_parser(sub, help=f"{sub} run")
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help=f"output root (default $" + ENV_OUT + " or ./runs)")
@@ -489,7 +496,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no known subcommand first (--help, none, a typo): the full parser's
+    # usage and error
+    parser = _build_parser(argv[0] if argv and argv[0] in DEFAULTS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -51,7 +51,7 @@ Cost: a draw depends only on its (path, event), so a chunk walks its
 alive paths several events per numpy pass.  Under tilt "measure" it goes
 a block of about 2^18 path-events and at most 2^13 events at a time (one
 hash word while 2^16 paths are alive, more as they die), of whole 4-event
-words: one numpy pass hashes them in place in a scratch buffer per chunk,
+words: one numpy pass hashes them in place in the process's scratch rows,
 a strided compare turns their lanes into branch rows, and only the ties
 (one lane in 2^16) are hashed again.  A log-step scan turns the branches
 into prefix counts of larger-branch steps, and the whole block's
@@ -68,6 +68,14 @@ more adds its larger branches to k, and absorbed paths are compacted away
 once per byte.  A path that dies
 mid-block or mid-byte is walked to its end; the fixed cost of a numpy
 call is thus paid per block or byte, not per event.
+
+Memory: each walker process builds one workspace (:class:`_Work`) as it
+starts its share of a walk, the caller before share 0 and each child after
+its fork, and walks all its chunks inside it.  Every gather, test and
+compaction writes into its rows, so no chunk, byte or block allocates an
+array of its paths' size.  Such arrays (up to 1 MiB) went back to the OS
+when freed and were faulted in afresh by the next one: mc's defaults took
+~6 500 minor page faults per process, ~1 900 with the workspace.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -148,9 +156,12 @@ def _key_from_seed(seed: int) -> np.uint64:
     return z[0]
 
 
-def _path_hi(key: np.uint64, paths: np.ndarray) -> np.ndarray:
-    """(path ^ key_hi) << 32, the high word of (path << 32 | counter) ^ key."""
-    return (paths ^ (key >> _U(32))) << _U(32)
+def _path_hi(key: np.uint64, paths: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(path ^ key_hi) << 32, the high word of (path << 32 | counter) ^ key;
+    written into ``out`` when given, which may be ``paths`` itself."""
+    out = np.bitwise_xor(paths, key >> _U(32), out=out)
+    return np.left_shift(out, _U(32), out=out)
 
 
 def _hash(key: np.uint64, path_hi: np.ndarray, counter: np.ndarray,
@@ -418,9 +429,66 @@ def _ranks(cfg: _RunConfig) -> list[int]:
     return sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
 
 
+class _Pair:
+    """Two rows of one per-path array.  The live array sits in row ``side``
+    (or outside the pair, as a caller's array may), so compacting it into
+    the other row, which then becomes ``side``, never overlaps it."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.side = rows, 0
+
+    def row(self, n: int) -> np.ndarray:
+        """The live row's first n entries, for a fresh array."""
+        return self.rows[self.side, :n]
+
+    def spare(self, n: int) -> np.ndarray:
+        """The other row's first n entries: free until the next compaction."""
+        return self.rows[1 - self.side, :n]
+
+    def compact(self, a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """a[keep], written into the spare row.  ``keep`` is in range by
+        construction, so take's "clip" mode, which writes straight into its
+        output ("raise" buffers it), changes nothing."""
+        out = a.take(keep, out=self.spare(keep.size), mode="clip")
+        self.side = 1 - self.side
+        return out
+
+
+class _Work:
+    """One walker process's workspace: every array that a walk of chunks
+    of up to ``width`` paths writes per chunk, byte or block.
+
+    - ``words``: the hash scratch, two uint64 rows of max(_BUDGET, width)
+      (:func:`_draws`); under tilt "none" the window's word is compacted
+      between them.
+    - ``k``: k, and the int64 gather or sum that a test compares it with.
+    - ``hi``, ``alive``: path_hi and the number of outcomes survived.
+    - ``v``: a byte's values as gather indices (tilt "none").
+    - ``low``: a block's int16 minimum (tilt "measure").
+    - ``mask``: a test's outcome.
+    - ``paths``: 0, 1, ..., width - 1, a chunk's path indices less its
+      first.
+
+    A page of ``np.empty`` costs nothing until first written, so a process
+    faults in each page its walk touches once, and never again per chunk,
+    byte or block."""
+
+    def __init__(self, width: int, scratch: np.ndarray | None = None):
+        if scratch is None:
+            scratch = np.empty((2, max(_BUDGET, width)), dtype=np.uint64)
+        self.words = _Pair(scratch)
+        self.k = _Pair(np.empty((2, width), dtype=np.int64))
+        self.hi = _Pair(np.empty((2, width), dtype=np.uint64))
+        self.alive = _Pair(np.empty((2, width), dtype=np.int64))
+        self.v = np.empty(width, dtype=np.intp)
+        self.low = np.empty(width, dtype=np.int16)
+        self.mask = np.empty(width, dtype=np.bool_)
+        self.paths = np.arange(width, dtype=np.uint64)
+
+
 def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
           path_hi: np.ndarray, alive: np.ndarray | None, first: int,
-          last: int, scratch: np.ndarray):
+          last: int, work: _Work | np.ndarray):
     """Advance the paths through events first..last.
 
     ``kmins`` holds one row per outcome, sorted largest F first, from event
@@ -439,35 +507,51 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
     gather per rank from the window's byte tables (:func:`_byte_tables`)
     tests the byte, one more adds its larger branches to k, and the paths
     are compacted once per byte.
+
+    Every per-byte and per-block array lives in ``work``, the process's
+    :class:`_Work`: gathers, tests and compactions write into its rows, so
+    the walk allocates nothing of the paths' size.  A bare scratch array
+    (2, >= max(_BUDGET, paths)) gets a workspace of its own for these paths.
     """
+    if isinstance(work, np.ndarray):
+        work = _Work(k.size, work)
     lo = first
     while lo <= last and k.size:
         if cfg.tilt == "measure":
             words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
             end = min(last, ((lo - 1) // 4 + words) * 4)
-            k, path_hi, alive = _advance(
-                cfg, np.arange(lo, end + 1), kmins(lo - 1, end), k, path_hi,
-                alive, scratch)
+            k, path_hi, alive = _advance(cfg, lo, end, kmins(lo - 1, end), k,
+                                         path_hi, alive, work)
             lo = end + 1
             continue
         hi = min(last, (lo - 1) // 64 * 64 + 64)
         need, gain, rises = kmins.byte_tables(lo, hi)
-        word = _draws(cfg.key, path_hi, (lo - 1) // 64, scratch=scratch)
+        word = _draws(cfg.key, path_hi, (lo - 1) // 64, work.words.rows)
+        work.words.side = 0  # the hash leaves the word in row 0
         for b in range((lo - 1) % 64 // 8, (hi - 1) % 64 // 8 + 1):
+            n = k.size
+            v, tmp, mask = work.v[:n], work.k.spare(n), work.mask[:n]
             # byte b of the word; an intp index gathers several times faster
-            v = word.view(np.uint8)[b if _LITTLE else 7 - b::8].astype(np.intp)
+            v[...] = word.view(np.uint8)[b if _LITTLE else 7 - b::8]
             for r in range(1, len(need)):  # below rank r: alive under < r
                 if rises[r, b]:
-                    np.minimum(alive, r, out=alive, where=k < need[r, b][v])
+                    np.less(k, need[r, b].take(v, out=tmp, mode="clip"),
+                            out=mask)
+                    np.minimum(alive, r, out=alive, where=mask)
+            keep = None
             if rises[0, b]:
                 # gather by index: a boolean mask mispredicts a branch per drop
-                keep = np.flatnonzero(k >= need[0, b][v])
-                if keep.size < k.size:
-                    k, path_hi, word, v = (k[keep], path_hi[keep], word[keep],
-                                           v[keep])
-                    if alive is not None:
-                        alive = alive[keep]
-            k += gain[b][v]
+                keep = np.flatnonzero(np.greater_equal(
+                    k, need[0, b].take(v, out=tmp, mode="clip"), out=mask))
+            # every path gains its byte's branches, then the dead are
+            # dropped, so v is never compacted
+            k += gain[b].take(v, out=tmp, mode="clip")
+            if keep is not None and keep.size < n:
+                k = work.k.compact(k, keep)
+                path_hi = work.hi.compact(path_hi, keep)
+                word = work.words.compact(word, keep)
+                if alive is not None:
+                    alive = work.alive.compact(alive, keep)
         lo = hi + 1
     return k, path_hi, alive
 
@@ -505,11 +589,11 @@ def _lane_branches(cfg: _RunConfig, words: np.ndarray, first: int, b: int,
     return c
 
 
-def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
+def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
              k: np.ndarray, path_hi: np.ndarray, alive: np.ndarray | None,
-             scratch: np.ndarray):
-    """Advance the paths through one tilt-"measure" block of b events,
-    whose branches :func:`_lane_branches` reads.
+             work: _Work):
+    """Advance the paths through one tilt-"measure" block of events
+    first..last, b of them, whose branches :func:`_lane_branches` reads.
 
     ``kmins[r]`` holds rank r's threshold at the event before the block
     and at each of its b <= _MAX_BLOCK events.  A path fails rank r if
@@ -517,14 +601,15 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
     branches in the block up to j; a log-step scan forms the c_j as int16
     rows.  A path alive under rank r met kmin_r before the block and k
     never falls, so an event at which kmin_r does not rise fails no such
-    path.
+    path.  The words, branch rows, scan, tests and compaction all write
+    into ``work``; a block allocates nothing of the paths' size.
     """
-    b = events.size
+    b = last - first + 1
     rises = kmins[:, 1:] > kmins[:, :-1]
     kmins = kmins[:, 1:]
     # the words fill row 0 (row 1 is the hash's scratch), the branches
     # then row 1, and row 0 is free once the ties are resolved
-    first, last = int(events[0]), int(events[-1])
+    scratch = work.words.rows
     words = _draws(cfg.key, path_hi,
                    np.arange((first - 1) // 4, (last - 1) // 4 + 1), scratch)
     c = _lane_branches(cfg, words, first, b, path_hi, scratch[1])
@@ -538,62 +623,88 @@ def _advance(cfg: _RunConfig, events: np.ndarray, kmins: np.ndarray,
             spare[:step] = c[:step]
             c, spare = spare, c
             step *= 2
+    n = k.size
+    tmp, low, mask = work.k.spare(n), work.low[:n], work.mask[:n]
 
-    def fails(r: int) -> np.ndarray | None:
+    def reach(r: int):
+        """None where kmin_r does not rise in the block, else (s, top): a
+        path fails rank r iff s < top."""
         if not rises[r].any():
             return None
         if b == 1:
-            return k < kmins[r, 0]
+            return k, kmins[r, 0]
         top = kmins[r].max()
         # k fails iff k + min_j (c_j - (kmin_j - top)) < top.  c_j <= b, so
         # a row with kmin_j < top - b never sets the minimum, and clipping
         # its slack at -(b + 1) keeps c_j - slack_j <= 2b + 1 < 2^15.
         slack = np.maximum(kmins[r] - top, -(b + 1)).astype(np.int16)
-        low = np.subtract(c, slack[:, None], out=spare).min(axis=0)
-        return k + low < top
+        np.subtract(c, slack[:, None], out=spare).min(axis=0, out=low)
+        return np.add(k, low, out=tmp), top
 
     for r in range(1, len(kmins)):  # below rank r: alive under < r
-        if (fail := fails(r)) is not None:
-            np.minimum(alive, r, out=alive, where=fail)
-    drop = fails(0)
+        if (s := reach(r)) is not None:
+            np.minimum(alive, r, out=alive, where=np.less(*s, out=mask))
+    keep = None
+    if (s := reach(0)) is not None:
+        # gather by index: a boolean mask mispredicts a branch per drop
+        keep = np.flatnonzero(np.greater_equal(*s, out=mask))
     if b > 1:
         k += c[-1]
-    if drop is not None:
-        # gather by index: a boolean mask mispredicts a branch per drop
-        keep = np.flatnonzero(~drop)
-        k, path_hi = k[keep], path_hi[keep]  # old arrays freed at once
+    if keep is not None and keep.size < n:
+        k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
         if alive is not None:
-            alive = alive[keep]
+            alive = work.alive.compact(alive, keep)
     return k, path_hi, alive
 
 
 def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
-               base: int, start: int, size: int) -> np.ndarray:
+               base: int, start: int, size: int, work: _Work) -> np.ndarray:
     """One chunk's survivors per split (row) and final k - base (column),
     as a (splits, N + 1 - base) integer array, base = kmin_0(N) (see
     :func:`_simulate`); ``kmins`` holds the thresholds of stage one and of
     stage two (one row per split, by rank).
     Stage one is walked once, then stage two once for every split
     together: each path carries the number of splits it survives, and each
-    split reads its own survivors off it."""
+    split reads its own survivors off it.  ``work`` is the workspace of
+    the process walking the chunk, at least ``size`` paths wide, which
+    :func:`_simulate` builds once per share: the initial k and path_hi, the
+    split's test and the compaction before stage two are written into it,
+    as every array of the walk is, so a chunk allocates only its counts."""
     one, two = kmins
-    scratch = np.empty((2, max(_BUDGET, size)), dtype=np.uint64)
-    k, path_hi, _ = _walk(
-        cfg, one, np.zeros(size, dtype=np.int64),
-        _path_hi(cfg.key, np.arange(start, start + size, dtype=np.uint64)),
-        None, 1, cfg.n_split, scratch)
+    k = work.k.row(size)
+    k.fill(0)
+    path_hi = np.add(work.paths[:size], start, out=work.hi.row(size))
+    k, path_hi, _ = _walk(cfg, one, k, _path_hi(cfg.key, path_hi, path_hi),
+                          None, 1, cfg.n_split, work)
     order = _ranks(cfg)
-    # the split's own absorption test
-    alive = (k >= two(cfg.n_split, cfg.n_split)).sum(axis=0)
-    keep = alive > 0
-    k, path_hi, alive = _walk(cfg, two, k[keep], path_hi[keep],
-                              alive[keep] if len(order) > 1 else None,
-                              cfg.n_split + 1, cfg.n_total, scratch)
+    # the split's own absorption test, against each rank's threshold
+    split = two(cfg.n_split, cfg.n_split)[:, 0]
+    mask = work.mask[:k.size]
+    keep = np.flatnonzero(np.greater_equal(k, split[0], out=mask))
+    k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
+    alive = None
+    if len(order) > 1:  # every kept path survives rank 0
+        alive = work.alive.row(k.size)
+        alive.fill(1)
+        for threshold in split[1:]:
+            alive += np.greater_equal(k, threshold, out=mask[:k.size])
+    k, path_hi, alive = _walk(cfg, two, k, path_hi, alive, cfg.n_split + 1,
+                              cfg.n_total, work)
     counts = np.zeros((len(order), cfg.n_total + 1 - base), dtype=np.int64)
     for rank, i in enumerate(order):
         survivors = k if alive is None else k[alive > rank]
         np.add.at(counts[i], survivors - base, 1)
     return counts
+
+
+def _thresholds(cfg: _RunConfig) -> tuple[tuple[_Thresholds, _Thresholds],
+                                          int]:
+    """The thresholds of stage one and of stage two (one row per split, by
+    rank), and base = kmin_0(N), rank 0's threshold at the last event."""
+    kmins = (_Thresholds(cfg, (0.0,), 0, cfg.n_split),
+             _Thresholds(cfg, [cfg.splits[i][0] for i in _ranks(cfg)],
+                         cfg.n_split, cfg.n_total))
+    return kmins, int(kmins[1](cfg.n_total, cfg.n_total)[0, 0])
 
 
 def _simulate(cfg: _RunConfig, n_paths: int,
@@ -606,7 +717,9 @@ def _simulate(cfg: _RunConfig, n_paths: int,
     W = min(workers, chunks) processes (workers default: the CPUs this
     process may run on) share the chunks: the caller tabulates kmin for
     both stages, forks W - 1 children, which inherit the tables, and walks
-    share 0 itself.  A child's sum comes back through a pipe, read to EOF
+    share 0 itself.  Each process builds its own :class:`_Work` as its
+    share starts, a child after the fork, so none writes, and so copies,
+    pages of the caller's; its chunks then allocate nothing of their size.  A child's sum comes back through a pipe, read to EOF
     before the child is reaped, since a full pipe blocks it; its exception
     is raised again here.  On any exception the children are killed and
     reaped.
@@ -619,16 +732,14 @@ def _simulate(cfg: _RunConfig, n_paths: int,
     if workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(starts))
-    kmins = (_Thresholds(cfg, (0.0,), 0, cfg.n_split),
-             _Thresholds(cfg, [cfg.splits[i][0] for i in _ranks(cfg)],
-                         cfg.n_split, cfg.n_total))
-
-    base = int(kmins[1](cfg.n_total, cfg.n_total)[0, 0])
+    kmins, base = _thresholds(cfg)
 
     def share(j: int) -> np.ndarray:
+        work = _Work(min(CHUNK, n_paths))  # in the process that walks it
         total = None  # summed in place: a row may be long
         for lo in starts[j::workers]:
-            counts = _run_chunk(cfg, kmins, base, lo, min(CHUNK, n_paths - lo))
+            counts = _run_chunk(cfg, kmins, base, lo, min(CHUNK, n_paths - lo),
+                                work)
             total = counts if total is None else np.add(total, counts,
                                                         out=total)
         return total

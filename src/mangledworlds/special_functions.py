@@ -28,6 +28,7 @@ One seam, at a = 6 (wt = 2 a^2 = 72), covered by agreement tests:
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, NumericalError
 
@@ -146,11 +147,13 @@ def bracket(wt: float) -> float:
 
     Direct subtraction loses one digit per factor-of-ten in wt, so above
     ``BRACKET_CROSSOVER_WT`` the asymptotic tail series is used instead; the
-    two regimes agree to ~1e-14 at the seam.
+    two regimes agree to ~1e-14 at the seam.  wt must be a normal float:
+    below ~2.2e-308 wt/2 loses bits, and at 5e-324 it rounds to 0.
     """
     wt = float(wt)
-    if not wt > 0.0:
-        raise DomainError(f"bracket requires wt > 0, got {wt!r}")
+    if not wt >= sys.float_info.min:
+        raise DomainError(f"bracket requires wt >= {sys.float_info.min!r} "
+                          f"(a normal float), got {wt!r}")
     if wt < BRACKET_CROSSOVER_WT:
         value = _bracket_direct(wt)
     else:

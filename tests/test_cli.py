@@ -112,6 +112,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y >= 0" in err
 
+    def test_analytic_subnormal_time_is_an_error_line(self, tmp_path, capsys):
+        # w t = 5e-324: wt / 2 rounds to 0, which divided by zero in bracket
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the densities'
+            assert run(["analytic", "--out", str(tmp_path), "--times",
+                        "1e-323"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "bracket requires wt" in err
+
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_mc_bins_out_of_range(self, tmp_path, capsys, bins):
         assert run(["mc", "--out", str(tmp_path), "--seed", "1", "--n-events",

@@ -829,6 +829,108 @@ def test_absorbed_long_walk_keeps_its_counts_small():
     assert peak <= 8 << 20, peak / 2 ** 20
 
 
+#: the calls of TestWorkspace, in the order one process makes them: the
+#: workspace grows from 256 paths to a chunk, shrinks to the 100-path
+#: remainder chunk and back to 256 paths, across both tilts, one and two
+#: stages and one and two processes
+_WORKSPACE_SETUP = """
+import math
+from mangledworlds.model_params import DecoherenceParams
+from mangledworlds.monte_carlo import (CHUNK, WalkSpec,
+    born_two_stage_mc_counts, empirical_distribution, simulate_survivors)
+dp = DecoherenceParams(p=0.55)
+NONE = WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="none")
+MEASURE = WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="measure")
+SPLITS = [(0.2, 1), (0.5, 1)]
+
+def show(result):
+    weights = getattr(result, "weights", None)
+    return repr((result, None if weights is None else weights.tolist()))
+"""
+_WORKSPACE_CALLS = (
+    "simulate_survivors(NONE, 256, seed=11, workers=1)",
+    "born_two_stage_mc_counts(MEASURE, SPLITS, 800, CHUNK + 100, seed=11,"
+    " workers=1)",
+    "born_two_stage_mc_counts(NONE, SPLITS, 100, CHUNK + 100, seed=11,"
+    " workers=2)",
+    "simulate_survivors(MEASURE, 256, seed=11, workers=1)",
+    "empirical_distribution(NONE, CHUNK + 100, seed=11, workers=1)",
+    "born_two_stage_mc_counts(MEASURE, SPLITS, 800, CHUNK + 100, seed=11,"
+    " workers=2)",
+    "simulate_survivors(NONE, 256, seed=11, workers=1)",
+)
+
+
+class TestWorkspace:
+    """Each walker process walks its chunks inside one workspace
+    (``_Work``), whose rows every chunk, byte and block overwrites."""
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_walk_allocates_nothing_of_the_paths_size(self, tilt):
+        """Four 2^16-path chunks walked in a built workspace, after one
+        chunk has filled the tables kept for later chunks, trace a peak of
+        at most 1 MiB (bound set before the first run; 3.96 MiB under tilt
+        "none" and 3.15 MiB under "measure" with fresh arrays per chunk,
+        byte and block).  Tilt "none" walks mc's defaults, tilt "measure"
+        two stages of 400 and 800 events with splits F = 0.2 and 0.5."""
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
+                        tilt=tilt)
+        if tilt == "none":
+            cfg = monte_carlo._config_for(spec, seed=3)
+        else:
+            cfg = monte_carlo._config_for(
+                spec, n2=800, splits=((math.log(0.2), 0.0),
+                                      (math.log(0.5), 0.0)), seed=3)
+        kmins, base = monte_carlo._thresholds(cfg)
+        chunk = monte_carlo.CHUNK
+        work = monte_carlo._Work(chunk)
+        monte_carlo._run_chunk(cfg, kmins, base, 0, chunk, work)
+        tracemalloc.start()
+        try:
+            for j in range(1, 5):
+                counts = monte_carlo._run_chunk(cfg, kmins, base, j * chunk,
+                                                chunk, work)
+                assert counts.sum() > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak / 2 ** 20
+
+    def test_reuse_gives_the_fresh_interpreters_results(self, monkeypatch):
+        """Every call of _WORKSPACE_CALLS, made in turn in this process,
+        equals the same call made first in a fresh interpreter, bit for
+        bit.  The two-split measure walks compact ``alive`` in blocks that
+        also drop a path from one split only."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(monte_carlo.__file__).parents[1]))
+        script = _WORKSPACE_SETUP + "import sys\nprint(show(eval(sys.argv[1])))"
+        procs = [subprocess.Popen([sys.executable, "-c", script, call], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for call in dict.fromkeys(_WORKSPACE_CALLS)]
+        fresh = {}
+        for call, proc in zip(dict.fromkeys(_WORKSPACE_CALLS), procs):
+            out, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0, call
+            fresh[call] = out.strip()
+
+        mixed = []  # blocks that compact alive while it holds a 1
+        advance = monte_carlo._advance
+
+        def recording_advance(cfg, first, last, kmins, k, path_hi, alive,
+                              work):
+            out = advance(cfg, first, last, kmins, k, path_hi, alive, work)
+            if alive is not None and out[2].size < alive.size:
+                mixed.append(bool((out[2] == 1).any()))
+            return out
+
+        monkeypatch.setattr(monte_carlo, "_advance", recording_advance)
+        namespace = {}
+        exec(_WORKSPACE_SETUP, namespace)
+        for call in _WORKSPACE_CALLS:
+            assert namespace["show"](eval(call, namespace)) == fresh[call], call
+        assert any(mixed)
+
+
 @pytest.mark.parametrize("n,tilt", [(400, "measure"), (1000, "measure"),
                                     (400, "none")])
 def test_survivors_per_k_follow_the_exact_law(n, tilt):

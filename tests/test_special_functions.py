@@ -182,6 +182,17 @@ class TestBracket:
             bracket(0.0)
         with pytest.raises(DomainError):
             bracket(-1.0)
+        for wt in (5e-324, 1e-310):  # subnormal: wt / 2 loses bits or is 0
+            with pytest.raises(DomainError, match="normal"):
+                bracket(wt)
+
+    def test_smallest_normal_wt(self):
+        with mpmath.workdps(50):
+            for wt in (1e-300, 2.2250738585072014e-308):
+                want = (mpmath.sqrt(2 / (mpmath.pi * mpmath.mpf(wt)))
+                        - mpmath.exp(mpmath.mpf(wt) / 2)
+                        * mpmath.erfc(mpmath.sqrt(mpmath.mpf(wt) / 2)))
+                assert bracket(wt) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestMpmathSweep:
