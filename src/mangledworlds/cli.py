@@ -109,7 +109,7 @@ DEFAULTS = {
     },
     "pde": {
         "v": 1.0, "w": 0.5, "eps": 0.1, "T": 8.0,
-        "y_max": 40.0, "n_cells": 4096, "dt": 1e-3, "snapshots": "2,4,8",
+        "y_max": 40.0, "n_cells": 4096, "snapshots": "2,4,8",
     },
     "mc": {
         "p": 0.55, "r": 1.0, "eps": 0.2, "n_events": 400,
@@ -233,8 +233,7 @@ def _cmd_analytic(cfg: dict, run_dir: Path, args) -> int:
 
 def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     dp = DiffusionParams(v=float(cfg["v"]), w=float(cfg["w"]), eps=float(cfg["eps"]))
-    grid = pde_solver.Grid(y_max=float(cfg["y_max"]), n_cells=int(cfg["n_cells"]),
-                           dt=float(cfg["dt"]))
+    grid = pde_solver.Grid(y_max=float(cfg["y_max"]), n_cells=int(cfg["n_cells"]))
     T = float(cfg["T"])
     *snaps, field = pde_solver.solve(dp, grid, T, snapshot_times=_floats(cfg, "snapshots"))
     snap_rows = [[format_float(yi), format_float(vi), format_float(f.t)]
@@ -250,7 +249,7 @@ def _cmd_pde(cfg: dict, run_dir: Path, args) -> int:
     closed = analytic.log_unmangled_count(T, dp)
     rel = math.expm1(count - closed)
     _write_summary(run_dir, [
-        f"grid: y_max={grid.y_max} n_cells={grid.n_cells} dt={grid.dt}",
+        f"grid: y_max={grid.y_max} n_cells={grid.n_cells}",
         f"T={T}  survivor log10 count = {count / math.log(10.0):.12g}",
         f"closed-form W log10       = {closed / math.log(10.0):.12g}  (rel diff {rel:.3e})",
         f"absorbed (nu frame) = {field.absorbed:.12g}",
@@ -414,7 +413,7 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
     rel = abs(math.expm1(lam_q - lam_c))
     checks.append(("lambda closed vs quadrature", rel <= 0.02, f"rel {rel:.2e}"))
 
-    grid = pde_solver.Grid(y_max=20.0, n_cells=2048, dt=1e-3)
+    grid = pde_solver.Grid(y_max=20.0, n_cells=2048)
     field = pde_solver.solve(desk, grid, 4.0)[-1]
     got = pde_solver.survivor_count(field, grid, desk)
     want = analytic.log_unmangled_count(4.0, desk)

@@ -8,26 +8,20 @@ coordinate y = x - x_b(t) the growth-stripped density obeys
 with the boundary frozen at y = 0 (worlds fall toward it at relative rate w)
 and the exact growth factor e^{(v - w/2) t} re-applied at readout.
 
-The discretization is Crank-Nicolson: trapezoidal in time, central
-second-order differences in space.  At the grids used here the cell Peclet
-number is 2h << 1, where central differencing is non-oscillatory.  The delta
-is mollified to a Gaussian of width 2h, which would poison a bare
-Crank-Nicolson start with ringing, so a run opens with two implicit-Euler
-half-steps (Rannacher smoothing).
+The discretization is central second-order differences in space, and the
+resulting linear system is evolved exactly in time.  At the grids used here
+the cell Peclet number is 2h << 1, where central differencing is
+non-oscillatory.  The delta is mollified to a Gaussian of width 2h.
 
-The recurrence is evaluated, not stepped.  The spatial operator L is
+The evolution is evaluated, not stepped.  The spatial operator L is
 tridiagonal and time-invariant, and sub[i+1] sup[i] > 0 while the cell Peclet
 number is below 1, so S = D L D^-1 with d[i+1]/d[i] = sqrt(sup[i]/sub[i+1])
 is symmetric: S = Q diag(lam) Q^T.  A field is carried as coefficients
-c = Q^T D u and a count n of pending steps; its values are D^-1 Q (c r^n),
-with r = (1 + dt lam/2)/(1 - dt lam/2) the Crank-Nicolson factor, raised as
-e^(2 n atanh(dt lam/2)) where r > 1/3: a slow mode's r rounds to within
-~1e-16 of 1, an error that r^n would grow n-fold.  The Rannacher start
-multiplies c by (1 - dt lam/2)^-2 and a shorter remainder step by its own
-r.  This is the discrete recurrence a stepper would compute, up to roundoff
-and the truncation below.  A snapshot is the end of a run to its time: the
-same expression, from the start, in the same eigenbasis as the horizon T,
-so it is read at exactly the time asked for, not at a nearby step time.
+c = Q^T D u and the time t it has run for; its values are D^-1 Q (c e^(lam t)),
+the exact solution of u' = L u, read at exactly the time asked for.  So the
+solver's only approximations are the O(h^2) space grid and the truncation
+below.  A snapshot is the end of a run to its time: the same expression, from
+the start, in the same eigenbasis as the horizon T.
 
 Only the k slowest modes are kept: faster ones have decayed below roundoff
 by the time anything is read out.  The field's own coefficients decide k
@@ -83,19 +77,16 @@ _LOG_SCALE_MAX = -math.log(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [0, y_max] with n_cells intervals and time step dt."""
+    """Uniform grid on [0, y_max] with n_cells intervals."""
 
     y_max: float
     n_cells: int
-    dt: float
 
     def __post_init__(self):
         if not 0.0 < self.y_max < math.inf:
             raise DomainError(f"y_max must be positive and finite, got {self.y_max!r}")
         if self.n_cells < 16:
             raise DomainError(f"n_cells must be >= 16, got {self.n_cells!r}")
-        if not 0.0 < self.dt < math.inf:
-            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
 
     @property
     def h(self) -> float:
@@ -109,13 +100,13 @@ class Grid:
 class Field:
     """Comoving-frame state: node densities at time t plus bookkeeping.
 
-    A snapshot field is the end of a run to its time t.  ``absorbed`` is
-    the nu-frame mass lost through y = 0 (exact mass balance).  ``modes``
-    is the number of eigenmodes kept and ``truncation`` the largest tail
-    (see the module docstring) at any readout of the solve, 0 when the
-    basis was complete; both are shared by a solve's fields.  A solve that
-    returns has kept the far-edge density within 1e-6 of the peak at every
-    checked readout.  The growth exponent (v - w/2) t is re-applied at
+    A snapshot field is the end of a run to exactly its time t.
+    ``absorbed`` is the nu-frame mass lost through y = 0 (exact mass
+    balance).  ``modes`` is the number of eigenmodes kept and ``truncation``
+    the largest tail (see the module docstring) at any readout of the
+    solve, 0 when the basis was complete; both are shared by a solve's
+    fields.  A solve that returns has kept the far-edge density within 1e-6
+    of the peak at every checked readout.  The growth exponent (v - w/2) t is re-applied at
     readout by :func:`survivor_count`.
     """
 
@@ -137,7 +128,9 @@ class Field:
 
 def init_delta(grid: Grid, eps: float) -> Field:
     """Unit-mass mollified delta at y = eps: a Gaussian of std 2h, boundary
-    node zeroed, then normalized to exactly unit trapezoid integral."""
+    node zeroed, then normalized to exactly unit trapezoid integral.  Its
+    variance 4h^2 is a head start of 4h^2/w in time, an error of the grid's
+    own order h^2."""
     h = grid.h
     if not 4.0 * h <= eps <= grid.y_max - 4.0 * h:
         raise DomainError(
@@ -210,7 +203,7 @@ def _modes(grid: Grid, k: int, diff: float, adv: float, b: float,
 
 
 class _Basis:
-    """The k slowest eigenpairs of S = D L D^-1 (n x k), D and the step factors."""
+    """The k slowest eigenpairs of S = D L D^-1 (n x k), and D."""
 
     def __init__(self, grid: Grid, w: float, k: int):
         # L's stencil over nodes 1..n is (diff - adv, -2 diff, diff + adv),
@@ -231,28 +224,12 @@ class _Basis:
             raise DomainError(
                 f"{grid}: the symmetrizing scale D ~ e^y spans e^{span:.1f}, beyond "
                 f"the float exponent range (e^{_LOG_SCALE_MAX:.1f}); reduce y_max")
-        # every lam <= 0, so each 1 - dt lam/2 >= 1 and no step is singular
         self.lam, self.q = _modes(grid, k, diff, adv, b, c)
         self.k = k
         self.complete = k == grid.n_cells
-        self.dt = grid.dt
         self.y_max = grid.y_max
         self.d = np.exp(log_d)
         self.inv_d = np.exp(-log_d)
-        x = 0.5 * grid.dt * self.lam
-        self.r = self.factor(grid.dt)
-        self.slow = x > -0.5                        # r > 1/3
-        self.log_r = 2.0 * np.arctanh(np.maximum(x, -0.5))
-        self.smooth = (1.0 - x) ** -2               # two implicit half-steps
-
-    def factor(self, dt: float) -> np.ndarray:
-        """Crank-Nicolson amplification per mode for one step of dt."""
-        x = 0.5 * dt * self.lam
-        return (1.0 + x) / (1.0 - x)
-
-    def power(self, n: int) -> np.ndarray:
-        """r^n per mode; through ln r where r > 1/3 (see the docstring)."""
-        return np.where(self.slow, np.exp(n * self.log_r), self.r ** n)
 
     def project(self, values: np.ndarray, t: float) -> np.ndarray:
         """Coefficients Q^T D u of node values (node 0 is the absorbing zero)."""
@@ -317,44 +294,25 @@ def _fitted(grid: Grid, w: float, evaluate):
 
 
 # ---------------------------------------------------------------------------
-# the Crank-Nicolson recurrence, evaluated per mode
+# the exact evolution, per mode
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Modal:
-    """A field as coefficients plus ``steps`` pending steps of dt: its values
-    are D^-1 Q (coef r^steps)."""
+    """A field as its coefficients at the start of its run plus the time
+    ``t`` it has run for: its values are D^-1 Q (coef e^(lam t)), so
+    advancing it is ``t += duration``."""
 
     coef: np.ndarray
-    steps: int = 0
+    t: float = 0.0
 
     def now(self, basis: _Basis) -> np.ndarray:
-        return self.coef * basis.power(self.steps)
+        return self.coef * np.exp(basis.lam * self.t)
 
 
-def _advance(basis: _Basis, field: _Modal, duration: float, smooth: bool) -> None:
-    """Move ``field`` on by ``duration`` in place: whole steps of dt, the
-    first a Rannacher start when ``smooth``, then a shorter remainder step,
-    which is taken whenever no whole step fits, so no run is skipped."""
-    dt = basis.dt
-    n_full = int(math.floor(duration / dt + 1e-9))
-    remainder = duration - n_full * dt
-    field.steps += n_full
-    if smooth and n_full:
-        field.coef = field.coef * basis.smooth
-        field.steps -= 1
-    if remainder > 1e-9 * max(1.0, dt) or not n_full:
-        field.coef = field.coef * basis.factor(remainder)
-
-
-def _check_time(name: str, t: float, dt: float | None = None) -> None:
-    """t is a positive finite time; given dt, its step count t / dt is finite
-    too (a subnormal dt overflows it)."""
+def _check_time(name: str, t: float) -> None:
     if not 0.0 < t < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {t!r}")
-    if dt is not None and not t / dt < math.inf:
-        raise DomainError(f"{name} = {t!r} is more steps of dt = {dt!r} than a "
-                          "float can count")
 
 
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
@@ -368,7 +326,7 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     ``survivor_count(field, grid, dp)``.
     """
     dp.require_diffusive()
-    _check_time("T", T, grid.dt)
+    _check_time("T", T)
     times = sorted(float(s) for s in snapshot_times)
     for s in times:
         if not 0.0 <= s <= T + 1e-9 * max(1.0, T):
@@ -383,9 +341,7 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
             if t == 0.0:
                 reads.append((start.values.copy(), 0.0))
                 continue
-            field = _Modal(coef)
-            _advance(basis, field, t, smooth=True)
-            reads.append(basis.readout(field.now(basis), t))
+            reads.append(basis.readout(_Modal(coef, t).now(basis), t))
         return [values for values, _ in reads], max(tail for _, tail in reads)
 
     reads, modes, tail = _fitted(grid, dp.w, evaluate)
@@ -417,8 +373,8 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
-    _check_time("t1", t1, grid.dt)
-    _check_time("t2", t2, grid.dt)
+    _check_time("t1", t1)
+    _check_time("t2", t2)
     for log_F, _ in log_splits:
         if -log_F >= 0.5 * grid.y_max:
             raise DomainError(
@@ -428,26 +384,29 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     shifts = any(log_F != 0.0 for log_F, _ in log_splits)
 
     def evaluate(basis):
-        one = _Modal(basis.project(start.values, 0.0))
-        _advance(basis, one, t1, smooth=True)
+        one = _Modal(basis.project(start.values, 0.0), t1)
         tails = [0.0]
         if shifts:
             values_t1, tail = basis.readout(one.now(basis), t1)
+            if tail > _TAIL_TOL:
+                # a restart from the unresolved profile would seed the
+                # far-edge mode with its error: first add modes
+                return None, tail
             tails.append(tail)
         counts = []
         for log_F, G in log_splits:
             if log_F == 0.0:
-                # stage one's coefficients and step count carry on, so F = 1,
-                # G = 1 is the same expression as one solve to t1 + t2
+                # stage one's coefficients and time carry on, so F = 1, G = 1
+                # is the same expression as one solve to t1 + t2
                 two = replace(one, coef=G * one.coef)
             else:
-                # the shift kinks the profile, so stage two restarts smoothed;
-                # mass moved below y = 0 is absorbed
+                # stage two restarts from the shifted profile; mass moved
+                # below y = 0 is absorbed
                 y = grid.nodes()
                 shifted = np.interp(y - log_F, y, values_t1, right=0.0)
                 shifted[0] = 0.0
                 two = _Modal(G * basis.project(shifted, t1))
-            _advance(basis, two, t2, smooth=(log_F != 0.0))
+            two.t += t2
             values, tail = basis.readout(two.now(basis), t1 + t2)
             tails.append(tail)
             counts.append(survivor_count(Field(values=values, t=t1 + t2), grid, dp))
@@ -458,7 +417,7 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
 
 def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
                    n_cells: int | None = None) -> Grid:
-    """Crank-Nicolson grid for a run to time T in 8000 steps, with
+    """Grid for a run to time T, with
     y_max = eps + |ln F| + max(6 sqrt(w T), w T/4 + 16) + 1 (rounded up):
     room for the density's spread and for the count's decay against the
     far-edge mode, which keeps the far-edge density below ~1e-10 of the
@@ -474,4 +433,4 @@ def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
         n_cells = 2048
         while 4.0 * (y_max / n_cells) > dp.eps and n_cells < 1 << 14:
             n_cells *= 2
-    return Grid(y_max=y_max, n_cells=n_cells, dt=T / 8000.0)
+    return Grid(y_max=y_max, n_cells=n_cells)

@@ -108,7 +108,7 @@ def test_c05_closed_form_vs_quadrature():
 
 @pytest.fixture(scope="module")
 def pinned_solve():
-    grid = pde_solver.Grid(y_max=40.0, n_cells=4096, dt=1e-3)
+    grid = pde_solver.Grid(y_max=40.0, n_cells=4096)
     field = pde_solver.solve(DESK, grid, 8.0)[-1]
     return grid, field
 
@@ -120,7 +120,7 @@ def test_c06a_survivor_count(pinned_solve):
     rel = abs(math.expm1(got - want))
     report("6a", rel <= 0.01,
            f"survivor count vs closed form: rel gap {rel:.3e} (tolerance 1e-2) "
-           f"at n_cells=4096, dt=1e-3, T=8")
+           f"at n_cells=4096, T=8")
 
 
 def test_c06b_density_shape(pinned_solve):
@@ -145,7 +145,7 @@ def test_c06c_two_stage_gamma():
     for big_l in (2.0, 5.0, 10.0):
         y_max = float(math.ceil(DESK.eps + big_l
                                 + 6.0 * math.sqrt(DESK.w * (t1 + t2)) + 1.0))
-        grid = pde_solver.Grid(y_max=y_max, n_cells=4096, dt=2e-3)
+        grid = pde_solver.Grid(y_max=y_max, n_cells=4096)
         num = pde_solver.born_two_stage_counts(
             DESK, grid, t1, [(math.exp(-big_l), 1)], t2)[0]
         den = pde_solver.born_two_stage_counts(DESK, grid, t1, [(1.0, 1)], t2)[0]

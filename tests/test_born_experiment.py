@@ -62,7 +62,7 @@ class TestDeviationTable:
         dp = DecoherenceParams(p=0.6, r=1.0)
         outcomes = [BornOutcomeSpec("a", 0.5, 1), BornOutcomeSpec("b", 0.25, 1),
                     BornOutcomeSpec("c", 0.125, 2)]
-        grid = Grid(y_max=20.0, n_cells=512, dt=0.1)
+        grid = Grid(y_max=20.0, n_cells=512)
         basis = pde_solver._Basis
         calls = []
 
@@ -95,11 +95,21 @@ class TestDeviationTable:
         got = [row.share_over_born for row in report.rows]
         assert got == pytest.approx(self.P07_EXACT, abs=5e-4)
 
+    def test_pde_on_its_own_grid_matches_the_oracle_at_p_0_8(self):
+        # w t = 1107: stage two decays ~e^-492, so a shifted restart must not
+        # be read from a stage one that its modes do not resolve yet
+        dp = DecoherenceParams(p=0.8, r=1.0)
+        report = deviation_table(self.P07_OUTCOMES, dp, eps=0.2, t1=400.0,
+                                 t2=3200.0, engines=("pde",))
+        assert report.metadata["grid"] == {"y_max": 296.0, "n_cells": 8192}
+        got = [row.share_over_born for row in report.rows]
+        assert got == pytest.approx([1.0228298984500217, 0.9771701015499783], abs=5e-4)
+
     def test_undersized_grid_gives_error_rows(self):
         # the y_max the grid was sized to before the far-edge term: the
         # far-edge mode would carry share/born 1.164 for the left outcome
         dp = DecoherenceParams(p=0.7, r=1.0)
-        grid = Grid(y_max=143.0, n_cells=4096, dt=0.45)
+        grid = Grid(y_max=143.0, n_cells=4096)
         report = deviation_table(self.P07_OUTCOMES, dp, eps=0.2, t1=400.0,
                                  t2=3200.0, engines=("analytic", "pde"), grid=grid)
         assert [row.status for row in report.rows[:2]] == ["ok", "ok"]
@@ -168,7 +178,7 @@ class TestDeviationTable:
         dp = DecoherenceParams(p=0.6, r=1.0)
         outcomes = [BornOutcomeSpec("deep", math.exp(-9.0), 1),
                     BornOutcomeSpec("rest", (1.0 - math.exp(-9.0)) / 2.0, 2)]
-        tiny = Grid(y_max=10.0, n_cells=512, dt=1e-2)  # too small for |ln F| = 9
+        tiny = Grid(y_max=10.0, n_cells=512)  # too small for |ln F| = 9
         report = deviation_table(outcomes, dp, eps=0.1, t1=10.0, t2=10.0,
                                  engines=("analytic", "pde"), grid=tiny)
         analytic_rows = [r for r in report.rows if r.engine == "analytic"]

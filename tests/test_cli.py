@@ -54,39 +54,39 @@ class TestExitCodes:
 
     def test_snapshot_past_horizon_is_rejected(self, tmp_path, capsys):
         code = run(["pde", "--out", str(tmp_path), "--T", "2", "--y-max", "10",
-                    "--n-cells", "512", "--dt", "0.005", "--snapshots", "1,3"])
+                    "--n-cells", "512", "--snapshots", "1,3"])
         assert code == 2
         assert "snapshot time 3.0" in capsys.readouterr().err
 
     def test_undersized_pde_domain_is_loud(self, tmp_path, capsys):
         # the far-edge mode would carry a count ~9e19x too large
         code = run(["pde", "--out", str(tmp_path), "--T", "450", "--y-max", "40",
-                    "--n-cells", "4096", "--dt", "2e-3"])
+                    "--n-cells", "4096"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "y_max = 40" in err
 
-    @pytest.mark.parametrize("argv,message", [
-        (["pde", "--T", "inf"], "T must be positive and finite"),
-        (["pde", "--dt", "inf"], "dt must be positive and finite"),
-        (["born", "--engines", "analytic,pde", "--t1", "inf"],
+    @pytest.mark.parametrize("argv,config,message", [
+        (["pde", "--T", "inf"], None, "T must be positive and finite"),
+        (["born", "--engines", "analytic,pde", "--t1", "inf"], None,
          "T must be positive and finite"),
-        (["pde", "--dt", "1e300", "--y-max", "10", "--n-cells", "512"],
-         "negative density overshoot"),
-        (["pde", "--dt", "10", "--y-max", "10", "--n-cells", "512"],
-         "negative density overshoot"),
-        # a subnormal step: T / dt overflows the step count
-        (["pde", "--dt", "1e-320", "--y-max", "10", "--n-cells", "512"],
-         "T = 8.0 is more steps of dt = 1e-320 than a float can count"),
-    ], ids=["pde-T-inf", "pde-dt-inf", "born-t1-inf", "pde-dt-1e300", "pde-dt-10",
-            "pde-dt-1e-320"])
-    def test_non_finite_or_overlong_step_is_an_error_line(self, tmp_path, capsys,
-                                                          argv, message):
-        # a run with no whole step of dt in it is one remainder step, never
-        # skipped: at --dt 1e300 it is the --dt 10 run, and both overshoot
+        # the grid solver is exact in time and has no step: the flag is gone,
+        # and a config written while it had one must drop its "dt" key
+        (["pde", "--dt", "1e-3"], None, "unrecognized arguments: --dt"),
+        (["pde"], {"subcommand": "pde", "v": 1.0, "w": 0.5, "eps": 0.1, "T": 8.0,
+                   "y_max": 40.0, "n_cells": 4096, "dt": 0.001, "snapshots": "2,4,8"},
+         "config key 'dt' is not valid"),
+    ], ids=["pde-T-inf", "born-t1-inf", "pde-dt-flag", "pde-dt-config"])
+    def test_bad_horizon_or_time_step_is_an_error_line(self, tmp_path, capsys,
+                                                       argv, config, message):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+            argv = argv + ["--config", str(path)]
         assert run(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
     def test_born_mc_engine_requires_seed(self, tmp_path, capsys):
         assert run(["born", "--out", str(tmp_path), "--engines",
@@ -183,8 +183,8 @@ GOLDEN_SHA256 = {
     "analytic/summary.txt": "10c88fbb0e7a4bae047885a0870f770b3ee8d97fa6d1bc9cbf8cb238cee274f5",
     "analytic/w.csv": "f777cf1cd348682c71d8fd95c47795ad56a88e4272b4de21add5662694024cbc",
     "born/config.json": "38a102f5a020df6b856ec6aae01a0feda045ccff85d024d4bb0d49163c508b93",
-    "born/deviation.csv": "3d4e931dac43e92435a8b3a6391530afc508282f0cb4093c7d716306c59022fb",
-    "born/deviation.json": "c9a1a64cd50688f7cfe14df3768f607400451fa7fac8a454d0dc4795127f95e3",
+    "born/deviation.csv": "a69f6eec0158b9d1b5f639c26ce3d3571415afcce8129f0df6deddf81bc22eb1",
+    "born/deviation.json": "964285a156d30c1a1ad0dada5229f4e58fca0f1195da6858bd4cadebb16da30f",
     "born/summary.txt": "2adf40f357af512182914a13aa4c2361356da1e6d03ef57cf8576e5234fa08fa",
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "bf3c8eaa2dd92f51f2900f8fb2b7f159b9ff159195cd347855dfce16e37a322e",
@@ -193,10 +193,10 @@ GOLDEN_SHA256 = {
     "mc/estimates.json": "338d7f7d4940bd6b12cded0bc406c530396e0265b7e8d787b58b42c9cb7600c6",
     "mc/histogram.csv": "84917134fedd37b2d6f74cdcd6acf6c56a114b24475345e2d15e37f20f4eeec2",
     "mc/summary.txt": "6476f68b88453b168b9f75441a61cbe32ae5ef054e2904283a6b990fbcf6f7d3",
-    "pde/config.json": "c5cc1f7bbae6b624befdc01b92ca8ec55c0c7aabc2813bc44ca8d4ef968f450a",
-    "pde/snapshots.csv": "287782b4c6e1dba9b9d7109cb860b5cced2b5bcb2557284749fc8ee85ed5f106",
-    "pde/summary.txt": "25d953623513308b558bd832c2a880662eefaeb8a8584654e107f541929ba242",
-    "pde/survivors.csv": "50ff9905bb07a838dd228cdc0fb3c53ea83841b22c2fe922b3fa0be38c118a2d",
+    "pde/config.json": "2f3a10ac7f1007a6e19bcae26dce0aeee0693430233a5be7a809659ba4c60bfd",
+    "pde/snapshots.csv": "204515b2d8cec5edceea7b71292a0b8b1a157fae93db2951108562d8fb74a00f",
+    "pde/summary.txt": "0690e6907f2e7d5268e3585526fa3f96e9e1f84613b339eee39611ebe302ebf6",
+    "pde/survivors.csv": "507a54b73145f914db4f47211a8e84d697410eba4db4764f621c9c63e31e35dd",
     "scan/config.json": "046b5d3c2145aefc62ccfd364031222e761beff2f380e5cc7e998a07464fbea2",
     "scan/scan.csv": "73c211d070d6bada6daa1caafa0bb4d0069d8099894ee900b662781e2a7c8acd",
     "scan/summary.txt": "e143df59a1b6138d04709f0ec3457ae72db473f8f3b314f0da45ac477f2db57b",
@@ -228,7 +228,7 @@ class TestArtifacts:
 
     def test_pde_snapshots(self, tmp_path):
         assert run(["pde", "--out", str(tmp_path), "--T", "1",
-                    "--y-max", "10", "--n-cells", "512", "--dt", "0.005",
+                    "--y-max", "10", "--n-cells", "512",
                     "--snapshots", "0.5,1"]) == 0
         d = tmp_path / "pde"
         snap = (d / "snapshots.csv").read_text().splitlines()
@@ -241,7 +241,7 @@ class TestArtifacts:
     def test_pde_survivors_one_row_per_time(self, tmp_path):
         # T is also a snapshot time: it gets one row, the final count's
         assert run(["pde", "--out", str(tmp_path), "--T", "2", "--y-max", "10",
-                    "--n-cells", "512", "--dt", "0.005", "--snapshots", "1,2"]) == 0
+                    "--n-cells", "512", "--snapshots", "1,2"]) == 0
         d = tmp_path / "pde"
         rows = [r.split(",") for r in
                 (d / "survivors.csv").read_text().splitlines()[1:]]
@@ -251,22 +251,6 @@ class TestArtifacts:
         assert "far-edge density    = " in summary
         assert "modes kept          = " in summary
         assert "truncation estimate = " in summary
-
-    @pytest.mark.parametrize("dt", ["1e-8", "2e-9"])
-    def test_pde_at_tiny_dt_matches_a_coarser_step(self, tmp_path, dt):
-        # 4e9 steps at 2e-9: the slow modes' r ** n would lose ~1e-7
-        # relative and fake a negative overshoot at the far edge
-        rows = {}
-        for step in ("1e-7", dt):
-            assert run(["pde", "--out", str(tmp_path), "--name", step, "--T", "8",
-                        "--y-max", "10", "--n-cells", "512", "--dt", step,
-                        "--snapshots", "2,4"]) == 0
-            lines = (tmp_path / step / "survivors.csv").read_text().splitlines()[1:]
-            rows[step] = [line.split(",") for line in lines]
-            assert [t for t, _, _ in rows[step]] == ["2", "4", "8"]
-        for (_, coarse, _), (_, fine, _) in zip(rows["1e-7"], rows[dt]):
-            gap = (float(fine) - float(coarse)) * math.log(10.0)
-            assert abs(math.expm1(gap)) <= 1e-10
 
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0
@@ -285,7 +269,8 @@ class TestArtifacts:
         meta = json.loads((d / "deviation.json").read_text())["metadata"]
         assert meta["engines"] == ["analytic"]
 
-    @pytest.mark.parametrize("p,n_cells", [("0.55", 2048), ("0.65", 4096), ("0.7", 4096)])
+    @pytest.mark.parametrize("p,n_cells", [("0.55", 2048), ("0.65", 4096), ("0.7", 4096),
+                                           ("0.8", 8192)])
     def test_born_pde_default_grid_resolves_eps(self, tmp_path, p, n_cells):
         # unset, n_cells grows with y_max until eps = 0.2 >= 4h
         assert run(["born", "--out", str(tmp_path), "--engines", "analytic,pde",

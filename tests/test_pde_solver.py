@@ -13,12 +13,11 @@ which is free of the small-eps approximation behind the closed-form count.
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, expm
 
 from mangledworlds import analytic, pde_solver
 from mangledworlds.errors import DomainError, NumericalError
@@ -59,20 +58,17 @@ def exact_log_count(dp: DiffusionParams, t: float) -> float:
 class TestGrid:
     def test_validation(self):
         with pytest.raises(DomainError):
-            Grid(y_max=0.0, n_cells=64, dt=1e-3)
+            Grid(y_max=0.0, n_cells=64)
         with pytest.raises(DomainError):
-            Grid(y_max=10.0, n_cells=8, dt=1e-3)
-        with pytest.raises(DomainError):
-            Grid(y_max=10.0, n_cells=64, dt=0.0)
+            Grid(y_max=10.0, n_cells=8)
 
-    @pytest.mark.parametrize("y_max,dt", [(math.inf, 1e-3), (math.nan, 1e-3),
-                                          (10.0, math.inf), (10.0, math.nan)])
-    def test_non_finite_extent_or_step_raises(self, y_max, dt):
+    @pytest.mark.parametrize("y_max", [math.inf, math.nan])
+    def test_non_finite_extent_raises(self, y_max):
         with pytest.raises(DomainError, match="positive and finite"):
-            Grid(y_max=y_max, n_cells=64, dt=dt)
+            Grid(y_max=y_max, n_cells=64)
 
     def test_spacing(self):
-        g = Grid(y_max=10.0, n_cells=100, dt=1e-3)
+        g = Grid(y_max=10.0, n_cells=100)
         assert g.h == pytest.approx(0.1)
         assert len(g.nodes()) == 101
 
@@ -98,23 +94,23 @@ class TestGrid:
 
 class TestInitDelta:
     def test_unit_mass(self):
-        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=512)
         f = init_delta(g, 0.5)
         assert f.mass(g) == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_node_zero(self):
-        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=512)
         assert init_delta(g, 0.5).values[0] == 0.0
 
     def test_center_of_mass(self):
-        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=512)
         f = init_delta(g, 0.5)
         y = g.nodes()
         com = np.trapezoid(y * f.values, y)
         assert abs(com - 0.5) <= g.h
 
     def test_too_close_to_edge(self):
-        g = Grid(y_max=20.0, n_cells=128, dt=1e-3)  # h = 0.15625
+        g = Grid(y_max=20.0, n_cells=128)  # h = 0.15625
         with pytest.raises(DomainError):
             init_delta(g, 0.5)  # 4h = 0.625
         with pytest.raises(DomainError):
@@ -137,15 +133,15 @@ def _snapshot_moments(dp: DiffusionParams, g: Grid, T: float, every: float):
 
 class TestStepDynamics:
     def test_mass_conserved_away_from_boundary(self):
-        # far pulse: nothing reaches either edge in 1000 steps
-        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        # far pulse: nothing reaches either edge by t = 1
+        g = Grid(y_max=20.0, n_cells=512)
         f = solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, 1.0)[-1]
         assert abs(f.mass(g) - 1.0) <= 1e-8
         assert abs(f.absorbed) <= 1e-8
 
     def test_drift_rate(self):
         w = 0.5
-        g = Grid(y_max=20.0, n_cells=2000, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=2000)
         times, coms, _ = _snapshot_moments(
             DiffusionParams(v=1.0, w=w, eps=14.0), g, 2.0, 0.2)
         assert len(times) == 11
@@ -154,7 +150,7 @@ class TestStepDynamics:
 
     def test_variance_rate(self):
         w = 0.5
-        g = Grid(y_max=24.0, n_cells=2400, dt=1e-3)
+        g = Grid(y_max=24.0, n_cells=2400)
         times, _, variances = _snapshot_moments(
             DiffusionParams(v=1.0, w=w, eps=16.0), g, 2.0, 0.2)
         assert len(times) == 11
@@ -187,72 +183,60 @@ class TestStepDynamics:
         assert slope == pytest.approx(+w, rel=0.05)
 
     def test_numerical_failure_detected(self, monkeypatch):
-        g = Grid(y_max=20.0, n_cells=512, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=512)
         f = init_delta(g, 10.0)
         f.values[100] = float("nan")
         monkeypatch.setattr(pde_solver, "init_delta", lambda grid, eps: f)
         with pytest.raises(NumericalError, match="non-finite"):
-            solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, g.dt)
+            solve(DiffusionParams(v=1.0, w=0.5, eps=10.0), g, 1e-3)
 
 
-class TestFactoredStepper:
-    """A whole solve, evaluated in the truncated eigenbasis, ends where the
-    same Crank-Nicolson recurrence stepped with a banded solve ends."""
+class TestModalSolve:
+    """A solve, evaluated in the truncated eigenbasis, ends where the exact
+    solution u(t) = e^(t L) u(0) of the semi-discrete system ends, with
+    e^(t L) formed here by ``scipy.linalg.expm`` of the dense stencil."""
 
     @staticmethod
-    def _banded_reference(grid, w, T):
-        """Values of a solve to T, stepped here with ``solve_banded``:
-        Rannacher start, clip, then a remainder step."""
+    def _propagator(grid, w, t):
         sub, diag, sup = raw_stencil(grid, w)
+        dense = np.diag(diag) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
+        return lambda u: np.concatenate([[0.0], expm(t * dense) @ u[1:]])
 
-        def advance(u, dt, smooth):
-            ab = np.zeros((3, grid.n_cells))
-            ab[0, 1:] = -0.5 * dt * sup[:-1]
-            ab[1, :] = 1.0 - 0.5 * dt * diag
-            ab[2, :-1] = -0.5 * dt * sub[1:]
-            if smooth:
-                for _ in range(2):
-                    u = solve_banded((1, 1), ab, u, check_finite=False)
-                return u
-            lu = diag * u
-            lu[:-1] += sup[:-1] * u[1:]
-            lu[1:] += sub[1:] * u[:-1]
-            return solve_banded((1, 1), ab, u + 0.5 * dt * lu, check_finite=False)
+    # the desk's w on a short and a long horizon, and born_pde's w = 0.01
+    @pytest.mark.parametrize("w,T", [(0.5, 0.3), (0.5, 8.0), (0.01, 135.0)])
+    def test_matches_the_matrix_exponential(self, w, T):
+        g = Grid(y_max=10.0, n_cells=256)
+        snap, end = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T,
+                          snapshot_times=[T / 3.0])
+        third = self._propagator(g, w, T / 3.0)
+        u_snap = third(init_delta(g, 0.2).values)
+        u_end = third(third(u_snap))
+        for f, values in ((snap, u_snap), (end, u_end)):
+            assert np.abs(f.values - values).max() <= 1e-10 * values.max()
+            assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
 
-        n_full = int(math.floor(T / grid.dt + 1e-9))
-        remainder = T - n_full * grid.dt
-        dts = [grid.dt] * n_full
-        if remainder > 1e-9 * max(1.0, grid.dt):
-            dts.append(remainder)
-        u = init_delta(grid, 0.2).values[1:]
-        for k, dt in enumerate(dts):
-            u = np.clip(advance(u, dt, smooth=(k == 0)), 0.0, None)
-        return np.concatenate([[0.0], u])
-
-    # the desk grid, and the born_pde benchmark grid (w = 0.01, dt = 0.45),
-    # there also to a horizon that ends in a shorter remainder step
-    @pytest.mark.parametrize(
-        "y_max,n_cells,w,dt,T",
-        [(20.0, 2048, 0.5, 1e-3, 0.3), (40.0, 4096, 0.01, 0.45, 135.0),
-         (40.0, 4096, 0.01, 0.45, 135.2)],
-        ids=["20.0-2048-0.5-0.001", "40.0-4096-0.01-0.45",
-             "40.0-4096-0.01-0.45-remainder"])
-    def test_matches_banded_solve(self, y_max, n_cells, w, dt, T):
-        g = Grid(y_max=y_max, n_cells=n_cells, dt=dt)
-        f = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T)[-1]
-        values = self._banded_reference(g, w, T)
-        assert np.abs(f.values - values).max() <= 1e-10 * values.max()
-        assert f.absorbed == init_delta(g, 0.2).mass(g) - f.mass(g)
+    def test_shifted_restart_matches_the_matrix_exponential(self):
+        # stage two restarts from stage one's profile moved down by |ln F| = 1
+        g, dp = Grid(y_max=10.0, n_cells=256), DiffusionParams(v=1.0, w=0.5, eps=0.2)
+        t1, t2 = 2.0, 6.0
+        y = g.nodes()
+        u1 = self._propagator(g, dp.w, t1)(init_delta(g, dp.eps).values)
+        shifted = np.interp(y + 1.0, y, u1, right=0.0)
+        shifted[0] = 0.0
+        u2 = self._propagator(g, dp.w, t2)(shifted)
+        want = survivor_count(Field(values=u2, t=t1 + t2), g, dp)
+        got = born_two_stage_counts(dp, g, t1, [(math.exp(-1.0), 1)], t2)[0]
+        assert got == pytest.approx(want, abs=1e-10)
 
     def test_cell_peclet_number_at_least_one_is_loud(self):
         # h = 2.5: sub = (w/2)(1/h^2 - 1/h) < 0, so no diagonal D symmetrizes L
-        g = Grid(y_max=40.0, n_cells=16, dt=0.1)
+        g = Grid(y_max=40.0, n_cells=16)
         with pytest.raises(DomainError, match="n_cells=16.*h = 2.5"):
             solve(DiffusionParams(v=1.0, w=0.5, eps=12.0), g, 1.0)
 
     def test_scale_beyond_float_range_is_loud(self):
         # D ~ e^y spans ~e^808 at y_max = 800, past the float exponent range
-        g = Grid(y_max=800.0, n_cells=4096, dt=0.1)
+        g = Grid(y_max=800.0, n_cells=4096)
         with pytest.raises(DomainError, match="y_max=800.0.*exponent range"):
             solve(DiffusionParams(v=1.0, w=0.5, eps=12.0), g, 1.0)
 
@@ -261,7 +245,7 @@ class TestFactoredStepper:
         # the closed-form bands and eigenpairs against the stencil, symmetrized
         # here, and scipy's tridiagonal eigensolver; eigenvalues and residuals
         # in units of the spectral radius 4 diff
-        grid = Grid(y_max=y_max, n_cells=n_cells, dt=1e-3)
+        grid = Grid(y_max=y_max, n_cells=n_cells)
         sub, diag, sup = raw_stencil(grid, w)
         off = np.sqrt(sub[1:] * sup[:-1])
         basis = pde_solver._Basis(grid, w, k)
@@ -296,19 +280,6 @@ class TestFactoredStepper:
         self._check_against_a_dense_solver(n_cells * h, n_cells, 0.5, min(n_cells, 64))
 
 
-class TestStepPower:
-    # dt = 1e-8: every r rounds to within ~1e-16 of 1 and r ** n is off by
-    # ~3e-8 at n = 2e8; dt = 2e-3 in a complete basis: most modes are fast
-    # (r < 1/3, some negative) and take r ** n
-    @pytest.mark.parametrize("dt,n,k", [(1e-8, 200_000_000, 64), (2e-3, 100, 512)])
-    def test_power_matches_extended_precision(self, dt, n, k):
-        basis = pde_solver._Basis(Grid(y_max=10.0, n_cells=512, dt=dt), 0.5, k)
-        with mpmath.workdps(40):
-            want = [float(((1 + mpmath.mpf(x)) / (1 - mpmath.mpf(x))) ** n)
-                    for x in 0.5 * dt * basis.lam]
-        np.testing.assert_allclose(basis.power(n), want, rtol=1e-13, atol=0.0)
-
-
 class TestLoudDomain:
     """On a domain too short for the horizon the never-decaying far-edge mode
     carries the count; a solve raises instead of returning it."""
@@ -319,13 +290,13 @@ class TestLoudDomain:
         "y_max,n_cells,eps,T", [(40.0, 4096, 0.1, 450.0), (4.0, 512, 0.2, 4.0)],
         ids=["desk-40.0-4096-450", "4.0-512-0.5-0.002-far-edge"])
     def test_undersized_domain_raises(self, y_max, n_cells, eps, T):
-        g = Grid(y_max=y_max, n_cells=n_cells, dt=2e-3)
+        g = Grid(y_max=y_max, n_cells=n_cells)
         with pytest.raises(DomainError, match=f"far edge y_max = {y_max:g} "):
             solve(DiffusionParams(v=1.0, w=0.5, eps=eps), g, T)
 
     def test_short_domain_at_a_snapshot_raises(self, desk):
         # the same grid to T = 50 is sound at its end, not at t = 450
-        g = Grid(y_max=40.0, n_cells=4096, dt=2e-3)
+        g = Grid(y_max=40.0, n_cells=4096)
         solve(desk, g, 50.0)
         with pytest.raises(DomainError, match="t = 450"):
             solve(desk, g, 500.0, snapshot_times=[450.0])
@@ -333,24 +304,24 @@ class TestLoudDomain:
 
 class TestSolve:
     def test_survivor_count_matches_closed_form(self, desk):
-        g = Grid(y_max=20.0, n_cells=2048, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=2048)
         f = solve(desk, g, 4.0)[-1]
         got = survivor_count(f, g, desk)
         want = analytic.log_unmangled_count(4.0, desk)
         assert abs(math.expm1(got - want)) <= 0.01
 
     def test_probability_bookkeeping(self, desk):
-        g = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
+        g = Grid(y_max=20.0, n_cells=1024)
         f = solve(desk, g, 4.0)[-1]
         assert f.absorbed + f.mass(g) == pytest.approx(1.0, abs=1e-6)
 
     def test_tail_leak_bounded(self, desk):
-        g = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
+        g = Grid(y_max=20.0, n_cells=1024)
         f = solve(desk, g, 4.0)[-1]
         assert f.values[-1] * g.h <= 1e-8
 
     def test_density_shape_matches_approx_form(self, desk):
-        g = Grid(y_max=20.0, n_cells=2048, dt=1e-3)
+        g = Grid(y_max=20.0, n_cells=2048)
         f = solve(desk, g, 4.0)[-1]
         y = g.nodes()
         dens = f.values / f.mass(g)
@@ -361,39 +332,53 @@ class TestSolve:
         assert l1 <= 0.02
 
     def test_absorption_monotone(self, desk):
-        # the mass lost by every step time of one solve, from its snapshots
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
-        snaps = solve(desk, g, 1.0, snapshot_times=g.dt * np.arange(1, 501))[:-1]
+        # the mass lost by 500 times in one solve, from its snapshots
+        g = Grid(y_max=10.0, n_cells=512)
+        snaps = solve(desk, g, 1.0, snapshot_times=2e-3 * np.arange(1, 501))[:-1]
         absorbed = [0.0] + [f.absorbed for f in snaps]
         assert len(absorbed) == 501
         assert all(b >= a - 1e-15 for a, b in zip(absorbed, absorbed[1:]))
         assert absorbed[-1] > 0.1
 
-    def test_second_order_grid_convergence(self):
+    def test_second_order_grid_convergence(self, desk):
         # survivor-count error against the exact first-passage reference
-        # shrinks ~4x per halving of (h, dt)
+        # shrinks ~4x per halving of h
         dp = DiffusionParams(v=1.0, w=0.5, eps=0.4)
         want = exact_log_count(dp, 4.0)
         errs = []
-        for n, dt in ((512, 4e-3), (1024, 2e-3), (2048, 1e-3)):
-            g = Grid(y_max=20.0, n_cells=n, dt=dt)
+        for n in (512, 1024, 2048):
+            g = Grid(y_max=20.0, n_cells=n)
             got = survivor_count(solve(dp, g, 4.0)[-1], g, dp)
             errs.append(abs(math.expm1(got - want)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
+        # two stages, at criterion 6c's point and y_max: the gamma
+        # differences between successive halvings of h shrink ~4x, so h^2
+        # is the one error term that Richardson extrapolation would remove
+        t1, t2 = 50.0, 400.0
+        for big_l in (2.0, 5.0, 10.0):
+            y_max = float(math.ceil(desk.eps + big_l
+                                    + 6.0 * math.sqrt(desk.w * (t1 + t2)) + 1.0))
+            gammas = []
+            for n in (4096, 8192, 16384):
+                num, den = born_two_stage_counts(
+                    desk, Grid(y_max=y_max, n_cells=n), t1,
+                    [(math.exp(-big_l), 1), (1.0, 1)], t2)
+                gammas.append(math.exp(num - den + big_l))
+            ratio = (gammas[1] - gammas[0]) / (gammas[2] - gammas[1])
+            assert 3.5 <= ratio <= 5.0, big_l
 
     def test_time_unit_rescaling_invariance(self, desk):
-        # (v, w, t) -> (2v, 2w, t/2) with dt -> dt/2 is the identical
-        # discrete system; survivor counts agree to roundoff
+        # (v, w, t) -> (2v, 2w, t/2) is the identical semi-discrete system;
+        # survivor counts agree to roundoff
         fast = DiffusionParams(v=2.0 * desk.v, w=2.0 * desk.w, eps=desk.eps)
-        g1 = Grid(y_max=20.0, n_cells=1024, dt=2e-3)
-        g2 = Grid(y_max=20.0, n_cells=1024, dt=1e-3)
-        a = survivor_count(solve(desk, g1, 4.0)[-1], g1, desk)
-        b = survivor_count(solve(fast, g2, 2.0)[-1], g2, fast)
+        g = Grid(y_max=20.0, n_cells=1024)
+        a = survivor_count(solve(desk, g, 4.0)[-1], g, desk)
+        b = survivor_count(solve(fast, g, 2.0)[-1], g, fast)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_snapshots_fire(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        g = Grid(y_max=10.0, n_cells=512)
         fields = solve(desk, g, 2.0, snapshot_times=[1.0, 0.5, 2.0])
         assert [f.t for f in fields] == [0.5, 1.0, 2.0, 2.0]
         assert fields[0].growth_log(desk) == pytest.approx((desk.v - 0.5 * desk.w) * 0.5,
@@ -402,25 +387,25 @@ class TestSolve:
         assert len({(f.modes, f.truncation) for f in fields}) == 1
 
     def test_snapshot_at_zero_is_the_start(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        g = Grid(y_max=10.0, n_cells=512)
         snap, _ = solve(desk, g, 1.0, snapshot_times=[0.0])
         assert np.array_equal(snap.values, init_delta(g, desk.eps).values)
         assert (snap.t, snap.absorbed) == (0.0, 0.0)
 
     @pytest.mark.parametrize("t", [-0.5, 2.5])
     def test_snapshot_outside_horizon_raises(self, desk, t):
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        g = Grid(y_max=10.0, n_cells=512)
         with pytest.raises(DomainError, match=f"snapshot time {t}"):
             solve(desk, g, 2.0, snapshot_times=[1.0, t])
 
     def test_snapshot_at_horizon_within_roundoff_fires(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        g = Grid(y_max=10.0, n_cells=512)
         fields = solve(desk, g, 2.0, snapshot_times=[2.0 * (1.0 + 1e-12)])
         assert [f.t for f in fields] == [2.0, 2.0]
 
     def test_snapshot_is_the_end_of_a_run_to_its_time(self, desk):
-        # dt = 0.01: 0.505, 2.001 and T = 2.005 each end in a remainder step
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        # the same expression from the start, in the basis of the horizon
+        g = Grid(y_max=10.0, n_cells=512)
         fields = solve(desk, g, 2.005, snapshot_times=[0.505, 0.51, 2.001])
         assert [f.t for f in fields] == [0.505, 0.51, 2.001, 2.005]
         for f in fields:
@@ -428,36 +413,17 @@ class TestSolve:
             assert f.modes == alone.modes
             assert np.array_equal(f.values, alone.values)
 
-    @pytest.mark.parametrize("T", [0.001, 0.01])
-    def test_step_longer_than_the_run_is_taken(self, desk, T):
-        # no whole step fits: the run is one remainder step of T, whatever dt
-        g = Grid(y_max=10.0, n_cells=512, dt=1e300)
-        f = solve(desk, g, T)[-1]
-        ref = solve(desk, Grid(y_max=10.0, n_cells=512, dt=1.0), T)[-1]
-        assert np.array_equal(f.values, ref.values)
-        assert f.absorbed > 0.01
-
     @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, desk, T):
-        g = Grid(y_max=10.0, n_cells=512, dt=1e-2)
+        g = Grid(y_max=10.0, n_cells=512)
         with pytest.raises(DomainError, match="T must be positive and finite"):
             solve(desk, g, T)
         with pytest.raises(DomainError, match="T must be positive and finite"):
             pde_solver.suggested_grid(desk, T)
 
-    def test_step_count_must_fit_a_float(self, desk):
-        # dt = 1e-300 still counts its steps; a subnormal dt overflows them
-        fine = Grid(y_max=10.0, n_cells=512, dt=1e-300)
-        assert solve(desk, fine, 2.0)[-1].t == 2.0
-        tiny = Grid(y_max=10.0, n_cells=512, dt=1e-320)
-        with pytest.raises(DomainError, match="than a float can count"):
-            solve(desk, tiny, 2.0)
-        with pytest.raises(DomainError, match="t2 = 2.0 is more steps"):
-            born_two_stage_counts(desk, tiny, 1e-310, [(0.5, 1)], 2.0)
-
-    def test_snapshot_steps_cost_no_memory_per_step(self, desk):
-        # 4e6 steps of dt: a table of every step time would be 32 MB
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-6)
+    def test_solve_memory_does_not_grow_with_the_horizon(self, desk):
+        # the memory of a solve is its basis's, whatever the horizon
+        g = Grid(y_max=10.0, n_cells=512)
         tracemalloc.start()
         try:
             solve(desk, g, 8.0, snapshot_times=[2.0, 4.0])
@@ -467,41 +433,43 @@ class TestSolve:
         assert peak < 8 << 20
 
     def test_empty_field_has_log_count_minus_inf(self, desk):
-        g = Grid(y_max=20.0, n_cells=256, dt=1e-2)
+        g = Grid(y_max=20.0, n_cells=256)
         f = Field(values=np.zeros(257))
         assert survivor_count(f, g, desk) == -math.inf
 
 
 #: ln of the two-stage count at t1 = 50, t2 = 400 for the desk parameters on
-#: criterion 6c's three grids (4096 cells, dt = 2e-3, keyed by y_max), for
-#: F = 1, e^-2, e^-5, e^-10 with G = 1, from the Crank-Nicolson recurrence
-#: stepped 225 000 times with a factored tridiagonal solve per step
-STEPPED_6C = {
-    94.0: (214.46913378559043, 212.14283222146506, 208.41127939787734, 201.5068678928018),
-    97.0: (214.47448374654698, 212.14820790725744, 208.4165687163739, 201.51208696822945),
-    102.0: (214.48424849692464, 212.15792537552989, 208.42625375768725, 201.5216536921351),
+#: criterion 6c's three grids (4096 cells, keyed by y_max), for F = 1, e^-2,
+#: e^-5, e^-10 with G = 1: the exact solution of the semi-discrete system,
+#: made offline with ``scipy.sparse.linalg.expm_multiply`` of the sparse
+#: stencil (``raw_stencil``) applied to ``init_delta`` for t1, the same linear
+#: shift as the solver's, then again for t2, and the trapezoid mass
+EXACT_6C = {
+    94.0: (214.46913616115322, 212.14283452120017, 208.4112816669477, 201.5068700866387),
+    97.0: (214.47448612216039, 212.14821020704244, 208.416570985493, 201.5120891621136),
+    102.0: (214.48425087254432, 212.15792767531894, 208.42625602680997, 201.5216558860204),
 }
 
 
 class TestBornTwoStage:
-    @pytest.mark.parametrize("y_max", sorted(STEPPED_6C))
-    def test_counts_match_the_stepped_recurrence_at_criterion_6c(self, desk, y_max):
+    @pytest.mark.parametrize("y_max", sorted(EXACT_6C))
+    def test_counts_match_the_exact_evolution_at_criterion_6c(self, desk, y_max):
         # the counts are ~e^-123 of the start there, so roundoff that leaks
         # into the never-decaying far-edge mode would show
-        grid = Grid(y_max=y_max, n_cells=4096, dt=2e-3)
+        grid = Grid(y_max=y_max, n_cells=4096)
         splits = [(math.exp(-big_l), 1) for big_l in (0.0, 2.0, 5.0, 10.0)]
         got = born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
-        for count, want in zip(got, STEPPED_6C[y_max]):
+        for count, want in zip(got, EXACT_6C[y_max]):
             assert count == pytest.approx(want, abs=1e-8)
 
     def test_unit_split_reduces_to_plain_solve(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
+        g = Grid(y_max=10.0, n_cells=512)
         lam = born_two_stage_counts(desk, g, 2.0, [(1.0, 1)], 2.0)[0]
         ref = survivor_count(solve(desk, g, 4.0)[-1], g, desk)
         assert lam == ref  # bit-identical path
 
     def test_children_scale_exactly(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
+        g = Grid(y_max=10.0, n_cells=512)
         one = born_two_stage_counts(desk, g, 2.0, [(0.5, 1)], 2.0)[0]
         four = born_two_stage_counts(desk, g, 2.0, [(0.5, 4)], 2.0)[0]
         assert four - one == pytest.approx(math.log(4.0), abs=1e-12)
@@ -509,12 +477,12 @@ class TestBornTwoStage:
     @pytest.mark.parametrize("t1,t2", [(math.inf, 2.0), (2.0, math.inf), (0.0, 2.0),
                                        (2.0, math.nan)])
     def test_stage_times_must_be_positive_and_finite(self, desk, t1, t2):
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
+        g = Grid(y_max=10.0, n_cells=512)
         with pytest.raises(DomainError, match="t[12] must be positive and finite"):
             born_two_stage_counts(desk, g, t1, [(0.5, 1)], t2)
 
     def test_shift_needs_room(self, desk):
-        g = Grid(y_max=10.0, n_cells=512, dt=2e-3)
+        g = Grid(y_max=10.0, n_cells=512)
         with pytest.raises(DomainError):
             born_two_stage_counts(desk, g, 2.0, [(math.exp(-6.0), 1)], 2.0)
 
@@ -539,7 +507,7 @@ class TestBornTwoStage:
 
         gamma_true = math.exp(big_l) * lam(big_l) / lam(0.0)
 
-        g = Grid(y_max=43.0, n_cells=2048, dt=2e-3)
+        g = Grid(y_max=43.0, n_cells=2048)
         num = born_two_stage_counts(desk, g, t1, [(math.exp(-big_l), 1)], t2)[0]
         den = born_two_stage_counts(desk, g, t1, [(1.0, 1)], t2)[0]
         gamma_pde = math.exp(num - den + big_l)
