@@ -70,13 +70,17 @@ class TestExitCodes:
         (["pde", "--T", "inf"], None, "T must be positive and finite"),
         (["born", "--engines", "analytic,pde", "--t1", "inf"], None,
          "T must be positive and finite"),
+        (["pde", "--T", "0"], None, "T must be positive and finite"),
+        (["born", "--engines", "analytic,pde", "--t1", "0"], None,
+         "t1 must be positive and finite"),
         # the grid solver is exact in time and has no step: the flag is gone,
         # and a config written while it had one must drop its "dt" key
         (["pde", "--dt", "1e-3"], None, "unrecognized arguments: --dt"),
         (["pde"], {"subcommand": "pde", "v": 1.0, "w": 0.5, "eps": 0.1, "T": 8.0,
                    "y_max": 40.0, "n_cells": 4096, "dt": 0.001, "snapshots": "2,4,8"},
          "config key 'dt' is not valid"),
-    ], ids=["pde-T-inf", "born-t1-inf", "pde-dt-flag", "pde-dt-config"])
+    ], ids=["pde-T-inf", "born-t1-inf", "pde-T-0", "born-t1-0", "pde-dt-flag",
+            "pde-dt-config"])
     def test_bad_horizon_or_time_step_is_an_error_line(self, tmp_path, capsys,
                                                        argv, config, message):
         if config is not None:
@@ -251,6 +255,26 @@ class TestArtifacts:
         assert "far-edge density    = " in summary
         assert "modes kept          = " in summary
         assert "truncation estimate = " in summary
+
+    @pytest.mark.parametrize("T", ["1e-8", "2e-9"])
+    def test_pde_at_a_tiny_horizon_keeps_every_mode(self, tmp_path, T):
+        # the count falls linearly from the start there: a rate that moved
+        # between runs and snapshots would be roundoff in rebuilding the
+        # start from all 512 modes, ~1e-8 of a count that moves ~1e-7
+        rates = []
+        for name, horizon in (("coarse", 1e-7), ("tiny", float(T))):
+            assert run(["pde", "--out", str(tmp_path), "--name", name,
+                        "--T", repr(horizon), "--y-max", "10", "--n-cells", "512",
+                        "--snapshots", f"{horizon / 4!r},{horizon / 2!r}"]) == 0
+            d = tmp_path / name
+            assert "modes kept          = 512 of 512" in (d / "summary.txt").read_text()
+            lines = (d / "survivors.csv").read_text().splitlines()[1:]
+            rows = [[float(x) for x in line.split(",")] for line in lines]
+            assert [t for t, _, _ in rows] == pytest.approx(
+                [horizon / 4, horizon / 2, horizon], rel=1e-12)
+            rates += [log10_count * math.log(10.0) / t for t, log10_count, _ in rows]
+        assert max(rates) < 0.0
+        assert rates == pytest.approx([rates[0]] * len(rates), rel=1e-4)
 
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0

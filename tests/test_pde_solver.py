@@ -202,8 +202,9 @@ class TestModalSolve:
         dense = np.diag(diag) + np.diag(sup[:-1], 1) + np.diag(sub[1:], -1)
         return lambda u: np.concatenate([[0.0], expm(t * dense) @ u[1:]])
 
-    # the desk's w on a short and a long horizon, and born_pde's w = 0.01
-    @pytest.mark.parametrize("w,T", [(0.5, 0.3), (0.5, 8.0), (0.01, 135.0)])
+    # the desk's w on a short and a long horizon, born_pde's w = 0.01, and a
+    # horizon so short that every mode is kept to rebuild the start
+    @pytest.mark.parametrize("w,T", [(0.5, 0.3), (0.5, 8.0), (0.01, 135.0), (0.5, 1e-8)])
     def test_matches_the_matrix_exponential(self, w, T):
         g = Grid(y_max=10.0, n_cells=256)
         snap, end = solve(DiffusionParams(v=1.0, w=w, eps=0.2), g, T,
@@ -352,21 +353,23 @@ class TestSolve:
             errs.append(abs(math.expm1(got - want)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.4)
-        # two stages, at criterion 6c's point and y_max: the gamma
-        # differences between successive halvings of h shrink ~4x, so h^2
-        # is the one error term that Richardson extrapolation would remove
+
+    @pytest.mark.parametrize("big_l", [2.0, 5.0, 10.0])
+    def test_two_stage_second_order_grid_convergence(self, desk, big_l):
+        # at criterion 6c's point and y_max, F = e^-L: the gamma differences
+        # between successive halvings of h shrink ~4x, so h^2 is the one
+        # error term that Richardson extrapolation would remove
         t1, t2 = 50.0, 400.0
-        for big_l in (2.0, 5.0, 10.0):
-            y_max = float(math.ceil(desk.eps + big_l
-                                    + 6.0 * math.sqrt(desk.w * (t1 + t2)) + 1.0))
-            gammas = []
-            for n in (4096, 8192, 16384):
-                num, den = born_two_stage_counts(
-                    desk, Grid(y_max=y_max, n_cells=n), t1,
-                    [(math.exp(-big_l), 1), (1.0, 1)], t2)
-                gammas.append(math.exp(num - den + big_l))
-            ratio = (gammas[1] - gammas[0]) / (gammas[2] - gammas[1])
-            assert 3.5 <= ratio <= 5.0, big_l
+        y_max = float(math.ceil(desk.eps + big_l
+                                + 6.0 * math.sqrt(desk.w * (t1 + t2)) + 1.0))
+        gammas = []
+        for n in (4096, 8192, 16384):
+            num, den = born_two_stage_counts(
+                desk, Grid(y_max=y_max, n_cells=n), t1,
+                [(math.exp(-big_l), 1), (1.0, 1)], t2)
+            gammas.append(math.exp(num - den + big_l))
+        ratio = (gammas[1] - gammas[0]) / (gammas[2] - gammas[1])
+        assert 3.5 <= ratio <= 5.0
 
     def test_time_unit_rescaling_invariance(self, desk):
         # (v, w, t) -> (2v, 2w, t/2) is the identical semi-discrete system;
