@@ -251,7 +251,23 @@ def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
 # composite 20-point Gauss-Legendre, panels doubled until two estimates agree
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule: the eigenvalues
+    of the Jacobi matrix (Golub & Welsch, Math. Comp. 1969), polished by
+    Newton steps on P_n from its three-term recurrence; the weights are
+    2 / ((1 - x^2) P_n'(x)^2)."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(3):
+        before, p = np.ones(n), x
+        for j in range(2, n + 1):
+            before, p = p, ((2 * j - 1) * x * p - (j - 1) * before) / j
+        slope = n * (x * p - before) / (x * x - 1.0)
+        x = x - p / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
 _QUAD_RTOL = 1e-13
 _QUAD_MAX_PANELS = 1 << 12
 

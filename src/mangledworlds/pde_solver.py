@@ -34,17 +34,26 @@ tridiag(b, -2 diff, b), diff = w/(2h^2), b = sqrt(diff^2 - adv^2), adv = w/(2h),
 but for its last coupling c = sqrt(2 diff (diff + adv)).  So v_i = sin(i theta)
 (i < n), v_n = (b/c) sin(n theta), and lam = -2 diff + 2 b cos(theta), formed
 as -2 adv^2/(diff + b) - 4 b sin^2(theta/2) so that it does not cancel; theta
-is bisected from c^2 sin((n-1) theta) = 2 b^2 cos(theta) sin(n theta).  For
-y_max > 1 the slowest mode is evanescent, theta = i kappa, lam ~ -e^(-2 y_max):
-the far edge's mode, which never decays while the counts fall to e^-120 of
-the start, so error that leaks into it dominates them.  Each entry (sinh(i
-kappa) as e^((i-n) kappa) ratios) is an elementary function evaluated to its
-own relative precision, so the vectors stay accurate where they are tiny.
-A readout of D u has a roundoff floor at the far edge, where the true values
-are astronomically small, and a shift would carry it into that mode; so a
-readout zeroes the entries within 4096 eps sum_j |q_ij c_j| (at criterion 6c
-the noise is 1.8e3 eps times that sum in the median, 4.6e3 at most, with
-correctly rounded vectors too; a 4x bound moves 6c by < 3e-12).
+solves c^2 sin((n-1) theta) = 2 b^2 cos(theta) sin(n theta), that is n theta =
+m pi + psi with psi = atan(tan(theta)/h), by Newton steps kept inside psi's
+bracket (0, pi): 3 to 5 evaluations at the grids used here.  The sines come by
+angle addition over blocks of 64 rows, sin((64 J + l) theta) = sin(64 J theta)
+cos(l theta) + cos(64 J theta) sin(l theta), so the vectors are made in their
+one n x k array, normalized in closed form from the 2 x 2 Gram matrices of the
+factors.  For y_max > 1 the slowest mode is evanescent, theta = i kappa, lam ~
+-e^(-2 y_max): the far edge's mode, which never decays while the counts fall
+to e^-120 of the start, so error that leaks into it dominates them.  Each
+entry (sinh(i kappa) as e^((i-n) kappa) ratios) is an elementary function
+evaluated to its own relative precision, so the vectors stay accurate where
+they are tiny.  A readout of D u has a roundoff floor at the far edge, where
+the true values are astronomically small, and a shift would carry it into
+that mode; so a readout zeroes the entries within 4096 eps sum_j e_ij |c_j|,
+e_ij the largest |q_i'j| over the 64-row block of i.  The row sum sum_j |q_ij
+c_j| would dip where the kept sines cross zero: at y_max 296 on 16384 cells
+the noise reaches 5.4e3 eps times it there, and after a shift would take over
+the far edge.  Against the envelope the noise is at most 19.5 eps there, and
+at most 5.6 eps beyond 0.75 y_max at criterion 6c's stage-one readout, whose
+counts the envelope moves by 1.4e-13 relative.
 
 Mass bookkeeping is exact by construction: ``absorbed`` is the mass lost
 over a run, so absorbed + surviving stays at the initial unit mass.  On a
@@ -58,7 +67,7 @@ at w T = 4 to 225 the count's relative error against a doubled domain was
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +79,8 @@ _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
 _MODES_START = 64         # first mode count tried; doubled as needed
 _TAIL_SHARE = 8           # the fastest 1/8 of the kept modes measure the tail
 _TAIL_TOL = 1e-13         # accepted tail, relative to the largest coefficient
-_NOISE = 4096 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_NOISE = 4096 * _EPS
 # D spans e^y_max; past this both D and D^-1 are no longer normal floats
 _LOG_SCALE_MAX = -math.log(np.finfo(float).tiny)
 
@@ -149,61 +159,101 @@ def init_delta(grid: Grid, eps: float) -> Field:
 # spatial operator and its eigenbasis
 # ---------------------------------------------------------------------------
 
-def _bisect(f, lo, hi):
-    """Roots of f, rising through 0 between lo and hi (never evaluated there)."""
+def _newton(f, x, lo, hi):
+    """Roots of f, rising through 0 between lo and hi (lo never evaluated),
+    by Newton steps from x in (lo, hi]; a step that would leave the bracket
+    halves it instead.  ``f(x)`` returns the value and the slope."""
+    tol = 4.0 * _EPS * float(np.max(hi))
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        value, slope = f(x)
+        lo, hi = np.where(value < 0.0, x, lo), np.where(value > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):   # nan bisects
+            step = x - value / slope
+        step = np.where((lo < step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = bool(np.all(np.abs(step - x) <= tol))
+        x = step
+        if done:
+            break
+    return x
 
 
 def _modes(grid: Grid, k: int, diff: float, adv: float, b: float,
-           c: float) -> tuple[np.ndarray, np.ndarray]:
+           c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k largest eigenvalues (ascending) of S = tridiag((b..b, c),
-    -2 diff, (b..b, c)) and their orthonormal eigenvectors (n x k), in closed
-    form; see the docstring."""
+    -2 diff, (b..b, c)), their orthonormal eigenvectors (n x k) and the
+    vectors' envelopes (k x (n/64 + 1)): the largest |q_ij| over each block
+    i = 64 J .. 64 J + 63; in closed form, see the docstring."""
     n, h = grid.n_cells, grid.h
-    i = np.arange(1.0, n + 1.0)
-    alt = (-1.0) ** (i + 1.0)
-    lam, blocks = np.empty(k), np.empty((n // 64 + 1, 64, k))
-    q = blocks.reshape(-1, k)[1:n + 1]          # blocks hold i = 0, 1, ...
+    blocks = n // 64 + 1
+    # vec[j, J, l] is component i = 64 J + l of vector j; i = 0 and i > n pad
+    lam, vec, env = np.empty(k), np.zeros((k, blocks, 64)), np.empty((k, blocks))
     evanescent = int(n * h > 1.0)
     # theta_m = pi - theta_(n-1-m), v_i -> (-1)^(i+1) v_i: solve (m pi + psi)/n <= pi/2
     m = np.arange(min(k, n - evanescent) - 1, evanescent - 1, -1)
     near = np.minimum(m, n - 1 - m) * np.pi
-    psi = _bisect(lambda p: p - np.arctan2(np.sin((near + p) / n), h * np.cos((near + p) / n)),
-                  np.zeros(m.size), np.full(m.size, np.pi))
+
+    def secular(p):                      # p - atan(tan(theta) / h)
+        s, co = np.sin((near + p) / n), np.cos((near + p) / n)
+        return p - np.arctan2(s, h * co), 1.0 - h / (n * (h * h * co * co + s * s))
+
+    guess = (near + 0.5 * np.pi) / n
+    psi = _newton(secular, np.arctan2(np.sin(guess), h * np.cos(guess)), 0.0, np.pi)
     theta = (near + psi) / n
     far = near != m * np.pi
     osc = slice(k - evanescent - m.size, k - evanescent)
     lam[osc] = -2.0 * adv * adv / (diff + b) - 4.0 * b * np.where(
         far, np.cos(0.5 * theta), np.sin(0.5 * theta)) ** 2
-    # sin(i theta) by angle addition, i = 64 j + l: 4 (n/64 + 64) sines a mode
-    big = np.multiply.outer(64.0 * np.arange(blocks.shape[0]), theta)[:, None]
-    small = np.multiply.outer(np.arange(64.0), theta)
-    np.multiply(np.sin(big), np.cos(small), out=blocks[..., osc])
-    blocks[..., osc] += np.cos(big) * np.sin(small)
-    q[:, osc][:, far] *= alt[:, None]
+    # sin(i theta) by angle addition, i = 64 J + l: the pair (sin, cos)(64 J
+    # theta) times the pair (cos, sin)(l theta), 2 (n/64 + 65) sines a mode
+    outer, inner = np.empty((m.size, blocks, 2)), np.empty((m.size, 2, 64))
+    for sin, cos, steps in ((outer[..., 0], outer[..., 1], 64.0 * np.arange(blocks)),
+                            (inner[:, 1], inner[:, 0], np.arange(64.0))):
+        np.multiply.outer(theta, steps, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+    # squared norms: each block's pair through the Gram matrix of (cos, sin)
+    # over its rows in 1..n, less (1 - b^2/c^2) v_n^2
+    last = n - 64 * (blocks - 1)
+    norm2 = -(1.0 - (b / c) ** 2) * (outer[:, -1] * inner[..., last]).sum(1) ** 2
+    for pairs, rows in ((outer[:, :-1], 64), (outer[:, -1:], last + 1)):
+        head = inner[..., :rows]
+        norm2 += ((pairs.transpose(0, 2, 1) @ pairs)
+                  * (head @ head.transpose(0, 2, 1))).sum(axis=(1, 2))
+    # a far mode's sign (-1)^(i+1) = (-1)^(l+1) and 1/norm go into the 64-row
+    # pairs, so that the vectors are made in place, with no n x k temporary
+    inner *= (np.where(far[:, None], (-1.0) ** np.arange(1.0, 65.0), 1.0)
+              / np.sqrt(norm2)[:, None])[:, None]
+    np.matmul(outer, inner, out=vec[osc])
+    env[osc] = np.einsum("mJr,mr->mJ", np.abs(outer), np.abs(inner).max(axis=2))
+    flat = vec.reshape(k, -1)
+    flat[osc, n] *= b / c
     if evanescent:
         # tanh(kappa) = h tanh(n kappa), lam = 2 b (cosh kappa - cosh kinf) <= 0,
         # kinf - kappa = atanh(2 h e/(1 + e - h^2 (1 - e))) with e = e^(-2 n kappa)
+        def secular(x):
+            t, tn = np.tanh(x), np.tanh(n * x)
+            return t - h * tn, 1.0 - t * t - h * n * (1.0 - tn * tn)
+
         kinf = math.atanh(h)
-        kappa = float(_bisect(lambda x: np.tanh(x) - h * np.tanh(n * x), 0.0, kinf))
+        kappa = float(_newton(secular, kinf, 0.0, kinf))
         e = math.exp(-2.0 * n * kappa)
         lam[-1] = -4.0 * b * math.sinh(0.5 * (kappa + kinf)) * math.sinh(
             0.5 * math.atanh(2.0 * h * e / (1.0 + e - h * h * (1.0 - e))))
-        q[:, -1] = -np.exp((i - n) * kappa) * np.expm1(-2.0 * i * kappa)  # ~ sinh(i kappa)
+        i = np.arange(1.0, n + 1.0)
+        v = -np.exp((i - n) * kappa) * np.expm1(-2.0 * i * kappa)  # ~ sinh(i kappa)
+        v[-1] *= b / c
+        flat[-1, 1:n + 1] = v / math.sqrt(v @ v)
+        env[-1] = np.abs(vec[-1]).max(axis=1)
         if k == n:
             lam[0] = -4.0 * diff - lam[-1]       # its mirror, theta = pi + i kappa
-            q[:, 0] = alt * q[:, -1]
-    q[-1] *= b / c
-    q /= np.sqrt(np.einsum("ij,ij->j", q, q))
-    return lam, q
+            flat[0, 1:n + 1] = (-1.0) ** (i + 1.0) * flat[-1, 1:n + 1]
+            env[0] = env[-1]
+    return lam, flat[:, 1:n + 1].T, env
 
 
 class _Basis:
-    """The k slowest eigenpairs of S = D L D^-1 (n x k), and D."""
+    """The k slowest eigenpairs of S = D L D^-1 (n x k), their envelopes,
+    and D."""
 
     def __init__(self, grid: Grid, w: float, k: int):
         # L's stencil over nodes 1..n is (diff - adv, -2 diff, diff + adv),
@@ -216,57 +266,65 @@ class _Basis:
                 f"{grid} has cell Peclet number h = {h:.6g}; the grid operator "
                 "is symmetrizable only for h < 1: refine the grid")
         b, c = math.sqrt((diff - adv) * (diff + adv)), math.sqrt(2.0 * diff * (diff + adv))
-        ratio = np.append(np.full(n - 2, (diff + adv) / (diff - adv)),
-                          (diff + adv) / (2.0 * diff))
-        log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(ratio))))
+        log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(np.append(
+            np.full(n - 2, (diff + adv) / (diff - adv)), (diff + adv) / (2.0 * diff))))))
         span = float(log_d.max() - log_d.min())
         if not span < _LOG_SCALE_MAX:
             raise DomainError(
                 f"{grid}: the symmetrizing scale D ~ e^y spans e^{span:.1f}, beyond "
                 f"the float exponent range (e^{_LOG_SCALE_MAX:.1f}); reduce y_max")
-        self.lam, self.q = _modes(grid, k, diff, adv, b, c)
+        self.lam, self.q, self.env = _modes(grid, k, diff, adv, b, c)
         self.k = k
         self.complete = k == grid.n_cells
         self.y_max = grid.y_max
         self.d = np.exp(log_d)
         self.inv_d = np.exp(-log_d)
 
-    def project(self, values: np.ndarray, t: float) -> np.ndarray:
-        """Coefficients Q^T D u of node values (node 0 is the absorbing zero)."""
-        _check_health(values, t)
-        return self.q.T @ (self.d * values[1:])
-
-    def readout(self, coef: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-        """Node values D^-1 Q coef and the tail of ``coef``; the values are
-        checked once the basis resolves them, then clipped; a far-edge
-        density above 1e-6 of the peak raises DomainError (see the docstring)."""
-        mag = np.abs(coef)
-        top = float(mag.max())
-        if not math.isfinite(top):
-            raise NumericalError(f"solver produced non-finite density at t = {t:.6g}")
-        tail = 0.0
-        if not self.complete and top > 0.0:
-            tail = float(mag[:max(1, self.k // _TAIL_SHARE)].max()) / top
-        scaled = self.q @ coef                      # D u
-        # D u within its rounding bound is noise, not density: zeroed, it is
-        # no overshoot, and it cannot seed the never-decaying far-edge mode
-        # after a shift (the bound is summed in row blocks of Q, so that no
-        # second n x k array is made)
-        bound = np.concatenate([np.abs(rows) @ mag for rows in np.array_split(self.q, 16)])
-        scaled[np.abs(scaled) <= _NOISE * bound] = 0.0
-        values = np.empty(scaled.size + 1)
-        values[0] = 0.0
-        values[1:] = self.inv_d * scaled
-        if tail <= _TAIL_TOL:
+    def project(self, fields: np.ndarray, t: float) -> np.ndarray:
+        """Coefficients Q^T D u, a row for each row of node values in
+        ``fields`` (node 0 is the absorbing zero), all of time t."""
+        for values in fields:
             _check_health(values, t)
-            if values[-1] > 1e-6 * values.max():
-                raise DomainError(
-                    f"the density at the far edge y_max = {self.y_max:g} is "
-                    f"{values[-1] / values.max():.3e} of its peak at t = {t:.6g}: "
-                    "the domain is too short for the horizon; enlarge y_max")
+        return (self.d * fields[:, 1:]) @ self.q
+
+    def readout(self, coefs: np.ndarray, times: Sequence[float]) -> tuple[np.ndarray, float]:
+        """Node values D^-1 Q c, a row for each row c of ``coefs`` (a field of
+        its time in ``times``), and the largest tail of the rows.  A field's
+        values are checked once the basis resolves them, then clipped; a
+        far-edge density above 1e-6 of the peak raises DomainError (see the
+        docstring).  Each field is its own product with Q: BLAS rounds a
+        column of a matrix product differently with the width of the batch,
+        and a field must not depend on what it is read with."""
+        n = self.q.shape[0]
+        values = np.zeros((len(coefs), n + 1))
+        worst = 0.0
+        for row, coef, t in zip(values, coefs, times):
+            mag = np.abs(coef)
+            top = float(mag.max())
+            if not math.isfinite(top):
+                raise NumericalError(f"solver produced non-finite density at t = {t:.6g}")
+            tail = 0.0
+            if not self.complete and top > 0.0:
+                tail = float(mag[:max(1, self.k // _TAIL_SHARE)].max()) / top
+            worst = max(worst, tail)
+            scaled = self.q @ coef                  # D u
+            # D u within its rounding bound is noise, not density: zeroed, it is
+            # no overshoot, and it cannot seed the never-decaying far-edge mode
+            # after a shift (the bound takes each mode at its largest over the
+            # row's block, so it does not dip where the mode crosses zero)
+            bound = np.repeat(mag @ self.env, 64)[1:n + 1]
+            scaled[np.abs(scaled) <= _NOISE * bound] = 0.0
+            np.multiply(self.inv_d, scaled, out=row[1:])
+            if tail <= _TAIL_TOL:
+                _check_health(row, t)
+                if row[-1] > 1e-6 * row.max():
+                    raise DomainError(
+                        f"the density at the far edge y_max = {self.y_max:g} is "
+                        f"{row[-1] / row.max():.3e} of its peak at t = {t:.6g}: "
+                        "the domain is too short for the horizon; enlarge y_max")
         # roundoff-scale negatives (inside the health tolerance) are shaved
         np.clip(values, 0.0, None, out=values)
-        return values, tail
+        return values, worst
 
 
 def _check_health(values: np.ndarray, t: float) -> None:
@@ -297,19 +355,6 @@ def _fitted(grid: Grid, w: float, evaluate):
 # the exact evolution, per mode
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Modal:
-    """A field as its coefficients at the start of its run plus the time
-    ``t`` it has run for: its values are D^-1 Q (coef e^(lam t)), so
-    advancing it is ``t += duration``."""
-
-    coef: np.ndarray
-    t: float = 0.0
-
-    def now(self, basis: _Basis) -> np.ndarray:
-        return self.coef * np.exp(basis.lam * self.t)
-
-
 def _check_time(name: str, t: float) -> None:
     if not 0.0 < t < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {t!r}")
@@ -335,14 +380,12 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     start = init_delta(grid, dp.eps)
 
     def evaluate(basis):
-        coef = basis.project(start.values, 0.0)
-        reads = []
-        for t in times:
-            if t == 0.0:
-                reads.append((start.values.copy(), 0.0))
-                continue
-            reads.append(basis.readout(_Modal(coef, t).now(basis), t))
-        return [values for values, _ in reads], max(tail for _, tail in reads)
+        coef = basis.project(start.values[None], 0.0)[0]
+        later = [t for t in times if t > 0.0]
+        values, tail = basis.readout(coef * np.exp(np.multiply.outer(later, basis.lam)),
+                                     later)
+        reads = iter(values)
+        return [next(reads) if t > 0.0 else start.values.copy() for t in times], tail
 
     reads, modes, tail = _fitted(grid, dp.w, evaluate)
     fields = [Field(values=values, t=t, modes=modes, truncation=tail)
@@ -369,7 +412,8 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     returns the log survivor counts (the grid estimates of ln lambda).
 
     Stage one does not depend on the split, so it is solved once, and one
-    eigenbasis serves stage one and every split.
+    eigenbasis serves stage one and every split: one readout at t1, one
+    projection of the shifted profiles and one readout at t1 + t2.
     """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
@@ -384,33 +428,30 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     shifts = any(log_F != 0.0 for log_F, _ in log_splits)
 
     def evaluate(basis):
-        one = _Modal(basis.project(start.values, 0.0), t1)
-        tails = [0.0]
+        coef = basis.project(start.values[None], 0.0)[0]
+        tail = 0.0
+        restarts = iter(())
         if shifts:
-            values_t1, tail = basis.readout(one.now(basis), t1)
+            values_t1, tail = basis.readout((coef * np.exp(basis.lam * t1))[None], [t1])
             if tail > _TAIL_TOL:
                 # a restart from the unresolved profile would seed the
                 # far-edge mode with its error: first add modes
                 return None, tail
-            tails.append(tail)
-        counts = []
-        for log_F, G in log_splits:
-            if log_F == 0.0:
-                # stage one's coefficients and time carry on, so F = 1, G = 1
-                # is the same expression as one solve to t1 + t2
-                two = replace(one, coef=G * one.coef)
-            else:
-                # stage two restarts from the shifted profile; mass moved
-                # below y = 0 is absorbed
-                y = grid.nodes()
-                shifted = np.interp(y - log_F, y, values_t1, right=0.0)
-                shifted[0] = 0.0
-                two = _Modal(G * basis.project(shifted, t1))
-            two.t += t2
-            values, tail = basis.readout(two.now(basis), t1 + t2)
-            tails.append(tail)
-            counts.append(survivor_count(Field(values=values, t=t1 + t2), grid, dp))
-        return counts, max(tails)
+            # stage two restarts from the shifted profiles; mass moved below
+            # y = 0 is absorbed
+            y = grid.nodes()
+            shifted = np.array([np.interp(y - log_F, y, values_t1[0], right=0.0)
+                                for log_F, _ in log_splits if log_F != 0.0])
+            shifted[:, 0] = 0.0
+            restarts = iter(basis.project(shifted, t1))
+        # for F = 1 stage one's coefficients and time carry on, so F = 1,
+        # G = 1 is the same expression as one solve to t1 + t2
+        rows = [G * coef * np.exp(basis.lam * (t1 + t2)) if log_F == 0.0
+                else G * next(restarts) * np.exp(basis.lam * t2)
+                for log_F, G in log_splits]
+        values, tail_two = basis.readout(np.array(rows), [t1 + t2] * len(rows))
+        counts = [survivor_count(Field(values=v, t=t1 + t2), grid, dp) for v in values]
+        return counts, max(tail, tail_two)
 
     return _fitted(grid, dp.w, evaluate)[0]
 

@@ -303,6 +303,12 @@ class TestLogQuad:
         got = analytic.quad_lambda_count(F, 4, t1, t2, dp)
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_rule_matches_numpy_leggauss(self):
+        # Golub-Welsch from numpy.linalg, so the import skips numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        np.testing.assert_allclose(analytic._GL_NODES, nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(analytic._GL_WEIGHTS, weights, rtol=0.0, atol=1e-14)
+
     def test_jump_inside_a_panel_is_loud(self):
         # a unit step at 1/pi never falls on a panel edge, so each doubling
         # only halves the error and two estimates never agree to 1e-13

@@ -435,6 +435,18 @@ class TestSolve:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_basis_memory_is_one_n_by_k_array(self):
+        # born_pde's basis: the vectors are made in their one array, with no
+        # n x k temporary
+        n_cells, k = 4096, 64
+        tracemalloc.start()
+        try:
+            pde_solver._Basis(Grid(y_max=40.0, n_cells=n_cells), 0.00997, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n_cells * k * 8
+
     def test_empty_field_has_log_count_minus_inf(self, desk):
         g = Grid(y_max=20.0, n_cells=256)
         f = Field(values=np.zeros(257))
@@ -464,6 +476,17 @@ class TestBornTwoStage:
         got = born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
         for count, want in zip(got, EXACT_6C[y_max]):
             assert count == pytest.approx(want, abs=1e-8)
+
+    def test_batched_splits_match_one_split_calls(self, desk):
+        # one stage-one readout, one projection of the shifted profiles and
+        # one stage-two readout serve every split; each count is that of
+        # its own call
+        grid = Grid(y_max=94.0, n_cells=4096)
+        splits = [(math.exp(-2.0), 1), (1.0, 1), (math.exp(-5.0), 3), (math.exp(-10.0), 1)]
+        batched = born_two_stage_counts(desk, grid, 50.0, splits, 400.0)
+        for split, count in zip(splits, batched):
+            alone = born_two_stage_counts(desk, grid, 50.0, [split], 400.0)[0]
+            assert abs(math.expm1(count - alone)) <= 1e-12
 
     def test_unit_split_reduces_to_plain_solve(self, desk):
         g = Grid(y_max=10.0, n_cells=512)
