@@ -36,17 +36,10 @@ import warnings
 import numpy as np
 
 from .errors import DomainError, NumericalError, RegimeWarning
-from .model_params import DiffusionParams
+from .model_params import DiffusionParams, _check_time, split_params
 from .special_functions import bracket, erfc, log_erfc
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _check_time(t: float, name: str = "t") -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {t!r}")
-    return t
 
 
 def _warn_if_outside_regime(wt1: float, eps: float | None = None) -> None:
@@ -197,8 +190,7 @@ def log_lambda_count(log_F: float, G: float, t1: float, t2: float,
     log_F = float(log_F)
     if not log_F <= 0.0:
         raise DomainError(f"measure fraction F must satisfy F <= 1, got ln F = {log_F!r}")
-    if not G >= 1:
-        raise DomainError(f"child count G must be >= 1, got {G!r}")
+    G = split_params(1.0, G)[1]  # the check of G alone
     wt1 = dp.w * t1
     _warn_if_outside_regime(wt1, dp.eps)
     return (log_F + math.log(G)
@@ -215,10 +207,8 @@ def lambda_count(F: float, G: float, t1: float, t2: float,
 
     For F too small to represent as a float use :func:`log_lambda_count`.
     """
-    F = float(F)
-    if not 0.0 < F <= 1.0:
-        raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    return log_lambda_count(math.log(F), G, t1, t2, dp)
+    log_F, G = split_params(F, G)
+    return log_lambda_count(log_F, G, t1, t2, dp)
 
 
 def gamma_correction(F: float, t1: float, w: float) -> float:
@@ -227,10 +217,7 @@ def gamma_correction(F: float, t1: float, w: float) -> float:
     Independent of G and t2 by construction.  For F below the float
     underflow threshold use :func:`gamma_correction_log`.
     """
-    F = float(F)
-    if not 0.0 < F <= 1.0:
-        raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    return gamma_correction_log(math.log(F), t1, w)
+    return gamma_correction_log(split_params(F, 1)[0], t1, w)
 
 
 def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
@@ -318,10 +305,8 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
     t1 = _check_time(t1, "t1")
     t2 = _check_time(t2, "t2")
     dp.require_diffusive()
-    F = float(F)
-    if not 0.0 < F <= 1.0:
-        raise DomainError(f"measure fraction F must lie in (0, 1], got {F!r}")
-    big_l = -math.log(F)
+    log_F, G = split_params(F, G)
+    big_l = -log_F
     log_b2 = math.log(bracket(dp.w * t2))
     vw = dp.v - dp.w
 

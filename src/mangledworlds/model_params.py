@@ -50,6 +50,13 @@ def binary_event_stats(p: float) -> tuple[float, float, float]:
     return xhat1, sigma1, xtilde1
 
 
+def _check_time(t: float, name: str = "t") -> float:
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {t!r}")
+    return t
+
+
 def split_params(F: float, G: float) -> tuple[float, float]:
     """(ln F, G) of one measurement split: G children, each carrying a
     fraction F of the parent's measure."""

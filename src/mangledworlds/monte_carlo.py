@@ -24,9 +24,7 @@ therefore carries the integer k, and survives event n while k >= kmin(n),
 the smallest k whose log-size passes the boundary test in floating point.
 That test is the expression of the lattice dynamic program in
 ``bench/oracle.py``, so the walk and the program judge ties alike.  x and
-the weights are formed only for the final survivors.  k never falls, so an
-event at which kmin does not rise absorbs nothing, and a block of such
-events is not tested.
+the weights are formed only for the final survivors.
 
 Exact count: the lattice collapses the 2^N tree to n + 1 integer leaf
 counts, so :func:`enumerate_survivors`, the walker's ground truth, counts
@@ -65,17 +63,20 @@ window, one per outcome and one of larger-branch counts, formed once from
 kmin and kept for later chunks, replace the events (the bit-block lookup
 of the Method of Four Russians): a gather per outcome tests the byte, one
 more adds its larger branches to k, and absorbed paths are compacted away
-once per byte.  A path that dies
-mid-block or mid-byte is walked to its end; the fixed cost of a numpy
-call is thus paid per block or byte, not per event.
+once per byte.  Every rank is tested on every byte and block.  A path
+that dies mid-block or mid-byte is walked to its end; the fixed cost of a
+numpy call is thus paid per block or byte, not per event.
 
-Memory: each walker process builds one workspace (:class:`_Work`) as it
-starts its share of a walk, the caller before share 0 and each child after
-its fork, and walks all its chunks inside it.  Every gather, test and
+Memory: each walker process keeps one workspace (:class:`_Work`), one
+per thread, and walks all its chunks, of this walk and of later ones,
+inside it.  A share of a walk builds a new one when the kept one is too
+narrow or was inherited across a fork, so a forked child builds its own
+and copies no page of its parent's.  Every gather, test and
 compaction writes into its rows, so no chunk, byte or block allocates an
 array of its paths' size.  Such arrays (up to 1 MiB) went back to the OS
 when freed and were faulted in afresh by the next one: mc's defaults took
-~6 500 minor page faults per process, ~1 900 with the workspace.
+~6 500 minor page faults per process, ~1 900 with a workspace, and a
+second walk of 2^16 paths in the kept one takes 0-14.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy
@@ -103,6 +104,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -358,23 +360,19 @@ _PREFIX = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
 
 def _byte_tables(kmins: np.ndarray, first: int):
     """Tilt "none" tables for events first..first + m - 1 of one 64-event
-    window, m = kmins.shape[1] - 1; ``kmins[r]`` holds rank r's threshold
-    at event first - 1 and at each of those events.
+    window, m = kmins.shape[1]; ``kmins[r]`` holds rank r's threshold at
+    each of those events.
 
     Byte b of a path's word carries the branches of the window's events
     8b + 1..8b + 8, bit j of it event 8b + j + 1; only the events in range
     count.  For a byte of value v, c_j(v) is its set bits through bit j,
     ``gain[b, v]`` its set bits in all, and ``need[r, b, v]`` the largest
     kmin_r(j) - c_j(v) over the byte's events: a path with k larger
-    branches before the byte fails rank r within it iff k < need[r, b, v].
-    ``rises[r, b]`` is whether kmin_r rises at any of the byte's events;
-    where it does not, the byte fails no path alive under rank r."""
-    ranks, m = kmins.shape[0], kmins.shape[1] - 1
+    branches before the byte fails rank r within it iff k < need[r, b, v]."""
+    ranks, m = kmins.shape
     s = (first - 1) % 64
     top = np.full((ranks, 64), -(1 << 62))  # outside the range: never binding
-    top[:, s:s + m] = kmins[:, 1:]
-    rises = np.zeros((ranks, 64), dtype=bool)
-    rises[:, s:s + m] = kmins[:, 1:] > kmins[:, :-1]
+    top[:, s:s + m] = kmins
     in_range = np.zeros(64, dtype=bool)
     in_range[s:s + m] = True
     mask = np.packbits(in_range.reshape(8, 8), axis=1, bitorder="little")
@@ -385,7 +383,7 @@ def _byte_tables(kmins: np.ndarray, first: int):
     if s % 8:  # bits below s in the first byte are not its events
         need[:, s // 8] += _PREFIX[s % 8 - 1]
     gain = _PREFIX[-1][np.arange(256) & mask]
-    return need, gain, rises.reshape(ranks, 8, 8).any(axis=-1)
+    return need, gain
 
 
 class _Thresholds:
@@ -418,7 +416,7 @@ class _Thresholds:
     def byte_tables(self, lo: int, hi: int):
         """:func:`_byte_tables` for events lo..hi of one 64-event window."""
         if (tables := self._bytes.get((lo, hi))) is None:
-            tables = _byte_tables(self(lo - 1, hi), lo)
+            tables = _byte_tables(self(lo, hi), lo)
             if hi - self.start < self.table.shape[1]:
                 self._bytes[lo, hi] = tables
         return tables
@@ -470,13 +468,12 @@ class _Work:
       first.
 
     A page of ``np.empty`` costs nothing until first written, so a process
-    faults in each page its walk touches once, and never again per chunk,
-    byte or block."""
+    faults in each page its walks touch once, and never again per walk,
+    chunk, byte or block (:func:`_workspace`)."""
 
-    def __init__(self, width: int, scratch: np.ndarray | None = None):
-        if scratch is None:
-            scratch = np.empty((2, max(_BUDGET, width)), dtype=np.uint64)
-        self.words = _Pair(scratch)
+    def __init__(self, width: int):
+        self.pid = os.getpid()
+        self.words = _Pair(np.empty((2, max(_BUDGET, width)), dtype=np.uint64))
         self.k = _Pair(np.empty((2, width), dtype=np.int64))
         self.hi = _Pair(np.empty((2, width), dtype=np.uint64))
         self.alive = _Pair(np.empty((2, width), dtype=np.int64))
@@ -486,13 +483,27 @@ class _Work:
         self.paths = np.arange(width, dtype=np.uint64)
 
 
+_kept = threading.local()
+
+
+def _workspace(width: int) -> _Work:
+    """The calling thread's :class:`_Work`, at least ``width`` paths wide,
+    kept from walk to walk.  It is built afresh when too narrow and in a
+    forked child (a new pid), so that the child writes no page of its
+    parent's, which would copy it."""
+    work = getattr(_kept, "work", None)
+    if work is None or work.pid != os.getpid() or work.paths.size < width:
+        work = _kept.work = _Work(width)
+    return work
+
+
 def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
           path_hi: np.ndarray, alive: np.ndarray | None, first: int,
-          last: int, work: _Work | np.ndarray):
+          last: int, work: _Work):
     """Advance the paths through events first..last.
 
     ``kmins`` holds one row per outcome, sorted largest F first, from event
-    first - 1 on.  A path survives event n under the outcome of rank r
+    first on.  A path survives event n under the outcome of rank r
     while k >= kmin_r(n).  The thresholds grow with rank, so a path
     survives under a prefix of the outcomes, whose length ``alive``
     carries (None for a single outcome, which then need not compact it);
@@ -510,22 +521,19 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
 
     Every per-byte and per-block array lives in ``work``, the process's
     :class:`_Work`: gathers, tests and compactions write into its rows, so
-    the walk allocates nothing of the paths' size.  A bare scratch array
-    (2, >= max(_BUDGET, paths)) gets a workspace of its own for these paths.
+    the walk allocates nothing of the paths' size.
     """
-    if isinstance(work, np.ndarray):
-        work = _Work(k.size, work)
     lo = first
     while lo <= last and k.size:
         if cfg.tilt == "measure":
             words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
             end = min(last, ((lo - 1) // 4 + words) * 4)
-            k, path_hi, alive = _advance(cfg, lo, end, kmins(lo - 1, end), k,
+            k, path_hi, alive = _advance(cfg, lo, end, kmins(lo, end), k,
                                          path_hi, alive, work)
             lo = end + 1
             continue
         hi = min(last, (lo - 1) // 64 * 64 + 64)
-        need, gain, rises = kmins.byte_tables(lo, hi)
+        need, gain = kmins.byte_tables(lo, hi)
         word = _draws(cfg.key, path_hi, (lo - 1) // 64, work.words.rows)
         work.words.side = 0  # the hash leaves the word in row 0
         for b in range((lo - 1) % 64 // 8, (hi - 1) % 64 // 8 + 1):
@@ -534,19 +542,15 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
             # byte b of the word; an intp index gathers several times faster
             v[...] = word.view(np.uint8)[b if _LITTLE else 7 - b::8]
             for r in range(1, len(need)):  # below rank r: alive under < r
-                if rises[r, b]:
-                    np.less(k, need[r, b].take(v, out=tmp, mode="clip"),
-                            out=mask)
-                    np.minimum(alive, r, out=alive, where=mask)
-            keep = None
-            if rises[0, b]:
-                # gather by index: a boolean mask mispredicts a branch per drop
-                keep = np.flatnonzero(np.greater_equal(
-                    k, need[0, b].take(v, out=tmp, mode="clip"), out=mask))
+                np.less(k, need[r, b].take(v, out=tmp, mode="clip"), out=mask)
+                np.minimum(alive, r, out=alive, where=mask)
+            # gather by index: a boolean mask mispredicts a branch per drop
+            keep = np.flatnonzero(np.greater_equal(
+                k, need[0, b].take(v, out=tmp, mode="clip"), out=mask))
             # every path gains its byte's branches, then the dead are
             # dropped, so v is never compacted
             k += gain[b].take(v, out=tmp, mode="clip")
-            if keep is not None and keep.size < n:
+            if keep.size < n:
                 k = work.k.compact(k, keep)
                 path_hi = work.hi.compact(path_hi, keep)
                 word = work.words.compact(word, keep)
@@ -595,18 +599,14 @@ def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
     """Advance the paths through one tilt-"measure" block of events
     first..last, b of them, whose branches :func:`_lane_branches` reads.
 
-    ``kmins[r]`` holds rank r's threshold at the event before the block
-    and at each of its b <= _MAX_BLOCK events.  A path fails rank r if
-    k + c_j < kmin_r(j) at some block event j, c_j being its larger
-    branches in the block up to j; a log-step scan forms the c_j as int16
-    rows.  A path alive under rank r met kmin_r before the block and k
-    never falls, so an event at which kmin_r does not rise fails no such
-    path.  The words, branch rows, scan, tests and compaction all write
-    into ``work``; a block allocates nothing of the paths' size.
+    ``kmins[r]`` holds rank r's threshold at each of the block's
+    b <= _MAX_BLOCK events.  A path fails rank r if k + c_j < kmin_r(j) at
+    some block event j, c_j being its larger branches in the block up to
+    j; a log-step scan forms the c_j as int16 rows.  The words, branch
+    rows, scan, tests and compaction all write into ``work``; a block
+    allocates nothing of the paths' size.
     """
     b = last - first + 1
-    rises = kmins[:, 1:] > kmins[:, :-1]
-    kmins = kmins[:, 1:]
     # the words fill row 0 (row 1 is the hash's scratch), the branches
     # then row 1, and row 0 is free once the ties are resolved
     scratch = work.words.rows
@@ -614,25 +614,17 @@ def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
                    np.arange((first - 1) // 4, (last - 1) // 4 + 1), scratch)
     c = _lane_branches(cfg, words, first, b, path_hi, scratch[1])
     spare = scratch[0].view(np.int16)[:b * k.size].reshape(b, -1)
-    if b == 1:  # one event: a single compare per rank, on the new k
-        k += c[0]
-    else:
-        step = 1
-        while step < b:  # log-step scan: c[j] becomes the sum of rows 0..j
-            np.add(c[step:], c[:-step], out=spare[step:])
-            spare[:step] = c[:step]
-            c, spare = spare, c
-            step *= 2
+    step = 1
+    while step < b:  # log-step scan: c[j] becomes the sum of rows 0..j
+        np.add(c[step:], c[:-step], out=spare[step:])
+        spare[:step] = c[:step]
+        c, spare = spare, c
+        step *= 2
     n = k.size
     tmp, low, mask = work.k.spare(n), work.low[:n], work.mask[:n]
 
     def reach(r: int):
-        """None where kmin_r does not rise in the block, else (s, top): a
-        path fails rank r iff s < top."""
-        if not rises[r].any():
-            return None
-        if b == 1:
-            return k, kmins[r, 0]
+        """(s, top): a path fails rank r iff s < top."""
         top = kmins[r].max()
         # k fails iff k + min_j (c_j - (kmin_j - top)) < top.  c_j <= b, so
         # a row with kmin_j < top - b never sets the minimum, and clipping
@@ -642,15 +634,11 @@ def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
         return np.add(k, low, out=tmp), top
 
     for r in range(1, len(kmins)):  # below rank r: alive under < r
-        if (s := reach(r)) is not None:
-            np.minimum(alive, r, out=alive, where=np.less(*s, out=mask))
-    keep = None
-    if (s := reach(0)) is not None:
-        # gather by index: a boolean mask mispredicts a branch per drop
-        keep = np.flatnonzero(np.greater_equal(*s, out=mask))
-    if b > 1:
-        k += c[-1]
-    if keep is not None and keep.size < n:
+        np.minimum(alive, r, out=alive, where=np.less(*reach(r), out=mask))
+    # gather by index: a boolean mask mispredicts a branch per drop
+    keep = np.flatnonzero(np.greater_equal(*reach(0), out=mask))
+    k += c[-1]
+    if keep.size < n:
         k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
         if alive is not None:
             alive = work.alive.compact(alive, keep)
@@ -667,7 +655,7 @@ def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
     together: each path carries the number of splits it survives, and each
     split reads its own survivors off it.  ``work`` is the workspace of
     the process walking the chunk, at least ``size`` paths wide, which
-    :func:`_simulate` builds once per share: the initial k and path_hi, the
+    the process keeps (:func:`_workspace`): the initial k and path_hi, the
     split's test and the compaction before stage two are written into it,
     as every array of the walk is, so a chunk allocates only its counts."""
     one, two = kmins
@@ -681,7 +669,8 @@ def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
     split = two(cfg.n_split, cfg.n_split)[:, 0]
     mask = work.mask[:k.size]
     keep = np.flatnonzero(np.greater_equal(k, split[0], out=mask))
-    k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
+    if keep.size < k.size:
+        k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
     alive = None
     if len(order) > 1:  # every kept path survives rank 0
         alive = work.alive.row(k.size)
@@ -717,12 +706,12 @@ def _simulate(cfg: _RunConfig, n_paths: int,
     W = min(workers, chunks) processes (workers default: the CPUs this
     process may run on) share the chunks: the caller tabulates kmin for
     both stages, forks W - 1 children, which inherit the tables, and walks
-    share 0 itself.  Each process builds its own :class:`_Work` as its
-    share starts, a child after the fork, so none writes, and so copies,
-    pages of the caller's; its chunks then allocate nothing of their size.  A child's sum comes back through a pipe, read to EOF
-    before the child is reaped, since a full pipe blocks it; its exception
-    is raised again here.  On any exception the children are killed and
-    reaped.
+    share 0 itself.  Each process walks its share in the :class:`_Work` it
+    keeps (:func:`_workspace`), a child in its own, built after the fork;
+    its chunks then allocate nothing of their size.  A child's sum comes
+    back through a pipe, read to EOF before the child is reaped, since a
+    full pipe blocks it; its exception is raised again here.  On any
+    exception the children are killed and reaped.
     """
     if not 1 <= n_paths <= _MAX_PATHS:
         raise DomainError(f"n_paths must be in [1, 2^31], got {n_paths!r}")
@@ -735,7 +724,7 @@ def _simulate(cfg: _RunConfig, n_paths: int,
     kmins, base = _thresholds(cfg)
 
     def share(j: int) -> np.ndarray:
-        work = _Work(min(CHUNK, n_paths))  # in the process that walks it
+        work = _workspace(min(CHUNK, n_paths))  # in the process that walks it
         total = None  # summed in place: a row may be long
         for lo in starts[j::workers]:
             counts = _run_chunk(cfg, kmins, base, lo, min(CHUNK, n_paths - lo),

@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model_params import DiffusionParams, split_params
+from .model_params import DiffusionParams, _check_time, split_params
 
 _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
 _MODES_START = 64         # first mode count tried; doubled as needed
@@ -355,11 +355,6 @@ def _fitted(grid: Grid, w: float, evaluate):
 # the exact evolution, per mode
 # ---------------------------------------------------------------------------
 
-def _check_time(name: str, t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {t!r}")
-
-
 def solve(dp: DiffusionParams, grid: Grid, T: float, *,
           snapshot_times: Sequence[float] = ()) -> list[Field]:
     """Solve from the mollified delta at eps to each snapshot time and to T.
@@ -371,7 +366,7 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     ``survivor_count(field, grid, dp)``.
     """
     dp.require_diffusive()
-    _check_time("T", T)
+    _check_time(T, "T")
     times = sorted(float(s) for s in snapshot_times)
     for s in times:
         if not 0.0 <= s <= T + 1e-9 * max(1.0, T):
@@ -417,8 +412,8 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     """
     dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
-    _check_time("t1", t1)
-    _check_time("t2", t2)
+    _check_time(t1, "t1")
+    _check_time(t2, "t2")
     for log_F, _ in log_splits:
         if -log_F >= 0.5 * grid.y_max:
             raise DomainError(
@@ -466,7 +461,7 @@ def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
     two from 2048 to 2^14 whose h = y_max / n_cells keeps :func:`init_delta`'s
     eps >= 4h (past 2^14 that check fails loudly instead)."""
     dp.require_diffusive()
-    _check_time("T", T)
+    _check_time(T, "T")
     wT = dp.w * T
     y_max = float(math.ceil(dp.eps + max_abs_log_F
                             + max(6.0 * math.sqrt(wT), 0.25 * wT + 16.0) + 1.0))

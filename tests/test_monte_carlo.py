@@ -12,6 +12,7 @@ computed once by a 2^N enumeration and frozen as a regression anchor.
 import decimal
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -444,11 +445,11 @@ def test_uniform_branch_stream_is_pinned():
     for w in (0, 1):
         assert monte_carlo._draws(cfg.key, path_hi, w).tolist() == [
             pair[w] for pair in words.values()]
-    scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
+    work = monte_carlo._Work(4)
     kmins = monte_carlo._Thresholds(cfg, (0.0,), 0, 128)
     for n in range(1, 129):
         k, _, _ = monte_carlo._walk(cfg, kmins, np.zeros(4, dtype=np.int64),
-                                    path_hi, None, 1, n, scratch)
+                                    path_hi, None, 1, n, work)
         assert k.tolist() == bits[:, :n].sum(axis=1).tolist(), n
 
 
@@ -602,13 +603,11 @@ class TestBlockWalk:
             before = np.array([first - 1])
             alive = sum(k >= monte_carlo._kmin(cfg, before, log_F)
                         for log_F in log_Fs).astype(np.int64)
-        scratch = np.empty((2, max(monte_carlo._BUDGET, k.size)),
-                           dtype=np.uint64)
         last = first + spec.n_events - 1
         kmins = monte_carlo._Thresholds(cfg, log_Fs, first - 1, last)
         got = monte_carlo._walk(cfg, kmins, k.copy(), path_hi,
                                 None if alive is None else alive.copy(),
-                                first, last, scratch)
+                                first, last, monte_carlo._Work(k.size))
         want = cls.reference_walk(cfg, log_Fs, k, path_hi, alive, first, last)
         for g, w in zip(got, want[:3]):
             assert (g is None) == (w is None)
@@ -624,6 +623,8 @@ class TestBlockWalk:
         (0.6, 1.5, 600, (-0.2, -0.5, -0.5), 200, "measure"),
         # blocks of 260 events and more as paths die, the last cut short
         (0.7, 1.0, 700, (0.0, -0.4), 1000, "measure"),
+        # no absorption: kmin never rises, and no block fails a path
+        (0.6, math.inf, 300, (0.0, -2.0), 300, "measure"),
         (0.6, 0.3, 1, (0.0,), 500, "none"),
         (0.6, math.inf, 300, (0.0, -2.0), 300, "none"),
         # p = 1/2, all lineages one log-size: with ln F just above -eps the
@@ -689,11 +690,10 @@ class TestBlockWalk:
         cfg = monte_carlo._config_for(spec, seed=5)
         path_hi = monte_carlo._path_hi(
             cfg.key, np.arange(n_paths, dtype=np.uint64))
-        scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
         k, _, _ = monte_carlo._walk(
             cfg, monte_carlo._Thresholds(cfg, (0.0,), 0, self.LONG),
             np.zeros(n_paths, dtype=np.int64), path_hi, None, 1, self.LONG,
-            scratch)
+            monte_carlo._Work(n_paths))
         larger, ties = self.larger_branch(cfg, path_hi,
                                           np.arange(1, self.LONG + 1))
         assert k.tolist() == larger.sum(axis=0).tolist()
@@ -727,11 +727,10 @@ class TestBlockWalk:
                           for log_F in log_Fs])
         outcomes = (counts >= kmins[:, :, None]).all(axis=1).sum(axis=0)
         keep = outcomes > 0
-        scratch = np.empty((2, monte_carlo._BUDGET), dtype=np.uint64)
         k, got_hi, alive = monte_carlo._walk(
             cfg, monte_carlo._Thresholds(cfg, log_Fs, 0, self.LONG),
             np.zeros(4, dtype=np.int64), path_hi, np.full(4, 2), 1,
-            self.LONG, scratch)
+            self.LONG, monte_carlo._Work(4))
         assert k.tolist() == counts[-1, keep].tolist()
         assert got_hi.tolist() == path_hi[keep].tolist()
         assert alive.tolist() == outcomes[keep].tolist()
@@ -793,7 +792,7 @@ def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
         return kmin(cfg, n, log_F)
 
     def recording_byte_tables(kmins, first):
-        spans.append(kmins.shape[1] - 1)
+        spans.append(kmins.shape[1])
         return byte_tables(kmins, first)
 
     monkeypatch.setattr(monte_carlo, "_kmin", recording_kmin)
@@ -830,9 +829,10 @@ def test_absorbed_long_walk_keeps_its_counts_small():
 
 
 #: the calls of TestWorkspace, in the order one process makes them: the
-#: workspace grows from 256 paths to a chunk, shrinks to the 100-path
-#: remainder chunk and back to 256 paths, across both tilts, one and two
-#: stages and one and two processes
+#: walks grow from 256 paths to a chunk and its 100-path remainder chunk,
+#: which rebuilds the kept workspace, then fall back to 256 paths, walked
+#: in the wider one, across both tilts, one and two stages and one and two
+#: processes
 _WORKSPACE_SETUP = """
 import math
 from mangledworlds.model_params import DecoherenceParams
@@ -863,7 +863,22 @@ _WORKSPACE_CALLS = (
 
 class TestWorkspace:
     """Each walker process walks its chunks inside one workspace
-    (``_Work``), whose rows every chunk, byte and block overwrites."""
+    (``_Work``), kept from walk to walk, whose rows every chunk, byte and
+    block overwrites."""
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_second_walk_faults_in_no_workspace(self, tilt):
+        """A second walk of the same width in one process walks in the
+        workspace the first one faulted in: it takes fewer than 200 minor
+        page faults (bound set before the first run; ~920 with a workspace
+        built per walk)."""
+        spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
+                        tilt=tilt)
+        simulate_survivors(spec, monte_carlo.CHUNK, seed=3, workers=1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        simulate_survivors(spec, monte_carlo.CHUNK, seed=3, workers=1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 200, faults
 
     @pytest.mark.parametrize("tilt", TILTS)
     def test_walk_allocates_nothing_of_the_paths_size(self, tilt):
