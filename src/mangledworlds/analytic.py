@@ -12,8 +12,9 @@ forms built from erfc/erfcx.
 Two conventions are fixed here and relied on by the self-tests:
 
 * Sign of the drifted mean: the all-worlds density uses mean -v*t.  The
-  opposite sign fails the PDE-residual self-test (:func:`pde_residual_mu0`)
-  by nine orders of magnitude, so it is not a free choice.
+  PDE-residual self-test (:func:`pde_residual_mu0`) differentiates
+  :func:`log_mu0` itself, and the opposite sign fails it by nine orders of
+  magnitude, so it is not a free choice.
 * Count normalization: prefactors are pinned so that a unit-mass initial
   condition gives exactly these counts.  Concretely
   ``W(t; eps) = eps * e^eps * e^{(v-w)t} * bracket(w t)`` and the density
@@ -31,12 +32,13 @@ arrays.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, RegimeWarning
-from .model_params import DiffusionParams, _check_time, split_params
+from .model_params import DiffusionParams, _check_positive, split_params
 from .special_functions import bracket, erfc, log_erfc
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -44,12 +46,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 def _warn_if_outside_regime(wt1: float, eps: float | None = None) -> None:
     if wt1 <= 1.0:
-        warnings.warn(f"w*t1 = {wt1:.3g} <= 1: outside the diffusive regime the "
-                      "closed forms were derived for", RegimeWarning, stacklevel=3)
+        message = (f"w*t1 = {wt1:.3g} <= 1: outside the diffusive regime the "
+                   "closed forms were derived for")
     elif eps is not None and eps >= 0.3 * math.sqrt(wt1):
-        warnings.warn(f"eps = {eps:.3g} is not small against sqrt(w*t1) = "
-                      f"{math.sqrt(wt1):.3g}; small-eps forms degrade",
-                      RegimeWarning, stacklevel=3)
+        message = (f"eps = {eps:.3g} is not small against sqrt(w*t1) = "
+                   f"{math.sqrt(wt1):.3g}; small-eps forms degrade")
+    else:
+        return
+    # name the first caller outside this module, however deep the call
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RegimeWarning, stacklevel=level)
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +70,7 @@ def log_mu0(x, t: float, dp: DiffusionParams):
     A normal density with mean -v*t and variance w*t, carrying the total
     count e^{(v - w/2) t}.  Broadcasts over x.
     """
-    t = _check_time(t)
-    dp.require_diffusive()
+    t = _check_positive(t)
     var = dp.w * t
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
@@ -80,20 +87,17 @@ def pde_residual_mu0(x: float, t: float, dp: DiffusionParams, h: float = 1e-4,
 
         mu_t = v (mu_x + mu) + (w/2) (mu_xx - mu)
 
-    for the implemented all-worlds density, via central differences of step
-    ``h`` (scaled up with |x| and t so the stencil stays resolved).  Serves
-    as the self-test that pins the sign of the drifted mean; ``wrong_mean``
-    evaluates the flipped-mean (+v*t) variant as a negative control.
+    for :func:`log_mu0` itself, via central differences of step ``h``
+    (scaled up with |x| and t so the stencil stays resolved).  Serves as the
+    self-test that pins the sign of the drifted mean; ``wrong_mean``
+    evaluates ``log_mu0(x - 2 v t, t)``, the flipped-mean (+v*t) variant, as
+    a negative control.
     """
-    t = _check_time(t)
-    dp.require_diffusive()
-    sign = -1.0 if wrong_mean else 1.0
+    t = _check_positive(t)
+    shift = 2.0 * dp.v if wrong_mean else 0.0
 
     def mu(xx: float, tt: float) -> float:
-        var = dp.w * tt
-        return math.exp((dp.v - 0.5 * dp.w) * tt
-                        - 0.5 * (_LOG_2PI + math.log(var))
-                        - (xx - sign * (-dp.v) * tt) ** 2 / (2.0 * var))
+        return math.exp(log_mu0(xx - shift * tt, tt, dp))
 
     hx = h * max(1.0, abs(x))
     ht = h * max(1.0, t)
@@ -125,8 +129,7 @@ def log_mu1_exact(y, t: float, dp: DiffusionParams):
     -inf at y = 0, where the direct and image terms cancel.  Broadcasts
     over y; scalar y < 0 raises, array entries < 0 raise.
     """
-    t = _check_time(t)
-    dp.require_diffusive()
+    t = _check_positive(t)
     y_arr = np.asarray(y, dtype=float)
     if not np.all(y_arr >= 0.0):
         raise DomainError("mu1 is defined on the unmangled side y >= 0 only")
@@ -151,8 +154,7 @@ def log_mu1_approx(y, t: float, dp: DiffusionParams):
 
     valid for eps << sqrt(w t); the regime is documented, not enforced.
     """
-    t = _check_time(t)
-    dp.require_diffusive()
+    t = _check_positive(t)
     y_arr = np.asarray(y, dtype=float)
     if not np.all(y_arr >= 0.0):
         raise DomainError("mu1 is defined on the unmangled side y >= 0 only")
@@ -171,8 +173,7 @@ def log_mu1_approx(y, t: float, dp: DiffusionParams):
 
 def log_unmangled_count(t: float, dp: DiffusionParams) -> float:
     """ln W(t; eps) = ln(eps e^eps) + (v - w) t + ln(bracket(w t))."""
-    t = _check_time(t)
-    dp.require_diffusive()
+    t = _check_positive(t)
     return (math.log(dp.eps) + dp.eps + (dp.v - dp.w) * t
             + math.log(bracket(dp.w * t)))
 
@@ -184,9 +185,8 @@ def log_lambda_count(log_F: float, G: float, t1: float, t2: float,
         lambda = F G erfc(-ln F / sqrt(2 w t1)) * eps e^eps
                  * e^{(v-w)(t1+t2)} * bracket(w t2)
     """
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    dp.require_diffusive()
+    t1 = _check_positive(t1, "t1")
+    t2 = _check_positive(t2, "t2")
     log_F = float(log_F)
     if not log_F <= 0.0:
         raise DomainError(f"measure fraction F must satisfy F <= 1, got ln F = {log_F!r}")
@@ -225,7 +225,7 @@ def gamma_correction_log(log_F: float, t1: float, w: float) -> float:
     log_F = float(log_F)
     if not log_F <= 0.0:
         raise DomainError(f"measure fraction F must satisfy F <= 1, got ln F = {log_F!r}")
-    t1 = _check_time(t1, "t1")
+    t1 = _check_positive(t1, "t1")
     wt1 = float(w) * t1
     if not wt1 > 0.0:
         raise DomainError(f"w * t1 must be positive, got {wt1!r}")
@@ -288,8 +288,7 @@ def _log_quad(log_f, a: float, b: float) -> float:
 def quad_unmangled_count(t: float, dp: DiffusionParams) -> float:
     """ln W(t; eps) by quadrature of the approximate density over
     [0, max(10, 8 sqrt(w t))]; the closed form must reproduce this."""
-    t = _check_time(t)
-    dp.require_diffusive()
+    t = _check_positive(t)
     y_hi = max(10.0, 8.0 * math.sqrt(dp.w * t))
     return _log_quad(lambda y: log_mu1_approx(y, t, dp), 0.0, y_hi)
 
@@ -302,9 +301,8 @@ def quad_lambda_count(F: float, G: float, t1: float, t2: float,
 
     where W(t2; y) is the count formula with its boundary offset replaced by
     the stage-two starting height y."""
-    t1 = _check_time(t1, "t1")
-    t2 = _check_time(t2, "t2")
-    dp.require_diffusive()
+    t1 = _check_positive(t1, "t1")
+    t2 = _check_positive(t2, "t2")
     log_F, G = split_params(F, G)
     big_l = -log_F
     log_b2 = math.log(bracket(dp.w * t2))

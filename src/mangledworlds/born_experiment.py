@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 from . import analytic, monte_carlo, pde_solver
 from .errors import DomainError
-from .model_params import DecoherenceParams, binary_event_stats, to_diffusion
+from .model_params import (DecoherenceParams, _rates, binary_event_stats,
+                           to_diffusion)
 from ._io import atomic_write_text, format_float, rows_to_csv
 
 ENGINES = ("analytic", "pde", "mc")
@@ -264,15 +265,14 @@ def survival_condition_scan(p_values, r_values=(1.0,)) -> list[ScanRow]:
     for p in p_values:
         xhat1 = binary_event_stats(p)[0]
         for r in r_values:
-            diff = to_diffusion(DecoherenceParams(p=p, r=r), eps=1.0)
-            vw = diff.v - diff.w
+            v, w = _rates(DecoherenceParams(p=p, r=r))
             rows.append(ScanRow(
-                p=p, r=r, v=diff.v, w=diff.w, v_minus_w=vw,
-                all_growth=diff.v - 0.5 * diff.w,
-                fraction_exponent=-0.5 * diff.w,
-                degenerate=diff.degenerate,
-                survival_regime=diff.survival_regime,
-                identity_residual=abs(vw - (-r * xhat1)) / abs(r * xhat1)))
+                p=p, r=r, v=v, w=w, v_minus_w=v - w,
+                all_growth=v - 0.5 * w,
+                fraction_exponent=-0.5 * w,
+                degenerate=w == 0.0,
+                survival_regime=v > w,
+                identity_residual=abs(v - w - (-r * xhat1)) / abs(r * xhat1)))
     return rows
 
 

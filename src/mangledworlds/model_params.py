@@ -15,6 +15,10 @@ Per split event the log-size statistics are
 
 and a constant event rate gives v = -r*xtilde1, w = r*sigma1^2.
 
+Both parameter types are valid by construction: r, v, w and eps must be
+positive and finite.  So p = 1/2, whose w = 0 is pure drift, has no
+continuum equivalent, and :func:`to_diffusion` raises for it.
+
 ``sigma1`` is returned as the nonnegative root; only its square enters any
 dynamics.  :func:`binary_event_stats` gives all three statistics.
 """
@@ -50,11 +54,11 @@ def binary_event_stats(p: float) -> tuple[float, float, float]:
     return xhat1, sigma1, xtilde1
 
 
-def _check_time(t: float, name: str = "t") -> float:
-    t = float(t)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {t!r}")
-    return t
+def _check_positive(value: float, name: str = "t") -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def split_params(F: float, G: float) -> tuple[float, float]:
@@ -70,24 +74,24 @@ def split_params(F: float, G: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DecoherenceParams:
-    """Discrete binary-event model: branch fraction p, event rate r."""
+    """Discrete binary-event model: branch fraction p, event rate r
+    (0 < r < inf)."""
 
     p: float
     r: float = 1.0
 
     def __post_init__(self):
         _check_probability(self.p)
-        if not self.r > 0.0:
-            raise DomainError(f"event rate r must be positive, got {self.r!r}")
+        _check_positive(self.r, "event rate r")
 
 
 @dataclass(frozen=True)
 class DiffusionParams:
     """Continuum model: drift v, diffusion w (both per unit time, log-size
-    units), boundary offset eps.
+    units), boundary offset eps; each positive and finite.
 
-    w == 0 is accepted as a flagged degenerate (pure drift, from p = 1/2);
-    the closed forms and the grid solver reject it, the discrete walk copes.
+    w > 0 is what every closed form and the grid solver need, so the pure
+    drift of p = 1/2 (w = 0) cannot be built.
     """
 
     v: float
@@ -95,32 +99,24 @@ class DiffusionParams:
     eps: float
 
     def __post_init__(self):
-        if not self.v > 0.0:
-            raise DomainError(f"drift v must be positive, got {self.v!r}")
-        if not self.w >= 0.0:
-            raise DomainError(f"diffusion w must be nonnegative, got {self.w!r}")
-        if not self.eps > 0.0:
-            raise DomainError(f"boundary offset eps must be positive, got {self.eps!r}")
-
-    @property
-    def degenerate(self) -> bool:
-        """True when w == 0: pure drift, outside every closed form's domain."""
-        return self.w == 0.0
+        _check_positive(self.v, "drift v")
+        _check_positive(self.w, "diffusion w")
+        _check_positive(self.eps, "boundary offset eps")
 
     @property
     def survival_regime(self) -> bool:
         """True iff v > w, the condition for a growing unmangled count."""
         return self.v > self.w
 
-    def require_diffusive(self) -> "DiffusionParams":
-        if self.degenerate:
-            raise DomainError("w = 0 (degenerate pure drift); closed forms and the "
-                              "grid solver need w > 0")
-        return self
+
+def _rates(dp: DecoherenceParams) -> tuple[float, float]:
+    """(v, w) = (-r*xtilde1, r*sigma1^2) of a discrete model."""
+    _, sigma1, xtilde1 = binary_event_stats(dp.p)
+    return -dp.r * xtilde1, dp.r * sigma1 * sigma1
 
 
 def to_diffusion(dp: DecoherenceParams, eps: float) -> DiffusionParams:
     """Continuum (v, w, eps) equivalent of a discrete model: v = -r*xtilde1,
-    w = r*sigma1^2.  p = 1/2 yields the degenerate w = 0."""
-    xhat1, sigma1, xtilde1 = binary_event_stats(dp.p)
-    return DiffusionParams(v=-dp.r * xtilde1, w=dp.r * sigma1 * sigma1, eps=eps)
+    w = r*sigma1^2.  p = 1/2 gives w = 0 and raises :class:`DomainError`."""
+    v, w = _rates(dp)
+    return DiffusionParams(v=v, w=w, eps=eps)

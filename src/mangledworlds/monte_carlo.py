@@ -73,10 +73,7 @@ inside it.  A share of a walk builds a new one when the kept one is too
 narrow or was inherited across a fork, so a forked child builds its own
 and copies no page of its parent's.  Every gather, test and
 compaction writes into its rows, so no chunk, byte or block allocates an
-array of its paths' size.  Such arrays (up to 1 MiB) went back to the OS
-when freed and were faulted in afresh by the next one: mc's defaults took
-~6 500 minor page faults per process, ~1 900 with a workspace, and a
-second walk of 2^16 paths in the kept one takes 0-14.
+array of its paths' size.
 
 Parallelism: with W = min(workers, chunks) > 1, the caller forks W - 1
 children for that call (Linux ``fork``; the events are many small numpy

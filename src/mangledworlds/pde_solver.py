@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model_params import DiffusionParams, _check_time, split_params
+from .model_params import DiffusionParams, _check_positive, split_params
 
 _NEG_TOL = 1e-12          # negative overshoot beyond -tol*max aborts
 _MODES_START = 64         # first mode count tried; doubled as needed
@@ -365,8 +365,7 @@ def solve(dp: DiffusionParams, grid: Grid, T: float, *,
     roundoff, which reads as T) raises.  The survivor count of a field is
     ``survivor_count(field, grid, dp)``.
     """
-    dp.require_diffusive()
-    _check_time(T, "T")
+    _check_positive(T, "T")
     times = sorted(float(s) for s in snapshot_times)
     for s in times:
         if not 0.0 <= s <= T + 1e-9 * max(1.0, T):
@@ -410,10 +409,9 @@ def born_two_stage_counts(dp: DiffusionParams, grid: Grid, t1: float,
     eigenbasis serves stage one and every split: one readout at t1, one
     projection of the shifted profiles and one readout at t1 + t2.
     """
-    dp.require_diffusive()
     log_splits = [split_params(F, G) for F, G in splits]
-    _check_time(t1, "t1")
-    _check_time(t2, "t2")
+    _check_positive(t1, "t1")
+    _check_positive(t2, "t2")
     for log_F, _ in log_splits:
         if -log_F >= 0.5 * grid.y_max:
             raise DomainError(
@@ -460,8 +458,7 @@ def suggested_grid(dp: DiffusionParams, T: float, *, max_abs_log_F: float = 0.0,
     peak up to w T = 1000.  Unless given, n_cells is the smallest power of
     two from 2048 to 2^14 whose h = y_max / n_cells keeps :func:`init_delta`'s
     eps >= 4h (past 2^14 that check fails loudly instead)."""
-    dp.require_diffusive()
-    _check_time(T, "T")
+    _check_positive(T, "T")
     wT = dp.w * T
     y_max = float(math.ceil(dp.eps + max_abs_log_F
                             + max(6.0 * math.sqrt(wT), 0.25 * wT + 16.0) + 1.0))

@@ -3,6 +3,7 @@ and algebraic identities."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ class TestPdeResidual:
         bad = abs(analytic.pde_residual_mu0(-desk.v, 1.0, desk, h=1e-4,
                                             wrong_mean=True))
         assert bad >= 0.1
+
+    def test_reads_log_mu0_itself(self, desk, monkeypatch):
+        # a flipped mean in log_mu0 itself must fail the residual check
+        log_mu0 = analytic.log_mu0
+        monkeypatch.setattr(analytic, "log_mu0",
+                            lambda x, t, dp: log_mu0(x - 2.0 * dp.v * t, t, dp))
+        assert abs(analytic.pde_residual_mu0(-desk.v, 1.0, desk, h=1e-4)) >= 0.1
 
     def test_second_order_in_h(self, desk):
         # central differences: residual shrinks ~4x when h halves
@@ -184,9 +192,9 @@ class TestUnmangledCount:
         assert log_w == pytest.approx(1e10, rel=1e-6)
 
     def test_degenerate_rejected(self):
-        dp = DiffusionParams(v=1.0, w=0.0, eps=0.1)
-        with pytest.raises(DomainError):
-            analytic.log_unmangled_count(1.0, dp)
+        # pure drift (w = 0) cannot reach a closed form: it cannot be built
+        with pytest.raises(DomainError, match="diffusion w"):
+            DiffusionParams(v=1.0, w=0.0, eps=0.1)
 
 
 class TestLambdaAndGamma:
@@ -326,6 +334,18 @@ class TestRegimeWarnings:
         dp = DiffusionParams(v=1.0, w=0.5, eps=2.0)  # eps > 0.3 sqrt(w t1)
         with pytest.warns(RegimeWarning):
             analytic.lambda_count(0.5, 1, 8.0, 8.0, dp)
+
+    @pytest.mark.parametrize("call", [
+        lambda dp: analytic.lambda_count(0.5, 1, 1.0, 8.0, dp),
+        lambda dp: analytic.lambda_count(0.5, 1, 8.0, 8.0, replace(dp, eps=2.0)),
+        lambda dp: analytic.log_lambda_count(-0.5, 1, 1.0, 8.0, dp),
+        lambda dp: analytic.gamma_correction(0.5, 1.0, dp.w),
+        lambda dp: analytic.gamma_correction_log(-0.5, 1.0, dp.w),
+    ], ids=["lambda-wt1", "lambda-eps", "log-lambda", "gamma", "gamma-log"])
+    def test_warning_names_the_caller(self, desk, call):
+        with pytest.warns(RegimeWarning) as record:
+            call(desk)
+        assert [w.filename for w in record] == [__file__]
 
     def test_silent_in_regime(self, desk):
         with warnings.catch_warnings():

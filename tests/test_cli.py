@@ -92,6 +92,19 @@ class TestExitCodes:
                   if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["analytic", "--eps", "inf"], "boundary offset eps must be positive"),
+        (["analytic", "--v", "inf"], "drift v must be positive"),
+        (["scan", "--r-list", "inf"], "event rate r must be positive"),
+        (["born", "--r", "inf"], "event rate r must be positive"),
+    ], ids=["analytic-eps", "analytic-v", "scan-r", "born-r"])
+    def test_non_finite_model_parameter_is_an_error_line(self, tmp_path, capsys,
+                                                         argv, message):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
     def test_born_mc_engine_requires_seed(self, tmp_path, capsys):
         assert run(["born", "--out", str(tmp_path), "--engines",
                     "analytic,mc"]) == 2

@@ -69,24 +69,21 @@ class TestBinaryEventStats:
 
 class TestParamsTypes:
     def test_decoherence_validation(self):
-        with pytest.raises(DomainError):
-            DecoherenceParams(p=0.5, r=0.0)
+        for r in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="event rate r must be positive and finite"):
+                DecoherenceParams(p=0.5, r=r)
         with pytest.raises(DomainError):
             DecoherenceParams(p=1.2)
         xhat1, sigma1, xtilde1 = binary_event_stats(DecoherenceParams(p=0.6, r=2.0).p)
         assert xtilde1 == pytest.approx(xhat1 - sigma1 ** 2, rel=1e-15)
 
     def test_diffusion_validation(self):
-        with pytest.raises(DomainError):
-            DiffusionParams(v=0.0, w=0.5, eps=0.1)
-        with pytest.raises(DomainError):
-            DiffusionParams(v=1.0, w=-0.1, eps=0.1)
-        with pytest.raises(DomainError):
-            DiffusionParams(v=1.0, w=0.5, eps=0.0)
         for field in ("v", "w", "eps"):
-            kwargs = {"v": 1.0, "w": 0.5, "eps": 0.1, field: math.nan}
-            with pytest.raises(DomainError, match=field):
-                DiffusionParams(**kwargs)
+            for bad in (0.0, -0.1, math.inf, math.nan):
+                kwargs = {"v": 1.0, "w": 0.5, "eps": 0.1, field: bad}
+                with pytest.raises(DomainError,
+                                   match=f" {field} must be positive and finite"):
+                    DiffusionParams(**kwargs)
 
     def test_split_validation(self):
         assert split_params(0.5, 2) == (math.log(0.5), 2)
@@ -113,11 +110,9 @@ class TestToDiffusion:
         assert diff.v > diff.w  # survival regime at p = 0.6
 
     def test_degenerate_half(self):
-        diff = to_diffusion(DecoherenceParams(p=0.5, r=1.0), eps=0.1)
-        assert diff.w == 0.0
-        assert diff.degenerate
-        with pytest.raises(DomainError):
-            diff.require_diffusive()
+        # p = 1/2 is pure drift (w = 0), which has no continuum equivalent
+        with pytest.raises(DomainError, match="diffusion w .* got 0.0"):
+            to_diffusion(DecoherenceParams(p=0.5, r=1.0), eps=0.1)
 
     @given(probabilities.filter(lambda p: abs(p - 0.5) > 1e-4),
            st.floats(min_value=1e-3, max_value=1e3))
