@@ -189,6 +189,8 @@ GOLDEN_RUNS = [
     ["analytic"], ["headline"], ["scan"],
     ["pde", "--n-cells", "512", "--y-max", "10", "--T", "2", "--snapshots", "1,2"],
     ["mc", "--seed", "7", "--n-paths", "70000", "--workers", "2"],
+    ["mc", "--seed", "7", "--n-paths", "70000", "--tilt", "measure", "--name",
+     "mc-measure", "--workers", "2"],
     ["born", "--engines", "analytic,pde,mc", "--seed", "3", "--n-paths", "70000",
      "--workers", "2"],
 ]
@@ -206,6 +208,10 @@ GOLDEN_SHA256 = {
     "headline/config.json": "5226f1fe83765f49bfaa0e91824808ba32f33e7ab919ae99e8195f0df7461806",
     "headline/headline.json": "bf3c8eaa2dd92f51f2900f8fb2b7f159b9ff159195cd347855dfce16e37a322e",
     "headline/summary.txt": "739de55c05010f5ed98e33c25efcb9b7523268b1ca30b3b88bc4a80f058bad57",
+    "mc-measure/config.json": "3b712fe70a9a30d113980b55934839dbb314b855faba8364afd09d51b37c92dc",
+    "mc-measure/estimates.json": "c95f5c3ee78206464eede7ea147c8457fca853482a2680955932bfb447a687d2",
+    "mc-measure/histogram.csv": "8b260cef15bf5cab774f2f3b8d177ea2ee2b3ba5a24abfa963d80cfed02501f9",
+    "mc-measure/summary.txt": "b6bd3a6b33d88aa49b03d9224549bbd670cb972de5310a918a4785b74f440922",
     "mc/config.json": "6b57f115b6b96fb4b35f83fcb037e36f135ed937717165d65379ec1236d8adcf",
     "mc/estimates.json": "338d7f7d4940bd6b12cded0bc406c530396e0265b7e8d787b58b42c9cb7600c6",
     "mc/histogram.csv": "84917134fedd37b2d6f74cdcd6acf6c56a114b24475345e2d15e37f20f4eeec2",
