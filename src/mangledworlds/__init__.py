@@ -14,10 +14,9 @@ from .analytic import (boundary, gamma_correction, gamma_correction_log,
                        lambda_count, log_unmangled_count, pde_residual_mu0)
 from .pde_solver import (Field, Grid, born_two_stage_counts, init_delta, solve,
                          survivor_count)
-from .monte_carlo import (ExactCount, PathEnsemble, SurvivorHistogram,
-                          WalkSpec, born_two_stage_mc_counts, default_tilt,
-                          empirical_distribution, enumerate_survivors,
-                          simulate_survivors)
+from .monte_carlo import (ExactCount, PathEnsemble, WalkSpec,
+                          born_two_stage_mc_counts, default_tilt,
+                          enumerate_survivors, simulate_survivors)
 from .born_experiment import (BornOutcomeSpec, DeviationReport,
                               HeadlineReport, deviation_table, headline_check,
                               survival_condition_scan)
@@ -33,9 +32,8 @@ __all__ = [
     "log_unmangled_count", "pde_residual_mu0",
     "Field", "Grid", "born_two_stage_counts", "init_delta", "solve",
     "survivor_count",
-    "ExactCount", "PathEnsemble", "SurvivorHistogram", "WalkSpec",
-    "born_two_stage_mc_counts", "default_tilt", "empirical_distribution",
-    "enumerate_survivors", "simulate_survivors",
+    "ExactCount", "PathEnsemble", "WalkSpec", "born_two_stage_mc_counts",
+    "default_tilt", "enumerate_survivors", "simulate_survivors",
     "BornOutcomeSpec", "DeviationReport", "HeadlineReport", "deviation_table",
     "headline_check", "survival_condition_scan",
     "__version__",

@@ -60,10 +60,20 @@ def _warn_if_outside_regime(wt1: float, eps: float | None = None) -> None:
     warnings.warn(message, RegimeWarning, stacklevel=level)
 
 
+def _density(out, name: str, t: float, dp: DiffusionParams):
+    """A log-density as a float or an array.  The densities compute with
+    numpy's warnings off; a nan, which only an overflow makes, is refused."""
+    if np.isnan(out).any():
+        raise DomainError(f"{name} overflows to nan at v={dp.v!r}, w={dp.w!r}, "
+                          f"eps={dp.eps!r}, t={t!r}: a parameter is too large")
+    return out if out.ndim else float(out)
+
+
 # ---------------------------------------------------------------------------
 # all-worlds density
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")
 def log_mu0(x, t: float, dp: DiffusionParams):
     """ln of the all-worlds density over log-size x at time t > 0.
 
@@ -78,7 +88,7 @@ def log_mu0(x, t: float, dp: DiffusionParams):
     out = ((dp.v - 0.5 * dp.w) * t
            - 0.5 * (_LOG_2PI + math.log(var))
            - (x + dp.v * t) ** 2 / (2.0 * var))
-    return out if out.ndim else float(out)
+    return _density(out, "log_mu0", t, dp)
 
 
 def pde_residual_mu0(x: float, t: float, dp: DiffusionParams, h: float = 1e-4,
@@ -123,6 +133,7 @@ def boundary(t: float, dp: DiffusionParams) -> float:
     return -(dp.v - dp.w) * t - dp.eps
 
 
+@np.errstate(all="ignore")
 def log_mu1_exact(y, t: float, dp: DiffusionParams):
     """ln of the exact (image-method) unmangled density over y >= 0.
 
@@ -137,15 +148,15 @@ def log_mu1_exact(y, t: float, dp: DiffusionParams):
     eps = dp.eps
     log_a = -((y_arr - eps) ** 2) / (2.0 * s)
     log_b = -((y_arr + eps) ** 2) / (2.0 * s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = log_a + np.log1p(-np.exp(log_b - log_a))
+    diff = log_a + np.log1p(-np.exp(log_b - log_a))
     diff = np.where(log_b == log_a, -np.inf, diff)
     out = (eps - y_arr + (dp.v - dp.w) * t
            - 0.5 * (_LOG_2PI + math.log(s))
            + diff)
-    return out if out.ndim else float(out)
+    return _density(out, "log_mu1_exact", t, dp)
 
 
+@np.errstate(all="ignore")
 def log_mu1_approx(y, t: float, dp: DiffusionParams):
     """ln of the small-eps unmangled density
 
@@ -159,12 +170,11 @@ def log_mu1_approx(y, t: float, dp: DiffusionParams):
     if not np.all(y_arr >= 0.0):
         raise DomainError("mu1 is defined on the unmangled side y >= 0 only")
     s = dp.w * t
-    with np.errstate(divide="ignore"):
-        log_y = np.log(y_arr)
+    log_y = np.log(y_arr)
     out = (math.log(2.0 * dp.eps) + dp.eps + (dp.v - dp.w) * t
            - 0.5 * _LOG_2PI - 1.5 * math.log(s)
            + log_y - y_arr - y_arr ** 2 / (2.0 * s))
-    return out if out.ndim else float(out)
+    return _density(out, "log_mu1_approx", t, dp)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analytic, born_experiment, monte_carlo, pde_solver
 from ._io import atomic_write_text, format_float, rows_to_csv
 from .errors import DomainError, NumericalError
-from .model_params import DecoherenceParams, DiffusionParams, to_diffusion
+from .model_params import (DecoherenceParams, DiffusionParams,
+                           binary_event_stats, to_diffusion)
 from .special_functions import BRACKET_CROSSOVER_WT, _SEAM, \
     _bracket_asymptotic, _bracket_direct, _erfcx_asymptotic, _erfcx_direct
 
@@ -177,7 +180,7 @@ def _run_dir(args: argparse.Namespace, sub: str) -> Path:
 
 def _write_config(run_dir: Path, sub: str, cfg: dict, args) -> None:
     payload = {"subcommand": sub, **cfg}
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         payload["workers"] = args.workers
     atomic_write_text(run_dir / "config.json",
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -273,30 +276,35 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
                                 n_events=n_events, tilt=tilt)
     seed = int(cfg["seed"])
     n_paths = int(cfg["n_paths"])
-
-    # one walk gives both the histogram and the estimate
-    hist = monte_carlo.empirical_distribution(spec, n_paths, seed,
-                                              bins=int(cfg["bins"]),
-                                              workers=args.workers)
+    bins = int(cfg["bins"])
+    if bins < 1:
+        raise UsageError(f"bins must be >= 1, got {bins!r}")
+    # the bins reach 4 diffusive widths, and 5 units, past the boundary
+    sigma1 = binary_event_stats(dp.p)[1]
+    y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \
+        + 5.0 + 4.0 * math.sqrt(max(n_events * sigma1 * sigma1, 1.0))
+    edges = np.linspace(0.0, y_max, bins + 1)
+    ens = monte_carlo.simulate_survivors(spec, n_paths, seed, workers=args.workers)
+    weights, log_offset = ens.histogram(edges)
     rows_to_csv(run_dir / "histogram.csv", ["y_lo", "y_hi", "weight"],
                 [[format_float(lo), format_float(hi), format_float(wt)]
-                 for lo, hi, wt in zip(hist.edges[:-1], hist.edges[1:], hist.weights)])
-    est = hist.estimate() / math.log(10.0)
-    se = hist.std_error() / math.log(10.0)
+                 for lo, hi, wt in zip(edges[:-1], edges[1:], weights)])
+    est = ens.estimate() / math.log(10.0)
+    se = ens.std_error() / math.log(10.0)
     payload = {
         "spec": {"p": dp.p, "r": dp.r, "eps": spec.eps, "n_events": n_events,
                  "tilt": tilt},
         "seed": seed, "n_paths": n_paths,
-        "survivor_count": hist.survivor_count,
+        "survivor_count": ens.survivor_count,
         "log10_estimate": est if est > -math.inf else None,
         "log10_std_error": se if se > -math.inf else None,
-        "histogram_log_offset": hist.log_offset,
+        "histogram_log_offset": log_offset,
     }
     atomic_write_text(run_dir / "estimates.json",
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_summary(run_dir, [
         f"spec: p={dp.p} r={dp.r} eps={spec.eps} N={n_events} tilt={tilt}",
-        f"paths={n_paths} seed={seed} survivors={hist.survivor_count}",
+        f"paths={n_paths} seed={seed} survivors={ens.survivor_count}",
         f"log10 estimate = {est:.9g}",
         f"log10 std err  = {se:.9g}",
     ])
@@ -307,6 +315,7 @@ def _cmd_born(cfg: dict, run_dir: Path, args) -> int:
     engines = tuple(tok.strip() for tok in str(cfg["engines"]).split(",") if tok.strip())
     dp = DecoherenceParams(p=float(cfg["p"]), r=float(cfg["r"]))
     outcomes = _outcomes(cfg["outcomes"])
+    born_experiment.validate_outcomes(outcomes)  # before the grid is sized
     t1, t2 = float(cfg["t1"]), float(cfg["t2"])
     eps = float(cfg["eps"])
     grid = None
@@ -485,9 +494,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help=f"output root (default $" + ENV_OUT + " or ./runs)")
         sp.add_argument("--name", help=f"run name (default {sub!r})")
-        sp.add_argument("--workers", type=int,
-                        help="walker processes, the calling one included "
-                             "(default: one per usable CPU)")
+        if sub in ("mc", "born", "validate"):  # the subcommands that walk
+            sp.add_argument("--workers", type=int,
+                            help="walker processes, the calling one included "
+                                 "(default: one per usable CPU)")
         for key in defaults:
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
                             type=_kind(sub, key))

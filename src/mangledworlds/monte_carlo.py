@@ -41,8 +41,9 @@ M's low 37.  That decides exactly as m < M, or the float uniform
 m * 2^-53 < p, on the 53-bit uniform m those bits form.  Under tilt "none"
 event n takes the larger branch when bit (n - 1) % 64 of word
 (n - 1) // 64 is set.  A chunk of 2^16 paths returns its survivors per
-final k as integers, whose sums are exact, so every estimate and
-histogram, formed once from the summed counts, is bit-identical for any
+final k as integers, whose sums are exact.  The result
+(:class:`PathEnsemble`) is those summed counts, so it, and the estimate,
+standard error and histogram read off it, are bit-identical for any
 worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
@@ -225,11 +226,6 @@ class WalkSpec:
         if self.tilt not in TILTS:
             raise DomainError(f"tilt must be one of {TILTS}")
 
-    def boundary_step(self) -> float:
-        """Boundary displacement per event: xhat1, the mean log-size step
-        (negative)."""
-        return binary_event_stats(self.dp.p)[0]
-
 
 def default_tilt(dp: DecoherenceParams, n_events: int) -> str:
     """Measure tilt once the diffusive budget N*sigma1^2 exceeds 4, where
@@ -240,13 +236,48 @@ def default_tilt(dp: DecoherenceParams, n_events: int) -> str:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Accumulated estimator state of one simulation run."""
+    """One walk's survivors per final k, and what their weights need.
+
+    ``counts[j]`` of the ``n_paths`` paths survive with k = base + j
+    larger-branch steps, from base = kmin(N), the threshold at the last
+    event N = ``n_events``, up to the largest surviving k.  A survivor has
+    log-size x = k log_big + (N - k) log_small and weighs 2^N G under tilt
+    "none", G e^{-x} (1/q per branch, times G) under tilt "measure".
+    ``b_final`` is the boundary after the last event in the frame of x (0
+    without one).  Equal records give bit-identical estimates and
+    histograms, all read off the counts."""
 
     n_paths: int
-    survivor_count: int
-    log_weight_sum: float
-    log_weight_sq_sum: float
     seed: int
+    base: int
+    counts: tuple[int, ...]
+    tilt: str
+    n_events: int
+    log_big: float
+    log_small: float
+    b_final: float
+    log_G: float = 0.0
+
+    # the estimator's sums, read off the counts
+    survivor_count = property(lambda self: sum(self.counts))
+    log_weight_sum = property(lambda self: self._log_moment(1.0))
+    log_weight_sq_sum = property(lambda self: self._log_moment(2.0))
+
+    def _survivors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero counts, and the log-sizes x of their k."""
+        counts = np.array(self.counts, dtype=np.int64)
+        k = self.base + np.flatnonzero(counts)
+        return counts[counts > 0], k * self.log_big + (self.n_events - k) * self.log_small
+
+    def _log_moment(self, e: float) -> float:
+        """ln of the survivors' summed weights to the power e."""
+        counts, x = self._survivors()
+        if not counts.size:
+            return -math.inf
+        log_w = (np.full(counts.size, self.n_events * _LN2 + self.log_G)
+                 if self.tilt == "none" else self.log_G - x)
+        m = float(log_w.max())
+        return e * m + math.log(math.fsum(counts * np.exp(e * (log_w - m))))
 
     def estimate(self) -> float:
         """ln of the unbiased estimate of the surviving world count."""
@@ -266,6 +297,21 @@ class PathEnsemble:
         log_var = logsubexp(t_sq, t_mean) - math.log(n - 1)
         return 0.5 * (log_var - math.log(n))
 
+    def histogram(self, edges: np.ndarray) -> tuple[np.ndarray, float]:
+        """Weighted histogram of the survivors' boundary-relative log-sizes
+        y = x - b_final over the bin ``edges``, as (weights, log_offset):
+        bin b holds weights[b] e^log_offset of the estimated count, so bins
+        that cover every survivor sum to e^(estimate() - log_offset)."""
+        counts, x = self._survivors()
+        y = x - self.b_final
+        # under the measure tilt e^{-y} is the bounded part of the weight; the
+        # shared factor e^{-b_final} rides in log_offset
+        weights = counts * (1.0 if self.tilt == "none" else np.exp(-y))
+        hist, _ = np.histogram(y, bins=edges, weights=weights)
+        log_offset = ((self.n_events * _LN2 if self.tilt == "none"
+                       else -self.b_final) + self.log_G - math.log(self.n_paths))
+        return hist, log_offset
+
 
 @dataclass(frozen=True)
 class ExactCount:
@@ -276,22 +322,6 @@ class ExactCount:
     measure: float
     n_events: int
     by_k: tuple[int, ...] = field(default=(), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SurvivorHistogram(PathEnsemble):
-    """A run's estimator state plus the weighted histogram of its surviving
-    boundary-relative log-sizes.
-
-    ``weights`` are relative; the estimator count in bin b is
-    ``weights[b] * exp(log_offset)``; when the bins cover every survivor
-    the weights sum to ``exp(estimate() - log_offset)``.  The
-    arrays are excluded from equality.
-    """
-
-    edges: np.ndarray = field(compare=False, repr=False)
-    weights: np.ndarray = field(compare=False, repr=False)
-    log_offset: float
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +339,6 @@ class _RunConfig:
     b_step: float
     eps: float
     n_total: int
-    b_final: float        # boundary after the last event; 0 without one
     n_split: int          # event after which each split is applied
     splits: tuple[tuple[float, float], ...]  # (log_F, log_G) per split
     tilt: str
@@ -787,32 +816,6 @@ def _child(share, j: int, w: int):
         os._exit(status)
 
 
-def _log_size(cfg: _RunConfig, k: np.ndarray) -> np.ndarray:
-    """Log-size after the last event of a lineage with k larger-branch
-    steps, before any split's shift."""
-    return k * cfg.log_big + (cfg.n_total - k) * cfg.log_small
-
-
-def _ensemble(cfg: _RunConfig, base: int, counts: np.ndarray, log_G: float,
-              n_paths: int, seed: int, cls=PathEnsemble, **extra):
-    """Estimator state of one split from its survivors per final k, base
-    + j for ``counts[j]``.  A survivor weighs 2^N G under tilt "none", and
-    G e^{-x_k}, the product of 1/q over its branches times G, under tilt
-    "measure"."""
-    k = np.flatnonzero(counts)
-    log_sum_w = log_sum_w2 = -math.inf
-    if k.size:
-        log_w = (np.full(k.size, cfg.n_total * _LN2 + log_G) if cfg.tilt == "none"
-                 else log_G - _log_size(cfg, base + k))
-        m = float(log_w.max())
-        d = log_w - m
-        log_sum_w = m + math.log(math.fsum(counts[k] * np.exp(d)))
-        log_sum_w2 = 2.0 * m + math.log(math.fsum(counts[k] * np.exp(2.0 * d)))
-    return cls(n_paths=n_paths, survivor_count=int(counts.sum()),
-               log_weight_sum=log_sum_w, log_weight_sq_sum=log_sum_w2,
-               seed=seed, **extra)
-
-
 def _config_for(spec: WalkSpec, *, n2: int = 0,
                 splits: tuple[tuple[float, float], ...] = ((0.0, 0.0),),
                 seed: int = 0) -> _RunConfig:
@@ -821,7 +824,7 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
     p = spec.dp.p
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
-    b_step = spec.boundary_step()
+    b_step = binary_event_stats(p)[0]  # xhat1, the mean log-size step
     if n_total > _MAX_EVENTS:
         raise DomainError(f"a walk takes at most 2^31 events, got {n_total}: "
                           "tie counters 2^31 + n - 1 must fit 32 bits")
@@ -829,26 +832,40 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
         log_big=math.log(big), log_small=math.log(small),
         lane_cut=(divmod(math.ceil(big * 2.0 ** 53), 1 << 37)
                   if spec.tilt == "measure" else None),
-        b_step=b_step, eps=spec.eps, n_total=n_total,
-        b_final=n_total * b_step - spec.eps if math.isfinite(spec.eps) else 0.0,
-        n_split=spec.n_events, splits=splits, tilt=spec.tilt,
-        key=_key_from_seed(seed))
+        b_step=b_step, eps=spec.eps, n_total=n_total, n_split=spec.n_events,
+        splits=splits, tilt=spec.tilt, key=_key_from_seed(seed))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
+def _records(cfg: _RunConfig, n_paths: int, seed: int,
+             workers: int | None) -> list[PathEnsemble]:
+    """Walk cfg: one record per split, counted from its own kmin_F(N), its
+    boundary shifted by ln F into the frame of the unshifted log-size."""
+    base, counts = _simulate(cfg, n_paths, workers)
+    b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
+    own = [int(_kmin(cfg, np.array([cfg.n_total]), log_F)[0])
+           for log_F, _ in cfg.splits]
+    return [PathEnsemble(n_paths=n_paths, seed=seed, base=b,
+                         counts=tuple(np.trim_zeros(row[b - base:], "b").tolist()),
+                         tilt=cfg.tilt, n_events=cfg.n_total, log_big=cfg.log_big,
+                         log_small=cfg.log_small, b_final=b_final - log_F,
+                         log_G=log_G)
+            for row, b, (log_F, log_G) in zip(counts, own, cfg.splits)]
+
+
 def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,
                        workers: int | None = None) -> PathEnsemble:
-    """Estimate the surviving world count after spec.n_events events.
+    """The walk of ``n_paths`` paths through spec.n_events events: its
+    survivors per final k, which estimate the surviving world count.
 
-    Identical (spec, n_paths, seed) give bit-identical results regardless
-    of ``workers``.
+    Identical (spec, n_paths, seed) give equal records, and so
+    bit-identical estimates and histograms, regardless of ``workers``.
     """
-    cfg = _config_for(spec, seed=seed)
-    base, [counts] = _simulate(cfg, n_paths, workers)
-    return _ensemble(cfg, base, counts, 0.0, n_paths, seed)
+    [ensemble] = _records(_config_for(spec, seed=seed), n_paths, seed, workers)
+    return ensemble
 
 
 def enumerate_survivors(spec: WalkSpec) -> ExactCount:
@@ -863,45 +880,12 @@ def enumerate_survivors(spec: WalkSpec) -> ExactCount:
     for n in range(1, n_events + 1):
         counts[1:n + 1] = counts[1:n + 1] + counts[:n]
         counts[:kmin[n]] = 0
-    x = _log_size(cfg, np.arange(n_events + 1))
+    k = np.arange(n_events + 1)
+    x = k * cfg.log_big + (n_events - k) * cfg.log_small
     measure = math.fsum(math.exp(math.log(c) + x_k)
                         for c, x_k in zip(counts, x.tolist()) if c)
     return ExactCount(count=int(counts.sum()), measure=measure,
                       n_events=n_events, by_k=tuple(map(int, counts)))
-
-
-def empirical_distribution(spec: WalkSpec, n_paths: int, seed: int,
-                           bins: int | np.ndarray = 60,
-                           workers: int | None = None) -> SurvivorHistogram:
-    """Weighted histogram of surviving boundary-relative log-sizes
-    y = x - x_b(N); the shape comparand for the closed-form density.
-
-    The same walk also carries the estimator state, so the result's
-    ``estimate()`` equals that of :func:`simulate_survivors` for the same
-    (spec, n_paths, seed), bit for bit.
-    """
-    if isinstance(bins, (int, np.integer)):
-        if bins < 1:
-            raise DomainError(f"bins must be >= 1, got {bins!r}")
-        sigma1 = binary_event_stats(spec.dp.p)[1]
-        wt = spec.n_events * sigma1 * sigma1
-        y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \
-            + 5.0 + 4.0 * math.sqrt(max(wt, 1.0))
-        edges = np.linspace(0.0, y_max, int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-    cfg = _config_for(spec, seed=seed)
-    base, [counts] = _simulate(cfg, n_paths, workers)
-    k = np.flatnonzero(counts)
-    y = _log_size(cfg, base + k) - cfg.b_final
-    # under the measure tilt e^{-y} is the bounded part of the weight; the
-    # shared factor e^{-b_final} rides in the histogram log_offset
-    weights = counts[k] * (1.0 if spec.tilt == "none" else np.exp(-y))
-    hist, _ = np.histogram(y, bins=edges, weights=weights)
-    log_offset = ((spec.n_events * _LN2 if spec.tilt == "none" else -cfg.b_final)
-                  - math.log(n_paths))
-    return _ensemble(cfg, base, counts, 0.0, n_paths, seed, SurvivorHistogram,
-                     edges=edges, weights=hist, log_offset=log_offset)
 
 
 def born_two_stage_mc_counts(spec: WalkSpec,
@@ -911,12 +895,12 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     """Two-stage protocol, per (F, G) in ``splits``: after event
     spec.n_events every lineage drops by |ln F| and the estimator gains a
     factor G (with an immediate absorption check), then it continues
-    through n2 more events.  Returns the estimates of the final outcome
-    counts lambda.
+    through n2 more events.  Returns one record per split, whose
+    estimates are the final outcome counts lambda.
 
     Each chunk walks stage one once and stage two once for all splits, on
-    the same draws; each result equals the one-split call at the same
-    seed, bit for bit.
+    the same draws; each record equals the one-split call's at the same
+    seed.
     """
     log_splits = []
     for F, G in splits:
@@ -925,6 +909,4 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     if n2 < 1:
         raise DomainError(f"n2 must be >= 1, got {n2!r}")
     cfg = _config_for(spec, n2=n2, splits=tuple(log_splits), seed=seed)
-    base, counts = _simulate(cfg, n_paths, workers)
-    return [_ensemble(cfg, base, row, log_G, n_paths, seed)
-            for row, (_, log_G) in zip(counts, cfg.splits)]
+    return _records(cfg, n_paths, seed, workers)

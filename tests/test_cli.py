@@ -39,6 +39,11 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path):
         assert run(["headline", "--frobnicate", "1"]) == 2
 
+    @pytest.mark.parametrize("sub", ["analytic", "pde", "headline", "scan"])
+    def test_workers_only_where_the_walker_runs(self, tmp_path, capsys, sub):
+        assert run([sub, "--workers", "3", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 2
 
@@ -97,7 +102,11 @@ class TestExitCodes:
         (["analytic", "--v", "inf"], "drift v must be positive"),
         (["scan", "--r-list", "inf"], "event rate r must be positive"),
         (["born", "--r", "inf"], "event rate r must be positive"),
-    ], ids=["analytic-eps", "analytic-v", "scan-r", "born-r"])
+        # finite, but the closed forms overflow to nan (inf - inf)
+        (["analytic", "--v", "1e308"], "log_mu0 overflows to nan at v=1e+308"),
+        (["analytic", "--eps", "1e308"], "eps=1e+308"),
+    ], ids=["analytic-eps", "analytic-v", "scan-r", "born-r", "analytic-v-1e308",
+            "analytic-eps-1e308"])
     def test_non_finite_model_parameter_is_an_error_line(self, tmp_path, capsys,
                                                          argv, message):
         assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -169,6 +178,11 @@ class TestExitCodes:
         (["analytic"], {"times": [1, True]}, "times"),
         (["scan"], {"p_list": [0.55, False]}, "p_list"),
         (["born"], {"outcomes": [{"label": "a", "F": True, "G": 1}]}, "F"),
+        # refused before the grid is sized from the outcomes
+        (["born"], {"outcomes": [], "engines": "analytic,pde"},
+         "at least one outcome"),
+        (["born", "--n-cells", "4096"], {"outcomes": [], "engines": "analytic,pde"},
+         "at least one outcome"),
     ])
     def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, argv,
                                                config, key):

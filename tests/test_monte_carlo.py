@@ -29,8 +29,12 @@ from mangledworlds.model_params import (DecoherenceParams, binary_event_stats,
                                         to_diffusion)
 from mangledworlds.monte_carlo import (TILTS, ExactCount, WalkSpec,
                                        born_two_stage_mc_counts,
-                                       default_tilt, empirical_distribution,
-                                       enumerate_survivors, simulate_survivors)
+                                       default_tilt, enumerate_survivors,
+                                       simulate_survivors)
+
+#: 60 bins over y in [0, 15], which hold every survivor of the p = 0.6,
+#: eps = 0.3, N = 40 walks below (y <= 6.8)
+EDGES = np.linspace(0.0, 15.0, 61)
 
 
 def tie_eps(p: float, n_tie: int, k_tie: int) -> float:
@@ -210,9 +214,9 @@ class TestDeterminism:
 
     def test_histogram_deterministic(self):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40)
-        a = empirical_distribution(spec, 50_000, seed=5, workers=1)
-        b = empirical_distribution(spec, 50_000, seed=5, workers=2)
-        assert np.array_equal(a.weights, b.weights)
+        a = simulate_survivors(spec, 50_000, seed=5, workers=1)
+        b = simulate_survivors(spec, 50_000, seed=5, workers=2)
+        assert np.array_equal(a.histogram(EDGES)[0], b.histogram(EDGES)[0])
         assert a == b
 
     def test_histogram_deterministic_across_processes(self):
@@ -220,19 +224,19 @@ class TestDeterminism:
         # counts of a share from a forked child
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40)
         n = 3 * monte_carlo.CHUNK + 17
-        a = empirical_distribution(spec, n, seed=5, workers=1)
-        b = empirical_distribution(spec, n, seed=5, workers=2)
-        assert np.array_equal(a.weights, b.weights)
+        a = simulate_survivors(spec, n, seed=5, workers=1)
+        b = simulate_survivors(spec, n, seed=5, workers=2)
+        assert np.array_equal(a.histogram(EDGES)[0], b.histogram(EDGES)[0])
         assert a == b
 
     @pytest.mark.parametrize("tilt", TILTS)
     def test_histogram_does_not_depend_on_the_chunk_size(self, tilt, monkeypatch):
         spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
                         tilt=tilt)
-        big = empirical_distribution(spec, 1 << 18, seed=11, workers=1)
+        big = simulate_survivors(spec, 1 << 18, seed=11, workers=1)
         monkeypatch.setattr(monte_carlo, "CHUNK", 1 << 12)
-        small = empirical_distribution(spec, 1 << 18, seed=11, workers=1)
-        assert np.array_equal(small.weights, big.weights)
+        small = simulate_survivors(spec, 1 << 18, seed=11, workers=1)
+        assert np.array_equal(small.histogram(EDGES)[0], big.histogram(EDGES)[0])
         assert small == big
 
     @pytest.mark.parametrize("tilt", TILTS)
@@ -240,9 +244,8 @@ class TestDeterminism:
         # reference: the survivors per final k, weighed in 50-digit decimals
         spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=0.2, n_events=400,
                         tilt=tilt)
-        base, [counts] = monte_carlo._simulate(
-            monte_carlo._config_for(spec, seed=11), 1 << 16, 1)
         ens = simulate_survivors(spec, 1 << 16, seed=11, workers=1)
+        base, counts = ens.base, np.array(ens.counts)
         n = spec.n_events
         with decimal.localcontext() as ctx:
             ctx.prec = 50
@@ -272,13 +275,10 @@ class TestDeterminism:
     def test_histogram_walk_carries_the_estimate(self, tilt):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=40,
                         tilt=tilt)
-        hist = empirical_distribution(spec, 50_000, seed=5)
         ens = simulate_survivors(spec, 50_000, seed=5)
-        for name in ("n_paths", "survivor_count", "log_weight_sum",
-                     "log_weight_sq_sum", "seed"):
-            assert getattr(hist, name) == getattr(ens, name), name
-        total = math.log(float(hist.weights.sum())) + hist.log_offset
-        assert total == pytest.approx(hist.estimate(), abs=1e-9)
+        weights, log_offset = ens.histogram(EDGES)
+        total = math.log(float(weights.sum())) + log_offset
+        assert total == pytest.approx(ens.estimate(), abs=1e-9)
 
 
 class _NoFork(Exception):
@@ -837,15 +837,14 @@ _WORKSPACE_SETUP = """
 import math
 from mangledworlds.model_params import DecoherenceParams
 from mangledworlds.monte_carlo import (CHUNK, WalkSpec,
-    born_two_stage_mc_counts, empirical_distribution, simulate_survivors)
+    born_two_stage_mc_counts, simulate_survivors)
 dp = DecoherenceParams(p=0.55)
 NONE = WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="none")
 MEASURE = WalkSpec(dp=dp, eps=0.2, n_events=400, tilt="measure")
 SPLITS = [(0.2, 1), (0.5, 1)]
 
 def show(result):
-    weights = getattr(result, "weights", None)
-    return repr((result, None if weights is None else weights.tolist()))
+    return repr(result)
 """
 _WORKSPACE_CALLS = (
     "simulate_survivors(NONE, 256, seed=11, workers=1)",
@@ -854,7 +853,7 @@ _WORKSPACE_CALLS = (
     "born_two_stage_mc_counts(NONE, SPLITS, 100, CHUNK + 100, seed=11,"
     " workers=2)",
     "simulate_survivors(MEASURE, 256, seed=11, workers=1)",
-    "empirical_distribution(NONE, CHUNK + 100, seed=11, workers=1)",
+    "simulate_survivors(NONE, CHUNK + 100, seed=11, workers=1)",
     "born_two_stage_mc_counts(MEASURE, SPLITS, 800, CHUNK + 100, seed=11,"
     " workers=2)",
     "simulate_survivors(NONE, 256, seed=11, workers=1)",
@@ -970,9 +969,13 @@ def test_survivors_per_k_follow_the_exact_law(n, tilt):
                            for c in enumerate_survivors(spec).by_k])
     expected = n_paths * np.exp(log_leaves + k * math.log(a)
                                 + (n - k) * math.log1p(-a))
-    base, [observed] = monte_carlo._simulate(cfg, n_paths, 2)
-    assert base + observed.size == n + 1 and not expected[:base].any()
+    ens = simulate_survivors(spec, n_paths, seed=8128, workers=2)
+    base, observed = ens.base, np.array(ens.counts)
+    assert base + observed.size <= n + 1 and observed[-1] > 0
+    assert not expected[:base].any()
     observed = np.concatenate([np.zeros(base, dtype=np.int64), observed,
+                               np.zeros(n + 1 - base - observed.size,
+                                        dtype=np.int64),
                                [n_paths - observed.sum()]])
     expected = np.append(expected, n_paths - expected.sum())
     kept = expected >= 5.0
@@ -1076,21 +1079,21 @@ def _lattice_edges(p: float, eps: float, n_events: int, sites_per_bin: int,
     return start + sites_per_bin * delta * np.arange(n_bins + 1)
 
 
-class TestSurvivorHistogram:
+class TestHistogram:
     def test_no_mass_on_mangled_side(self):
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=30)
         edges = np.linspace(-2.0, 8.0, 51)
-        hist = empirical_distribution(spec, 100_000, seed=6, bins=edges)
-        below = hist.weights[edges[:-1] < -1e-12]
+        weights, _ = simulate_survivors(spec, 100_000, seed=6).histogram(edges)
+        below = weights[edges[:-1] < -1e-12]
         assert float(below.sum()) == 0.0
 
     def test_empty_flag(self):
         # boundary tight enough that nothing survives 40 events
         spec = WalkSpec(dp=DecoherenceParams(p=0.9), eps=1e-6, n_events=40)
-        hist = empirical_distribution(spec, 2_000, seed=7)
-        assert hist.survivor_count == 0
-        assert float(hist.weights.sum()) == 0.0
-        assert hist.estimate() == -math.inf
+        ens = simulate_survivors(spec, 2_000, seed=7)
+        assert ens.survivor_count == 0
+        assert float(ens.histogram(EDGES)[0].sum()) == 0.0
+        assert ens.estimate() == -math.inf
 
     def test_shape_matches_closed_form_density(self):
         # p = 0.55, N = 400, eps = 0.2; importance sampling supplies the
@@ -1099,15 +1102,15 @@ class TestSurvivorHistogram:
         dp = DecoherenceParams(p=p)
         spec = WalkSpec(dp=dp, eps=eps, n_events=n, tilt="measure")
         edges = _lattice_edges(p, eps, n, sites_per_bin=4, n_bins=17)
-        hist = empirical_distribution(spec, 4_000_000, seed=3, bins=edges,
-                                      workers=2)
-        assert hist.survivor_count >= 100_000
+        ens = simulate_survivors(spec, 4_000_000, seed=3, workers=2)
+        assert ens.survivor_count >= 100_000
+        weights, _ = ens.histogram(edges)
         diff = to_diffusion(dp, eps)
         t1 = n / dp.r
-        widths = np.diff(hist.edges)
-        dens_mc = hist.weights / (float(hist.weights.sum()) * widths)
+        widths = np.diff(edges)
+        dens_mc = weights / (float(weights.sum()) * widths)
         dens_an = np.empty_like(dens_mc)
-        for i, (lo, hi) in enumerate(zip(hist.edges[:-1], hist.edges[1:])):
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
             val, _ = quad(lambda yy: math.exp(analytic.log_mu1_approx(yy, t1, diff))
                           if yy > 0 else 0.0, lo, hi)
             dens_an[i] = val / (hi - lo)
@@ -1119,8 +1122,8 @@ class TestSurvivorHistogram:
                       if yy > 0 else 0.0, 0.0, 30.0, limit=200)
         den, _ = quad(lambda yy: math.exp(analytic.log_mu1_approx(yy, t1, diff))
                       if yy > 0 else 0.0, 0.0, 30.0, limit=200)
-        mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
-        moment = float((mids * hist.weights).sum() / hist.weights.sum())
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        moment = float((mids * weights).sum() / weights.sum())
         assert moment == pytest.approx(num / den, rel=0.05)
 
 
