@@ -41,10 +41,9 @@ M's low 37.  That decides exactly as m < M, or the float uniform
 m * 2^-53 < p, on the 53-bit uniform m those bits form.  Under tilt "none"
 event n takes the larger branch when bit (n - 1) % 64 of word
 (n - 1) // 64 is set.  A chunk of 2^16 paths returns its survivors per
-final k as integers, whose sums are exact.  The result
-(:class:`PathEnsemble`) is those summed counts, so it, and the estimate,
-standard error and histogram read off it, are bit-identical for any
-worker count and any chunk size.
+final k as integers, whose sums are exact; the result, :class:`PathEnsemble`,
+holds them, and every estimate, standard error and histogram read off it is
+bit-identical for any worker count and any chunk size.
 
 Cost: a draw depends only on its (path, event), so a chunk walks its
 alive paths several events per numpy pass.  Under tilt "measure" it goes
@@ -846,14 +845,14 @@ def _records(cfg: _RunConfig, n_paths: int, seed: int,
     boundary shifted by ln F into the frame of the unshifted log-size."""
     base, counts = _simulate(cfg, n_paths, workers)
     b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
-    own = [int(_kmin(cfg, np.array([cfg.n_total]), log_F)[0])
-           for log_F, _ in cfg.splits]
-    return [PathEnsemble(n_paths=n_paths, seed=seed, base=b,
-                         counts=tuple(np.trim_zeros(row[b - base:], "b").tolist()),
+    kmin_N = [int(_kmin(cfg, np.array([cfg.n_total]), log_F)[0])
+              for log_F, _ in cfg.splits]
+    return [PathEnsemble(n_paths=n_paths, seed=seed, base=k0,
+                         counts=tuple(np.trim_zeros(row[k0 - base:], "b").tolist()),
                          tilt=cfg.tilt, n_events=cfg.n_total, log_big=cfg.log_big,
                          log_small=cfg.log_small, b_final=b_final - log_F,
                          log_G=log_G)
-            for row, b, (log_F, log_G) in zip(counts, own, cfg.splits)]
+            for row, k0, (log_F, log_G) in zip(counts, kmin_N, cfg.splits)]
 
 
 def simulate_survivors(spec: WalkSpec, n_paths: int, seed: int,

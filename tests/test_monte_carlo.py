@@ -1095,6 +1095,22 @@ class TestHistogram:
         assert float(ens.histogram(EDGES)[0].sum()) == 0.0
         assert ens.estimate() == -math.inf
 
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_split_record_reads_its_own_frame(self, tilt):
+        # a split's survivors sit above its boundary shifted by ln F, the
+        # nearest within one lattice step ln(p / (1 - p)) = 0.405, and its
+        # weights carry G, so its histogram sums to its estimate
+        s1 = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=20,
+                      tilt=tilt)
+        [ens] = born_two_stage_mc_counts(s1, [(0.5, 2)], 20, 50_000, seed=5)
+        edges = np.linspace(-5.0, 15.0, 81)
+        weights, log_offset = ens.histogram(edges)
+        assert ens.survivor_count > 0
+        assert float(weights[edges[:-1] < -1e-12].sum()) == 0.0
+        assert float(weights[(edges[:-1] >= 0.0) & (edges[1:] <= 0.5)].sum()) > 0.0
+        assert (math.log(float(weights.sum())) + log_offset
+                == pytest.approx(ens.estimate(), abs=1e-9))
+
     def test_shape_matches_closed_form_density(self):
         # p = 0.55, N = 400, eps = 0.2; importance sampling supplies the
         # >= 1e5 surviving-equivalent samples
