@@ -13,8 +13,14 @@ validate   fast cross-oracle suite; exit 1 on any failure
 Configuration resolves as: built-in defaults < --config JSON file < explicit
 flags.  Every run writes its fully resolved configuration to config.json in
 the run directory, so re-running from that file reproduces the outputs.
-The output root is --out, else $MANGLEDWORLDS_OUT, else ./runs; artifacts
-land in <root>/<name>/ and are written atomically (temp file + rename).
+The output root is --out, else $MANGLEDWORLDS_OUT, else ./runs.  A run is
+written into a fresh sibling directory and moved to <root>/<name>/ when it
+exits 0 or 1, replacing any earlier run of that name; on exit 2 it is
+removed and the earlier run is left as it was.
+
+Flags: --key VALUE or --key=VALUE, where a unique prefix of a flag names
+it and the last of a repeated flag wins; `mangledworlds SUBCOMMAND -h`
+lists that subcommand's flags.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration error
 or a numerical failure.
@@ -22,10 +28,10 @@ or a numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -138,13 +144,13 @@ def _kind(sub: str, key: str) -> type:
     return int if default is None else type(default)
 
 
-def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
+def _resolve_config(sub: str, args: dict) -> dict:
     resolved = dict(DEFAULTS[sub])
-    if args.config:
+    if args["config"]:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args["config"]).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config!r}: {exc}")
+            raise UsageError(f"cannot read config file {args['config']!r}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -155,7 +161,7 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
                                  f"subcommand {sub!r}")
             resolved[key] = value
     for key in resolved:
-        flag = getattr(args, key, None)
+        flag = args[key]
         if flag is not None:
             resolved[key] = flag
     for key, value in resolved.items():
@@ -172,16 +178,16 @@ def _resolve_config(sub: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _run_dir(args: argparse.Namespace, sub: str) -> Path:
-    root = args.out or os.environ.get(ENV_OUT) or "runs"
-    name = args.name or sub
+def _run_dir(args: dict, sub: str) -> Path:
+    root = args["out"] or os.environ.get(ENV_OUT) or "runs"
+    name = args["name"] or sub
     return Path(root) / name
 
 
-def _write_config(run_dir: Path, sub: str, cfg: dict, args) -> None:
+def _write_config(run_dir: Path, sub: str, cfg: dict, args: dict) -> None:
     payload = {"subcommand": sub, **cfg}
-    if getattr(args, "workers", None) is not None:
-        payload["workers"] = args.workers
+    if args.get("workers") is not None:
+        payload["workers"] = args["workers"]
     atomic_write_text(run_dir / "config.json",
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -284,7 +290,7 @@ def _cmd_mc(cfg: dict, run_dir: Path, args) -> int:
     y_max = (spec.eps if math.isfinite(spec.eps) else 0.0) \
         + 5.0 + 4.0 * math.sqrt(max(n_events * sigma1 * sigma1, 1.0))
     edges = np.linspace(0.0, y_max, bins + 1)
-    ens = monte_carlo.simulate_survivors(spec, n_paths, seed, workers=args.workers)
+    ens = monte_carlo.simulate_survivors(spec, n_paths, seed, workers=args["workers"])
     weights, log_offset = ens.histogram(edges)
     rows_to_csv(run_dir / "histogram.csv", ["y_lo", "y_hi", "weight"],
                 [[format_float(lo), format_float(hi), format_float(wt)]
@@ -331,7 +337,7 @@ def _cmd_born(cfg: dict, run_dir: Path, args) -> int:
         outcomes, dp, eps, t1, t2, engines, grid=grid,
         n_paths=int(cfg["n_paths"]),
         seed=None if cfg["seed"] is None else int(cfg["seed"]),
-        workers=args.workers, tilt=tilt)
+        workers=args["workers"], tilt=tilt)
     report.to_csv(run_dir / "deviation.csv")
     report.to_json(run_dir / "deviation.json")
     lines = [f"experiment: {len(outcomes)} outcomes, engines {', '.join(engines)}",
@@ -431,6 +437,8 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
 
     spec = monte_carlo.WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=12)
     exact = monte_carlo.enumerate_survivors(spec)
+    if workers is None:  # resolved first, so that `other` differs from it
+        workers = monte_carlo.default_workers()
     ens = monte_carlo.simulate_survivors(spec, 200_000, seed=20260810,
                                          workers=workers)
     se = math.exp(ens.std_error())
@@ -443,12 +451,12 @@ def _validate_checks(workers) -> list[tuple[str, bool, str]]:
     other = 2 if workers == 1 else 1  # another worker count, another schedule
     again = monte_carlo.simulate_survivors(spec, 200_000, seed=20260810, workers=other)
     checks.append(("walker determinism", again == ens,
-                   f"workers {workers or 'auto'} and {other} bit-identical"))
+                   f"workers {workers} and {other} bit-identical"))
     return checks
 
 
 def _cmd_validate(cfg: dict, run_dir: Path, args) -> int:
-    checks = _validate_checks(args.workers)
+    checks = _validate_checks(args["workers"])
     lines = []
     ok_all = True
     for name, ok, detail in checks:
@@ -474,52 +482,85 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and entry point
+# command line and entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser with every subcommand, or with ``only``'s,
-    all that a command line naming it parses with (a fifth of the cost)."""
-    parser = argparse.ArgumentParser(
-        prog="mangledworlds",
-        description="Drift-diffusion-absorption world-counting laboratory")
-    # the usage names every subcommand, however many are built
-    subs = parser.add_subparsers(
-        dest="subcommand", required=True,
-        metavar=None if only is None else "{" + ",".join(DEFAULTS) + "}")
-    for sub, defaults in DEFAULTS.items():
-        if only not in (None, sub):
-            continue
-        sp = subs.add_parser(sub, help=f"{sub} run")
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help=f"output root (default $" + ENV_OUT + " or ./runs)")
-        sp.add_argument("--name", help=f"run name (default {sub!r})")
-        if sub in ("mc", "born", "validate"):  # the subcommands that walk
-            sp.add_argument("--workers", type=int,
-                            help="walker processes, the calling one included "
-                                 "(default: one per usable CPU)")
-        for key in defaults:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=_kind(sub, key))
-    return parser
+def _flags(sub: str) -> dict[str, tuple[str, type]]:
+    """Each flag of ``sub``, with its key and type: --config, --out, --name,
+    --workers where the walker runs, and every config key."""
+    kinds = {"config": str, "out": str, "name": str}
+    if sub in ("mc", "born", "validate"):  # the subcommands that walk
+        kinds["workers"] = int
+    kinds.update((key, _kind(sub, key)) for key in DEFAULTS[sub])
+    return {"--" + key.replace("_", "-"): (key, kind) for key, kind in kinds.items()}
+
+
+def _parse(argv: list[str]) -> tuple[str, dict] | None:
+    """The subcommand and every flag's value, None where not given; or None
+    once -h has printed help.  A flag takes the next token as its value,
+    even one that starts with '-'."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(__doc__)
+        return None
+    if not argv or argv[0] not in DEFAULTS:
+        raise UsageError(f"expected a subcommand, one of {', '.join(DEFAULTS)}"
+                         + (f"; got {argv[0]!r}" if argv else ""))
+    sub, *tokens = argv
+    flags = _flags(sub)
+    args = dict.fromkeys(key for key, _ in flags.values())
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(f"usage: mangledworlds {sub} [--flag VALUE | --flag=VALUE]...")
+            for flag, (key, kind) in flags.items():
+                print(f"  {flag} {kind.__name__.upper()}"
+                      + (f"  (default {DEFAULTS[sub][key]})" if key in DEFAULTS[sub] else ""))
+            return None
+        name, eq, value = token.partition("=")
+        # every flag starts with "--", so no shorter name is a prefix of one
+        hits = [name] if name in flags else \
+            [flag for flag in flags if flag.startswith(name) and len(name) > 2]
+        if len(hits) != 1:
+            raise UsageError(f"ambiguous option: {name} could match {', '.join(hits)}"
+                             if hits else f"unrecognized arguments: {token}")
+        key, kind = flags[hits[0]]
+        if not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"argument {hits[0]}: expected one argument")
+        try:
+            args[key] = kind(value)
+        except ValueError:
+            raise UsageError(f"argument {hits[0]}: invalid {kind.__name__} value: "
+                             f"{value!r}") from None
+    return sub, args
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no known subcommand first (--help, none, a typo): the full parser's
-    # usage and error
-    parser = _build_parser(argv[0] if argv and argv[0] in DEFAULTS else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    sub = args.subcommand
-    try:
+        parsed = _parse(argv)
+        if parsed is None:
+            return 0
+        sub, args = parsed
         cfg = _resolve_config(sub, args)
         run_dir = _run_dir(args, sub)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_config(run_dir, sub, cfg, args)
-        return _COMMANDS[sub](cfg, run_dir, args)
+        if run_dir.is_dir() and not (run_dir / "config.json").is_file() \
+                and any(run_dir.iterdir()):
+            raise UsageError(f"{run_dir} holds no earlier run (no config.json); "
+                             f"not replacing it")
+        # the run is built beside its place and moved there whole
+        work = run_dir.with_name(f".{run_dir.name}.tmp-{os.getpid()}")
+        work.mkdir(parents=True)
+        try:
+            _write_config(work, sub, cfg, args)
+            code = _COMMANDS[sub](cfg, work, args)
+            old = work.with_name(work.name + "-old")
+            if run_dir.exists():
+                run_dir.rename(old)
+            work.rename(run_dir)
+            shutil.rmtree(old, ignore_errors=True)
+            return code
+        finally:
+            shutil.rmtree(work, ignore_errors=True)
     except (UsageError, DomainError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -721,6 +721,11 @@ def _thresholds(cfg: _RunConfig) -> tuple[tuple[_Thresholds, _Thresholds],
     return kmins, int(kmins[1](cfg.n_total, cfg.n_total)[0, 0])
 
 
+def default_workers() -> int:
+    """The walker's default process count: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def _simulate(cfg: _RunConfig, n_paths: int,
               workers: int | None) -> tuple[int, np.ndarray]:
     """Survivors per split and final k, summed over the chunks, as (base,
@@ -743,9 +748,7 @@ def _simulate(cfg: _RunConfig, n_paths: int,
     if workers is not None and workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers!r}")
     starts = range(0, n_paths, CHUNK)
-    if workers is None:
-        workers = len(os.sched_getaffinity(0))
-    workers = min(workers, len(starts))
+    workers = min(default_workers() if workers is None else workers, len(starts))
     kmins, base = _thresholds(cfg)
 
     def share(j: int) -> np.ndarray:

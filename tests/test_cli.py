@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import mangledworlds
-from mangledworlds import monte_carlo
-from mangledworlds.cli import run
+from mangledworlds import cli, monte_carlo
+from mangledworlds.cli import DEFAULTS, run
 
 
 def _read(path: Path) -> bytes:
@@ -26,6 +26,20 @@ def _no_temp_droppings(root: Path) -> bool:
 
 
 class TestExitCodes:
+    @pytest.fixture(autouse=True)
+    def exit_2_leaves_the_root_as_it_was(self, monkeypatch):
+        """Every run here that exits 2 leaves its output root as it found
+        it: no run directory, no partial artifacts."""
+        def checked(argv):
+            root = Path(argv[argv.index("--out") + 1] if "--out" in argv else "runs")
+            before = sorted(root.rglob("*"))
+            code = cli.run(argv)
+            if code == 2:
+                assert sorted(root.rglob("*")) == before, argv
+            return code
+
+        monkeypatch.setitem(globals(), "run", checked)
+
     def test_headline_passes(self, tmp_path, capsys):
         assert run(["headline", "--out", str(tmp_path)]) == 0
         text = capsys.readouterr().out
@@ -195,6 +209,59 @@ class TestExitCodes:
         assert err.startswith("error:") and key in err
 
 
+class TestCommandLine:
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default root, should a run start
+
+    def test_equals_form_prefixes_and_the_last_repeat(self, tmp_path):
+        assert run(["analytic", f"--out={tmp_path}", "--v=1.25", "--ti", "1,3",
+                    "--w", "0.25", "--w=-0.5", "--w", "0.75"]) == 0
+        cfg = json.loads((tmp_path / "analytic" / "config.json").read_text())
+        assert (cfg["v"], cfg["times"], cfg["w"]) == (1.25, "1,3", 0.75)
+
+    def test_an_exact_flag_is_not_a_prefix(self, tmp_path):
+        # --out is itself, though it begins --outcomes
+        assert run(["born", "--out", str(tmp_path), "--outc", "a:0.5:1,b:0.5:1"]) == 0
+        cfg = json.loads((tmp_path / "born" / "config.json").read_text())
+        assert cfg["outcomes"] == "a:0.5:1,b:0.5:1"
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "expected a subcommand, one of analytic, pde, mc,"),
+        (["transmogrify"], "got 'transmogrify'"),
+        (["born", "--n", "3"],
+         "ambiguous option: --n could match --name, --n-paths, --n-cells"),
+        (["mc", "--seed"], "argument --seed: expected one argument"),
+        (["mc", "--seed", "1", "--n-paths", "7.5"],
+         "argument --n-paths: invalid int value: '7.5'"),
+        (["analytic", "--v=fast"], "argument --v: invalid float value: 'fast'"),
+        (["headline", "extra"], "unrecognized arguments: extra"),
+        (["scan", "--", "--p-list", "0.6"], "unrecognized arguments: --"),
+    ], ids=["none", "unknown", "ambiguous-prefix", "missing-value", "int-type",
+            "float-type", "stray-positional", "double-dash"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, tmp_path, capsys, flag):
+        assert run([flag]) == 0
+        assert capsys.readouterr().out.startswith(cli.__doc__)
+        for sub in DEFAULTS:
+            assert run([sub, "--name", "x", flag]) == 0  # help after a flag too
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(f"usage: mangledworlds {sub} ")
+            want = {"--config", "--out", "--name",
+                    *("--" + key.replace("_", "-") for key in DEFAULTS[sub])}
+            if sub in ("mc", "born", "validate"):
+                want.add("--workers")
+            assert {line.split()[0] for line in lines[1:]} == want
+        assert not list(tmp_path.iterdir())
+
+
 #: SHA-256 of every file the GOLDEN_RUNS write.  A refactor must leave every
 #: artifact byte-identical; re-record only for a deliberate change of output
 #: (or another numpy/LAPACK build or another C library's erfc, whose
@@ -308,6 +375,30 @@ class TestArtifacts:
             rates += [log10_count * math.log(10.0) / t for t, log10_count, _ in rows]
         assert max(rates) < 0.0
         assert rates == pytest.approx([rates[0]] * len(rates), rel=1e-4)
+
+    def test_a_failed_rerun_keeps_the_earlier_run(self, tmp_path):
+        d = tmp_path / "t14"
+        assert run(["analytic", "--out", str(tmp_path), "--name", "t14"]) == 0
+        before = {path.name: path.read_bytes() for path in d.iterdir()}
+        # mu0.csv is written before log_mu1_approx overflows
+        assert run(["analytic", "--out", str(tmp_path), "--name", "t14",
+                    "--eps", "1e308"]) == 2
+        assert {path.name: path.read_bytes() for path in d.iterdir()} == before
+        assert list(tmp_path.iterdir()) == [d]
+        # another subcommand under the same name replaces the run whole
+        assert run(["scan", "--out", str(tmp_path), "--name", "t14"]) == 0
+        assert sorted(path.name for path in d.iterdir()) == [
+            "config.json", "scan.csv", "summary.txt"]
+        assert list(tmp_path.iterdir()) == [d]
+
+    def test_a_directory_that_holds_no_run_is_kept(self, tmp_path, capsys):
+        d = tmp_path / "notes"
+        d.mkdir()
+        (d / "keep.txt").write_text("mine")
+        assert run(["scan", "--out", str(tmp_path), "--name", "notes"]) == 2
+        assert "no config.json" in capsys.readouterr().err
+        assert [path.name for path in d.iterdir()] == ["keep.txt"]
+        assert list(tmp_path.iterdir()) == [d]
 
     def test_analytic_layout(self, tmp_path):
         assert run(["analytic", "--out", str(tmp_path)]) == 0
@@ -436,6 +527,28 @@ class TestValidate:
         assert run(["validate", "--out", str(tmp_path), "--workers", "2"]) == 0
         assert sorted(used) == [1, 2]
 
+    def test_determinism_check_on_one_cpu(self, tmp_path, monkeypatch):
+        # the default count, 1 here, is resolved before the other is chosen
+        used = []
+        simulate = monte_carlo.simulate_survivors
+
+        def recording(*args, **kwargs):
+            used.append(kwargs["workers"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(monte_carlo, "simulate_survivors", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(["validate", "--out", str(tmp_path)]) == 0
+        assert used == [1, 2]
+
+    def test_a_failing_suite_keeps_its_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_validate_checks",
+                            lambda workers: [("broken", False, "on purpose")])
+        assert run(["validate", "--out", str(tmp_path)]) == 1
+        summary = (tmp_path / "validate" / "summary.txt").read_text()
+        assert "[FAIL] broken: on purpose" in summary
+        assert list(tmp_path.iterdir()) == [tmp_path / "validate"]
+
     def test_full_cross_oracle_suite_passes(self, tmp_path, capsys):
         assert run(["validate", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -491,6 +604,30 @@ for argv in (["validate"], ["mc", "--seed", "3", "--n-paths", "200000",
                             "--n-events", "100", "--workers", "2"]):
     assert cli.run(argv + ["--out", sys.argv[1]]) == 0, argv
     assert not pool_modules(), (argv, pool_modules())
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(mangledworlds.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_no_argparse_gettext_or_locale(self, tmp_path):
+        # the command line is parsed from DEFAULTS: argparse's gettext
+        # imported locale inside every timed run
+        script = """
+import sys
+def parser_modules():
+    return sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
+import mangledworlds.cli as cli
+assert not parser_modules(), ("import", parser_modules())
+for argv, code in ((["analytic"], 0),
+                   (["pde", "--n-cells", "512", "--y-max", "10", "--T", "2",
+                     "--snapshots", "1,2"], 0),
+                   (["mc", "--seed", "3", "--n-paths", "70000", "--n-events", "50"], 0),
+                   (["born", "--engines", "analytic,pde"], 0), (["headline"], 0),
+                   (["scan"], 0), (["validate"], 0), (["mc", "--n-paths", "7.5"], 2),
+                   (["born", "-h"], 0)):
+    assert cli.run(argv + ["--out", sys.argv[1]]) == code, argv
+    assert not parser_modules(), (argv, parser_modules())
 """
         env = {**os.environ, "PYTHONPATH": str(Path(mangledworlds.__file__).parents[1])}
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
