@@ -13,10 +13,13 @@ validate   fast cross-oracle suite; exit 1 on any failure
 Configuration resolves as: built-in defaults < --config JSON file < explicit
 flags.  Every run writes its fully resolved configuration to config.json in
 the run directory, so re-running from that file reproduces the outputs.
-The output root is --out, else $MANGLEDWORLDS_OUT, else ./runs.  A run is
-written into a fresh sibling directory and moved to <root>/<name>/ when it
-exits 0 or 1, replacing any earlier run of that name; on exit 2 it is
-removed and the earlier run is left as it was.
+The output root is --out, else $MANGLEDWORLDS_OUT, else ./runs, and
+--name, one path component (not '.', '..' or a name with a path
+separator), names the run in it.  A run is written into a fresh sibling
+directory and moved to <root>/<name>/ when it exits 0 or 1, replacing any
+earlier run of that name; on exit 2 it is removed and the earlier run is
+left as it was.  An operating-system error in making, writing or moving
+the run directory, as with an output root that is a regular file, exits 2.
 
 Flags: --key VALUE or --key=VALUE, where a unique prefix of a flag names
 it and the last of a repeated flag wins; `mangledworlds SUBCOMMAND -h`
@@ -181,6 +184,8 @@ def _resolve_config(sub: str, args: dict) -> dict:
 def _run_dir(args: dict, sub: str) -> Path:
     root = args["out"] or os.environ.get(ENV_OUT) or "runs"
     name = args["name"] or sub
+    if name in (".", "..") or os.path.basename(name) != name:
+        raise UsageError(f"--name must be one path component, got {name!r}")
     return Path(root) / name
 
 
@@ -561,7 +566,7 @@ def run(argv: list[str] | None = None) -> int:
             return code
         finally:
             shutil.rmtree(work, ignore_errors=True)
-    except (UsageError, DomainError, NumericalError) as exc:
+    except (UsageError, DomainError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,9 +63,9 @@ window, one per outcome and one of larger-branch counts, formed once from
 kmin and kept for later chunks, replace the events (the bit-block lookup
 of the Method of Four Russians): a gather per outcome tests the byte, one
 more adds its larger branches to k, and absorbed paths are compacted away
-once per byte.  Every rank is tested on every byte and block.  A path
-that dies mid-block or mid-byte is walked to its end; the fixed cost of a
-numpy call is thus paid per block or byte, not per event.
+once per byte.  A path that dies mid-block or mid-byte is walked to its
+end; the fixed cost of a numpy call is thus paid per block or byte, not
+per event.
 
 Memory: each walker process keeps one workspace (:class:`_Work`), one
 per thread, and walks all its chunks, of this walk and of later ones,
@@ -82,13 +82,15 @@ walks chunks j, j + W, ..., the caller walking share 0 itself, and each
 child sends its integer sums back through a pipe.  ``workers=None`` means
 one process per CPU this process may use.
 
-Two-stage runs with several (F, G) splits walk stage one once per chunk,
-then stage two once for all splits together.  Each split shifts log-size by
-ln F and so has its own thresholds kmin_F(n); floating-point addition is
-monotone, so a smaller F's survivors are a subset of a larger F's.  Each
-path carries the number of splits, largest F first, under which it still
-survives, and is dropped when that reaches 0; a split's survivors are the
-paths whose number exceeds its rank.  The splits share every draw (common
+Two-stage runs walk every path once through all N = N1 + N2 events.  A
+split (F, G) is the threshold shifted by ln F from event N1 on, where it
+holds the split's own test, which implies stage one's since ln F <= 0 and
+floating-point addition is monotone; so a smaller F's survivors are a
+subset of a larger F's.  Each path carries the number of splits, largest
+F first, under which it still survives, and is dropped when that reaches
+0; a split's survivors are the paths whose number exceeds its rank.  A
+rank is tested only where its thresholds differ from the rank before it,
+so stage one costs one rank's test.  The splits share every draw (common
 random numbers) and the seed is not offset per split, so each split's
 result equals its one-split run at the same seed, bit for bit, by
 construction.
@@ -339,7 +341,7 @@ class _RunConfig:
     eps: float
     n_total: int
     n_split: int          # event after which each split is applied
-    splits: tuple[tuple[float, float], ...]  # (log_F, log_G) per split
+    splits: tuple[tuple[float, float], ...]  # (log_F, log_G), largest F first
     tilt: str
     key: np.uint64
 
@@ -353,12 +355,13 @@ _MAX_BLOCK = 1 << 13
 _TABLE = 1 << 16
 
 
-def _kmin(cfg: _RunConfig, n: np.ndarray, log_F: float) -> np.ndarray:
+def _kmin(cfg: _RunConfig, n: np.ndarray, log_F) -> np.ndarray:
     """Per event n, the smallest k with
     k*log_big + (n-k)*log_small + log_F > n*b_step - eps, or n + 1 where no
-    k <= n passes.  That float expression is the absorption test of the
-    lattice dynamic program (bench/oracle.py), so the walk and the program
-    judge every tie alike.  eps = inf gives 0: nothing is absorbed."""
+    k <= n passes; log_F is a number or an array broadcast against n.
+    That float expression is the absorption test of the lattice dynamic
+    program (bench/oracle.py), so the walk and the program judge every tie
+    alike.  eps = inf gives 0: nothing is absorbed."""
     bound = n * cfg.b_step - cfg.eps
 
     def passes(k):
@@ -412,44 +415,49 @@ def _byte_tables(kmins: np.ndarray, first: int):
 
 
 class _Thresholds:
-    """kmin at events start..last, one row per ln F in ``log_Fs``.
+    """A walk's kmin at events 0..N, one row per split, by rank (cfg's
+    order), row r with ln F_r applied from event N1 on.
 
-    Events start..start + _TABLE are tabulated when it is built, before any
-    fork, and every chunk slices that one table; a block that reaches past
-    it, in a walk longer than _TABLE events, computes its own window.  So
-    memory stays bounded however long the walk, and a walk whose paths die
-    early tabulates no more than the first window.  _kmin is elementwise,
-    so every window reads the same values.  Tilt "none"'s byte tables are
-    kept for reuse, by later chunks, inside that first window only."""
+    Events 0.._TABLE are tabulated when it is built, before any fork, and
+    every chunk slices that one table; a block that reaches past it, in a
+    walk longer than _TABLE events, computes its own window.  So memory
+    stays bounded however long the walk, and a walk whose paths die early
+    tabulates no more than the first window.  _kmin is elementwise, so
+    every window reads the same values.  Tilt "none"'s byte tables are kept
+    for reuse, by later chunks, inside that first window only."""
 
-    def __init__(self, cfg: _RunConfig, log_Fs: Sequence[float], start: int,
-                 last: int):
-        self.cfg, self.log_Fs, self.start = cfg, tuple(log_Fs), start
-        self.table = self._compute(start, min(last, start + _TABLE))
+    def __init__(self, cfg: _RunConfig):
+        self.cfg = cfg
+        self.log_Fs = np.array([[log_F] for log_F, _ in cfg.splits])
+        self.table = self._compute(0, min(cfg.n_total, _TABLE))
         self._bytes = {}
 
     def _compute(self, lo: int, hi: int) -> np.ndarray:
         n = np.arange(lo, hi + 1)
-        return np.stack([_kmin(self.cfg, n, log_F) for log_F in self.log_Fs])
+        return _kmin(self.cfg, n, np.where(n < self.cfg.n_split, 0.0,
+                                           self.log_Fs))
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
         """kmin at events lo..hi, one column per event."""
-        if hi - self.start < self.table.shape[1]:
-            return self.table[:, lo - self.start:hi - self.start + 1]
+        if hi < self.table.shape[1]:
+            return self.table[:, lo:hi + 1]
         return self._compute(lo, hi)
 
     def byte_tables(self, lo: int, hi: int):
-        """:func:`_byte_tables` for events lo..hi of one 64-event window."""
+        """:func:`_byte_tables` and :func:`_tested` for events lo..hi of
+        one 64-event window."""
         if (tables := self._bytes.get((lo, hi))) is None:
-            tables = _byte_tables(self(lo, hi), lo)
-            if hi - self.start < self.table.shape[1]:
+            kmins = self(lo, hi)
+            tables = (*_byte_tables(kmins, lo), _tested(kmins))
+            if hi < self.table.shape[1]:
                 self._bytes[lo, hi] = tables
         return tables
 
 
-def _ranks(cfg: _RunConfig) -> list[int]:
-    """The splits' indices, largest F first: the rank order of stage two."""
-    return sorted(range(len(cfg.splits)), key=lambda i: -cfg.splits[i][0])
+def _tested(kmins: np.ndarray) -> list[int]:
+    """The ranks r >= 1 whose thresholds differ from rank r - 1's over a
+    block or window; where they agree, failing r fails r - 1 too."""
+    return (np.flatnonzero((kmins[1:] != kmins[:-1]).any(axis=1)) + 1).tolist()
 
 
 class _Pair:
@@ -527,12 +535,13 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
           last: int, work: _Work):
     """Advance the paths through events first..last.
 
-    ``kmins`` holds one row per outcome, sorted largest F first, from event
-    first on.  A path survives event n under the outcome of rank r
-    while k >= kmin_r(n).  The thresholds grow with rank, so a path
+    ``kmins`` is the walk's :class:`_Thresholds`, one row per outcome,
+    sorted largest F first.  A path survives event n under the outcome of
+    rank r while k >= kmin_r(n).  The thresholds grow with rank, so a path
     survives under a prefix of the outcomes, whose length ``alive``
-    carries (None for a single outcome, which then need not compact it);
-    it is dropped once it fails rank 0.
+    carries, None while every path survives them all (until a byte or
+    block first tests a rank, :func:`_tested`), which need not be
+    compacted; a path is dropped once it fails rank 0.
 
     Under tilt "measure" the events go in blocks (:func:`_advance`) of
     max(1, _BUDGET // alive paths) hash words of 4 events each, aligned to
@@ -552,13 +561,19 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
     while lo <= last and k.size:
         if cfg.tilt == "measure":
             words = min(_MAX_BLOCK // 4, max(1, _BUDGET // k.size))
-            end = min(last, ((lo - 1) // 4 + words) * 4)
-            k, path_hi, alive = _advance(cfg, lo, end, kmins(lo, end), k,
+            hi = min(last, ((lo - 1) // 4 + words) * 4)
+            ranks = _tested(block := kmins(lo, hi))
+        else:
+            hi = min(last, (lo - 1) // 64 * 64 + 64)
+            need, gain, ranks = kmins.byte_tables(lo, hi)
+        if ranks and alive is None:  # till now every path survives every rank
+            alive = work.alive.row(k.size)
+            alive.fill(len(cfg.splits))
+        if cfg.tilt == "measure":
+            k, path_hi, alive = _advance(cfg, lo, hi, block, ranks, k,
                                          path_hi, alive, work)
-            lo = end + 1
+            lo = hi + 1
             continue
-        hi = min(last, (lo - 1) // 64 * 64 + 64)
-        need, gain = kmins.byte_tables(lo, hi)
         word = _draws(cfg.key, path_hi, (lo - 1) // 64, work.words.rows)
         work.words.side = 0  # the hash leaves the word in row 0
         for b in range((lo - 1) % 64 // 8, (hi - 1) % 64 // 8 + 1):
@@ -566,7 +581,7 @@ def _walk(cfg: _RunConfig, kmins: _Thresholds, k: np.ndarray,
             v, tmp, mask = work.v[:n], work.k.spare(n), work.mask[:n]
             # byte b of the word; an intp index gathers several times faster
             v[...] = word.view(np.uint8)[b if _LITTLE else 7 - b::8]
-            for r in range(1, len(need)):  # below rank r: alive under < r
+            for r in ranks:  # below rank r: alive under < r
                 np.less(k, need[r, b].take(v, out=tmp, mode="clip"), out=mask)
                 np.minimum(alive, r, out=alive, where=mask)
             # gather by index: a boolean mask mispredicts a branch per drop
@@ -619,13 +634,13 @@ def _lane_branches(cfg: _RunConfig, words: np.ndarray, first: int, b: int,
 
 
 def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
-             k: np.ndarray, path_hi: np.ndarray, alive: np.ndarray | None,
-             work: _Work):
+             ranks: list[int], k: np.ndarray, path_hi: np.ndarray,
+             alive: np.ndarray | None, work: _Work):
     """Advance the paths through one tilt-"measure" block of events
     first..last, b of them, whose branches :func:`_lane_branches` reads.
 
     ``kmins[r]`` holds rank r's threshold at each of the block's
-    b <= _MAX_BLOCK events.  A path fails rank r if k + c_j < kmin_r(j) at
+    b <= _MAX_BLOCK events, and ``ranks`` the ranks r >= 1 tested.  A path fails rank r if k + c_j < kmin_r(j) at
     some block event j, c_j being its larger branches in the block up to
     j; a log-step scan forms the c_j as int16 rows.  The words, branch
     rows, scan, tests and compaction all write into ``work``; a block
@@ -658,7 +673,7 @@ def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
         np.subtract(c, slack[:, None], out=spare).min(axis=0, out=low)
         return np.add(k, low, out=tmp), top
 
-    for r in range(1, len(kmins)):  # below rank r: alive under < r
+    for r in ranks:  # below rank r: alive under < r
         np.minimum(alive, r, out=alive, where=np.less(*reach(r), out=mask))
     # gather by index: a boolean mask mispredicts a branch per drop
     keep = np.flatnonzero(np.greater_equal(*reach(0), out=mask))
@@ -670,55 +685,26 @@ def _advance(cfg: _RunConfig, first: int, last: int, kmins: np.ndarray,
     return k, path_hi, alive
 
 
-def _run_chunk(cfg: _RunConfig, kmins: tuple[_Thresholds, _Thresholds],
-               base: int, start: int, size: int, work: _Work) -> np.ndarray:
+def _run_chunk(cfg: _RunConfig, kmins: _Thresholds, base: int, start: int,
+               size: int, work: _Work) -> np.ndarray:
     """One chunk's survivors per split (row) and final k - base (column),
     as a (splits, N + 1 - base) integer array, base = kmin_0(N) (see
-    :func:`_simulate`); ``kmins`` holds the thresholds of stage one and of
-    stage two (one row per split, by rank).
-    Stage one is walked once, then stage two once for every split
-    together: each path carries the number of splits it survives, and each
-    split reads its own survivors off it.  ``work`` is the workspace of
-    the process walking the chunk, at least ``size`` paths wide, which
-    the process keeps (:func:`_workspace`): the initial k and path_hi, the
-    split's test and the compaction before stage two are written into it,
-    as every array of the walk is, so a chunk allocates only its counts."""
-    one, two = kmins
+    :func:`_simulate`).  Every path is walked once, through events 1..N
+    against ``kmins``, alive under every split at the start; each split
+    reads its own survivors off the walk's ``alive``.  ``work`` is the
+    workspace of the process walking the chunk, at least ``size`` paths
+    wide, which the process keeps (:func:`_workspace`): the initial k and
+    path_hi are written into it, as every array of the walk is, so a
+    chunk allocates only its counts."""
     k = work.k.row(size)
     k.fill(0)
     path_hi = np.add(work.paths[:size], start, out=work.hi.row(size))
-    k, path_hi, _ = _walk(cfg, one, k, _path_hi(cfg.key, path_hi, path_hi),
-                          None, 1, cfg.n_split, work)
-    order = _ranks(cfg)
-    # the split's own absorption test, against each rank's threshold
-    split = two(cfg.n_split, cfg.n_split)[:, 0]
-    mask = work.mask[:k.size]
-    keep = np.flatnonzero(np.greater_equal(k, split[0], out=mask))
-    if keep.size < k.size:
-        k, path_hi = work.k.compact(k, keep), work.hi.compact(path_hi, keep)
-    alive = None
-    if len(order) > 1:  # every kept path survives rank 0
-        alive = work.alive.row(k.size)
-        alive.fill(1)
-        for threshold in split[1:]:
-            alive += np.greater_equal(k, threshold, out=mask[:k.size])
-    k, path_hi, alive = _walk(cfg, two, k, path_hi, alive, cfg.n_split + 1,
-                              cfg.n_total, work)
-    counts = np.zeros((len(order), cfg.n_total + 1 - base), dtype=np.int64)
-    for rank, i in enumerate(order):
-        survivors = k if alive is None else k[alive > rank]
-        np.add.at(counts[i], survivors - base, 1)
+    k, path_hi, alive = _walk(cfg, kmins, k, _path_hi(cfg.key, path_hi, path_hi),
+                              None, 1, cfg.n_total, work)
+    counts = np.zeros((len(cfg.splits), cfg.n_total + 1 - base), dtype=np.int64)
+    for rank, row in enumerate(counts):
+        np.add.at(row, (k if alive is None else k[alive > rank]) - base, 1)
     return counts
-
-
-def _thresholds(cfg: _RunConfig) -> tuple[tuple[_Thresholds, _Thresholds],
-                                          int]:
-    """The thresholds of stage one and of stage two (one row per split, by
-    rank), and base = kmin_0(N), rank 0's threshold at the last event."""
-    kmins = (_Thresholds(cfg, (0.0,), 0, cfg.n_split),
-             _Thresholds(cfg, [cfg.splits[i][0] for i in _ranks(cfg)],
-                         cfg.n_split, cfg.n_total))
-    return kmins, int(kmins[1](cfg.n_total, cfg.n_total)[0, 0])
 
 
 def default_workers() -> int:
@@ -727,16 +713,17 @@ def default_workers() -> int:
 
 
 def _simulate(cfg: _RunConfig, n_paths: int,
-              workers: int | None) -> tuple[int, np.ndarray]:
-    """Survivors per split and final k, summed over the chunks, as (base,
-    counts): ``counts[i, j]`` paths survive split i with final k = base + j.
-    No survivor lies below base = kmin_0(N), rank 0's threshold at the
-    last event, so the rows do not grow with N where the walk absorbs.
+              workers: int | None) -> tuple[list[int], np.ndarray]:
+    """Survivors per split and final k, summed over the chunks, as (kmin_N,
+    counts): ``kmin_N[i]`` is split i's threshold at the last event N, and
+    ``counts[i, j]`` paths survive split i with final k = base + j.  No
+    survivor lies below base = kmin_N[0], the largest F's threshold, so the
+    rows do not grow with N where the walk absorbs.
 
     W = min(workers, chunks) processes (workers default: the CPUs this
-    process may run on) share the chunks: the caller tabulates kmin for
-    both stages, forks W - 1 children, which inherit the tables, and walks
-    share 0 itself.  Each process walks its share in the :class:`_Work` it
+    process may run on) share the chunks: the caller tabulates kmin once
+    (:class:`_Thresholds`), forks W - 1 children, which inherit the table,
+    and walks share 0 itself.  Each process walks its share in the :class:`_Work` it
     keeps (:func:`_workspace`), a child in its own, built after the fork;
     its chunks then allocate nothing of their size.  A child's sum comes
     back through a pipe, read to EOF before the child is reaped, since a
@@ -749,7 +736,9 @@ def _simulate(cfg: _RunConfig, n_paths: int,
         raise DomainError(f"workers must be >= 1, got {workers!r}")
     starts = range(0, n_paths, CHUNK)
     workers = min(default_workers() if workers is None else workers, len(starts))
-    kmins, base = _thresholds(cfg)
+    kmins = _Thresholds(cfg)
+    kmin_N = kmins(cfg.n_total, cfg.n_total)[:, 0].tolist()
+    base = kmin_N[0]
 
     def share(j: int) -> np.ndarray:
         work = _workspace(min(CHUNK, n_paths))  # in the process that walks it
@@ -762,7 +751,7 @@ def _simulate(cfg: _RunConfig, n_paths: int,
         return total
 
     if workers == 1:
-        return base, share(0)
+        return kmin_N, share(0)
     sys.stdout.flush()  # else the children inherit unwritten output
     sys.stderr.flush()
     children = {}  # pid -> read end of its pipe
@@ -787,7 +776,7 @@ def _simulate(cfg: _RunConfig, n_paths: int,
                                    f"{status} after {len(data)} of "
                                    f"{total.nbytes} bytes")
             total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
-        return base, total
+        return kmin_N, total
     finally:
         for pid, r in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -822,7 +811,8 @@ def _config_for(spec: WalkSpec, *, n2: int = 0,
                 splits: tuple[tuple[float, float], ...] = ((0.0, 0.0),),
                 seed: int = 0) -> _RunConfig:
     """Config for a walk split after spec.n_events and continued for n2
-    more events; a plain run is the identity split (0, 0) with n2 = 0."""
+    more events, ``splits`` given largest F first; a plain run is the
+    identity split (0, 0) with n2 = 0."""
     p = spec.dp.p
     big, small = max(p, 1.0 - p), min(p, 1.0 - p)
     n_total = spec.n_events + n2
@@ -846,10 +836,9 @@ def _records(cfg: _RunConfig, n_paths: int, seed: int,
              workers: int | None) -> list[PathEnsemble]:
     """Walk cfg: one record per split, counted from its own kmin_F(N), its
     boundary shifted by ln F into the frame of the unshifted log-size."""
-    base, counts = _simulate(cfg, n_paths, workers)
+    kmin_N, counts = _simulate(cfg, n_paths, workers)
+    base = kmin_N[0]
     b_final = cfg.n_total * cfg.b_step - cfg.eps if math.isfinite(cfg.eps) else 0.0
-    kmin_N = [int(_kmin(cfg, np.array([cfg.n_total]), log_F)[0])
-              for log_F, _ in cfg.splits]
     return [PathEnsemble(n_paths=n_paths, seed=seed, base=k0,
                          counts=tuple(np.trim_zeros(row[k0 - base:], "b").tolist()),
                          tilt=cfg.tilt, n_events=cfg.n_total, log_big=cfg.log_big,
@@ -900,9 +889,9 @@ def born_two_stage_mc_counts(spec: WalkSpec,
     through n2 more events.  Returns one record per split, whose
     estimates are the final outcome counts lambda.
 
-    Each chunk walks stage one once and stage two once for all splits, on
-    the same draws; each record equals the one-split call's at the same
-    seed.
+    Each chunk walks its paths once, through both stages, for all splits
+    together, on the same draws; each record equals the one-split call's
+    at the same seed.
     """
     log_splits = []
     for F, G in splits:
@@ -910,5 +899,9 @@ def born_two_stage_mc_counts(spec: WalkSpec,
         log_splits.append((log_F, math.log(G)))
     if n2 < 1:
         raise DomainError(f"n2 must be >= 1, got {n2!r}")
-    cfg = _config_for(spec, n2=n2, splits=tuple(log_splits), seed=seed)
-    return _records(cfg, n_paths, seed, workers)
+    # the walk takes the splits largest F first, its thresholds' rank order
+    order = sorted(range(len(log_splits)), key=lambda i: -log_splits[i][0])
+    cfg = _config_for(spec, n2=n2, splits=tuple(log_splits[i] for i in order),
+                      seed=seed)
+    records = dict(zip(order, _records(cfg, n_paths, seed, workers)))
+    return [records[i] for i in range(len(order))]

@@ -61,6 +61,30 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["transmogrify"]) == 2
 
+    @pytest.mark.parametrize("name", ["..", ".", "a/b", "/abs"])
+    def test_name_is_one_path_component(self, tmp_path, capsys, name):
+        # '..' would rename the root's parent, '/abs' write outside the
+        # root and '.' into the root itself
+        root = tmp_path / "runs"
+        root.mkdir()
+        if name == "/abs":
+            name = str(tmp_path / "elsewhere")
+        assert run(["scan", "--out", str(root), "--name", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--name must be one path component" in err
+        assert list(tmp_path.iterdir()) == [root]
+
+    def test_an_output_root_that_is_a_file_is_one_error_line(self, tmp_path,
+                                                             capsys):
+        root = tmp_path / "afile"
+        root.write_text("mine")
+        assert run(["scan", "--out", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Not a directory" in err
+        assert root.read_text() == "mine" and list(tmp_path.iterdir()) == [root]
+
     def test_bad_config_key(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"no_such_knob": 1}')

@@ -446,7 +446,7 @@ def test_uniform_branch_stream_is_pinned():
         assert monte_carlo._draws(cfg.key, path_hi, w).tolist() == [
             pair[w] for pair in words.values()]
     work = monte_carlo._Work(4)
-    kmins = monte_carlo._Thresholds(cfg, (0.0,), 0, 128)
+    kmins = monte_carlo._Thresholds(cfg)
     for n in range(1, 129):
         k, _, _ = monte_carlo._walk(cfg, kmins, np.zeros(4, dtype=np.int64),
                                     path_hi, None, 1, n, work)
@@ -593,9 +593,20 @@ class TestBlockWalk:
                 alive = alive[keep]
         return k, path_hi, alive, ties
 
+    @staticmethod
+    def config(spec, log_Fs, first):
+        """The config of a walk through events first..first +
+        spec.n_events - 1 under one outcome per ln F in ``log_Fs``, each
+        applied from event first on: the split follows event first."""
+        head = WalkSpec(dp=spec.dp, eps=spec.eps, n_events=first,
+                        tilt=spec.tilt)
+        return monte_carlo._config_for(
+            head, n2=spec.n_events - 1,
+            splits=tuple((log_F, 0.0) for log_F in log_Fs), seed=5)
+
     @classmethod
     def assert_walks_agree(cls, spec, log_Fs, k, first):
-        cfg = monte_carlo._config_for(spec, seed=5)
+        cfg = cls.config(spec, log_Fs, first)
         path_hi = monte_carlo._path_hi(
             cfg.key, np.arange(k.size, dtype=np.uint64))
         alive = None
@@ -604,8 +615,8 @@ class TestBlockWalk:
             alive = sum(k >= monte_carlo._kmin(cfg, before, log_F)
                         for log_F in log_Fs).astype(np.int64)
         last = first + spec.n_events - 1
-        kmins = monte_carlo._Thresholds(cfg, log_Fs, first - 1, last)
-        got = monte_carlo._walk(cfg, kmins, k.copy(), path_hi,
+        got = monte_carlo._walk(cfg, monte_carlo._Thresholds(cfg), k.copy(),
+                                path_hi,
                                 None if alive is None else alive.copy(),
                                 first, last, monte_carlo._Work(k.size))
         want = cls.reference_walk(cfg, log_Fs, k, path_hi, alive, first, last)
@@ -691,7 +702,7 @@ class TestBlockWalk:
         path_hi = monte_carlo._path_hi(
             cfg.key, np.arange(n_paths, dtype=np.uint64))
         k, _, _ = monte_carlo._walk(
-            cfg, monte_carlo._Thresholds(cfg, (0.0,), 0, self.LONG),
+            cfg, monte_carlo._Thresholds(cfg),
             np.zeros(n_paths, dtype=np.int64), path_hi, None, 1, self.LONG,
             monte_carlo._Work(n_paths))
         larger, ties = self.larger_branch(cfg, path_hi,
@@ -717,7 +728,7 @@ class TestBlockWalk:
         log_Fs = (0.0, -20.0)
         spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=eps,
                         n_events=self.LONG, tilt=tilt)
-        cfg = monte_carlo._config_for(spec, seed=5)
+        cfg = self.config(spec, log_Fs, 1)
         path_hi = monte_carlo._path_hi(cfg.key, np.arange(4, dtype=np.uint64))
         events = np.arange(self.LONG + 1)
         larger, _ = self.larger_branch(cfg, path_hi, events[1:])
@@ -728,7 +739,7 @@ class TestBlockWalk:
         outcomes = (counts >= kmins[:, :, None]).all(axis=1).sum(axis=0)
         keep = outcomes > 0
         k, got_hi, alive = monte_carlo._walk(
-            cfg, monte_carlo._Thresholds(cfg, log_Fs, 0, self.LONG),
+            cfg, monte_carlo._Thresholds(cfg),
             np.zeros(4, dtype=np.int64), path_hi, np.full(4, 2), 1,
             self.LONG, monte_carlo._Work(4))
         assert k.tolist() == counts[-1, keep].tolist()
@@ -742,9 +753,9 @@ class TestBlockWalk:
         """Within one byte, thresholds more than 2^15 apart, which the
         byte tables hold in int64.  The walk starts on a hash word's first
         event, and 29 events into one."""
-        def spiky_kmin(cfg, n, log_F):
+        def spiky_kmin(cfg, n, log_F):  # log_F: a number or per event
             return (np.where(n % 37 == 0, n - 5_000, (n - 40_000) // 10)
-                    + round(-1000 * log_F))
+                    + np.rint(-1000 * np.asarray(log_F)).astype(np.int64))
 
         monkeypatch.setattr(monte_carlo, "_kmin", spiky_kmin)
         spec = WalkSpec(dp=DecoherenceParams(p=0.6), eps=0.3, n_events=600)
@@ -779,11 +790,12 @@ def test_hash_stays_within_the_budget(monkeypatch):
 
 
 def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
-    """Walks of 2^22 events whose paths all die early tabulate kmin for at
-    most _TABLE + 1 events per stage, as a short walk would, and not for
-    every event (32 MiB per outcome, and several times that in _kmin's
-    float temporaries).  The uniform walk's byte tables, too, cover at
-    most those _TABLE events."""
+    """Walks of 2^22 events whose paths all die early tabulate kmin once,
+    for _TABLE + 1 events, as a short walk would, and not for every event
+    (32 MiB per outcome, and several times that in _kmin's float
+    temporaries); beyond that table only event N is computed, each split's
+    base.  The uniform walk's byte tables, too, cover at most those _TABLE
+    events."""
     sizes, spans = [], []
     kmin, byte_tables = monte_carlo._kmin, monte_carlo._byte_tables
 
@@ -802,13 +814,57 @@ def test_absorbed_long_walk_tabulates_one_window(monkeypatch):
     spec = WalkSpec(dp=dp, eps=1.0, n_events=1 << 22, tilt="none")
     assert simulate_survivors(spec, 256, seed=3, workers=1).survivor_count == 0
     assert 0 < sum(spans) <= monte_carlo._TABLE
+    assert sorted(sizes) == [1, monte_carlo._TABLE + 1]
+    sizes.clear()
     # ln F = -40 absorbs every path at the split, after event 100
     spec = WalkSpec(dp=dp, eps=1.0, n_events=100, tilt="measure")
     [lam] = born_two_stage_mc_counts(spec, [(math.exp(-40.0), 1)],
                                      (1 << 22) - 100, 256, seed=3, workers=1)
     assert lam.survivor_count == 0
-    assert max(sizes) <= monte_carlo._TABLE + 1
-    assert sum(sizes) <= 4 * (monte_carlo._TABLE + 1)  # two stages, twice
+    assert sorted(sizes) == [1, monte_carlo._TABLE + 1]
+
+
+@pytest.mark.parametrize("tilt", TILTS)
+def test_stage_one_tests_one_rank(monkeypatch, tilt):
+    """A walk with 3 splits tests no rank >= 1 on a block or 64-event
+    window that ends before the split event N1, where every row of its
+    thresholds is stage one's; from N1 on, where the rows differ, it tests
+    both ranks >= 1 on every block and window.  Under tilt "measure" no
+    block before N1 carries, or compacts, the number of splits survived."""
+    n1, tested = 130, []  # (last event, ranks tested) per block or window
+    carried = []  # per block before N1: whether it carried that number
+    if tilt == "measure":
+        advance = monte_carlo._advance
+
+        def recording_advance(cfg, first, last, kmins, ranks, k, path_hi,
+                              alive, work):
+            tested.append((last, ranks))
+            if last < n1:
+                carried.append(alive is not None)
+            return advance(cfg, first, last, kmins, ranks, k, path_hi, alive,
+                           work)
+
+        monkeypatch.setattr(monte_carlo, "_advance", recording_advance)
+    else:
+        byte_tables = monte_carlo._Thresholds.byte_tables
+
+        def recording_byte_tables(self, lo, hi):
+            tables = byte_tables(self, lo, hi)
+            tested.append((hi, tables[2]))
+            return tables
+
+        monkeypatch.setattr(monte_carlo._Thresholds, "byte_tables",
+                            recording_byte_tables)
+    spec = WalkSpec(dp=DecoherenceParams(p=0.55), eps=1.0, n_events=n1,
+                    tilt=tilt)
+    lams = born_two_stage_mc_counts(spec, [(0.25, 2), (0.5, 1), (0.125, 4)],
+                                    200, 4096, seed=3, workers=1)
+    assert all(lam.survivor_count for lam in lams)
+    before = [ranks for last, ranks in tested if last < n1]
+    after = [ranks for last, ranks in tested if last >= n1]
+    assert before and after
+    assert all(ranks == [] for ranks in before) and not any(carried)
+    assert all(ranks == [1, 2] for ranks in after)
 
 
 def test_absorbed_long_walk_keeps_its_counts_small():
@@ -893,9 +949,10 @@ class TestWorkspace:
             cfg = monte_carlo._config_for(spec, seed=3)
         else:
             cfg = monte_carlo._config_for(
-                spec, n2=800, splits=((math.log(0.2), 0.0),
-                                      (math.log(0.5), 0.0)), seed=3)
-        kmins, base = monte_carlo._thresholds(cfg)
+                spec, n2=800, splits=((math.log(0.5), 0.0),
+                                      (math.log(0.2), 0.0)), seed=3)
+        kmins = monte_carlo._Thresholds(cfg)
+        base = int(kmins(cfg.n_total, cfg.n_total)[0, 0])  # rank 0's at N
         chunk = monte_carlo.CHUNK
         work = monte_carlo._Work(chunk)
         monte_carlo._run_chunk(cfg, kmins, base, 0, chunk, work)
@@ -930,9 +987,10 @@ class TestWorkspace:
         mixed = []  # blocks that compact alive while it holds a 1
         advance = monte_carlo._advance
 
-        def recording_advance(cfg, first, last, kmins, k, path_hi, alive,
-                              work):
-            out = advance(cfg, first, last, kmins, k, path_hi, alive, work)
+        def recording_advance(cfg, first, last, kmins, ranks, k, path_hi,
+                              alive, work):
+            out = advance(cfg, first, last, kmins, ranks, k, path_hi, alive,
+                          work)
             if alive is not None and out[2].size < alive.size:
                 mixed.append(bool((out[2] == 1).any()))
             return out
@@ -1146,7 +1204,7 @@ class TestHistogram:
 class TestBornTwoStage:
     @pytest.mark.parametrize("tilt", TILTS)
     def test_unit_split_is_bit_identical_to_plain_run(self, tilt):
-        # stage two starts 36 events into a tilt-none hash word
+        # the split falls 36 events into a tilt-none hash word
         dp = DecoherenceParams(p=0.55)
         s1 = WalkSpec(dp=dp, eps=0.2, n_events=100, tilt=tilt)
         plain = simulate_survivors(
